@@ -36,9 +36,34 @@ LITERAL_SLOT_OFFSET = 14
 
 _NOP = encode(Nop())
 
+#: The trampoline signature: the first three halfwords ``TrampolineItem.emit``
+#: writes (``ldr r0, [pc, #12]``; ``adds r0, #imm``; ``mov pc, r0``).  The
+#: adds halfword varies only in its low byte, the immediate.
+_SIGNATURE_LDR = encode(LdrLitR0(LDR_LITERAL_IMM))
+_SIGNATURE_ADDS_HIGH = encode(AddsImmR0(0))[1]
+_SIGNATURE_MOV = encode(MovPcR0())
+
 
 class RewriteError(Exception):
     """Lift or layout failed (unmapped branch target, bad boundary, ...)."""
+
+
+def signature_offsets(data: bytes) -> list[int]:
+    """Halfword-aligned offsets in ``data`` where a trampoline signature
+    starts.  The boot pass, the attack and the corpus generator's guard all
+    match trampolines through this one definition."""
+    out = []
+    off = data.find(_SIGNATURE_LDR)
+    while off >= 0:
+        if (
+            off % 2 == 0
+            and off + 6 <= len(data)
+            and data[off + 3] == _SIGNATURE_ADDS_HIGH
+            and data[off + 4 : off + 6] == _SIGNATURE_MOV
+        ):
+            out.append(off)
+        off = data.find(_SIGNATURE_LDR, off + 1)
+    return out
 
 
 def core_address(item_start: int) -> int:
@@ -207,6 +232,10 @@ class Program:
         if item.orig_addr is not None:
             self.labels.setdefault(item.orig_addr, idx)
         return idx
+
+    def trampoline_records(self) -> list[TrampolineRecord]:
+        """Records of the planted trampolines, in item order."""
+        return [item.record for item in self.items if isinstance(item, TrampolineItem)]
 
     def index_at(self, orig_addr: int) -> int:
         idx = self.labels.get(orig_addr)

@@ -70,6 +70,25 @@ class TrampolineSite:
     def entry_address(self) -> int:
         return self.literal_value + self.adds_imm
 
+    def to_json(self) -> dict:
+        return {
+            "address": f"0x{self.address:x}",
+            "adds_imm": self.adds_imm,
+            "literal_value": f"0x{self.literal_value:x}",
+            "encrypted_halfword": f"0x{self.encrypted_halfword:04x}",
+            "inferred_table_offset": self.inferred_table_offset,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "TrampolineSite":
+        return cls(
+            address=int(obj["address"], 16),
+            adds_imm=obj["adds_imm"],
+            literal_value=int(obj["literal_value"], 16),
+            encrypted_halfword=int(obj["encrypted_halfword"], 16),
+            inferred_table_offset=obj["inferred_table_offset"],
+        )
+
 
 def find_trampolines(image: FirmwareImage) -> list[TrampolineSite]:
     """Locate every halfword-aligned trampoline signature, exactly the way
@@ -91,19 +110,34 @@ def find_trampolines(image: FirmwareImage) -> list[TrampolineSite]:
 
 
 class ImageView:
-    """Code segments of an image with trampoline regions cut out."""
+    """Code segments of an image with trampoline regions cut out.
+
+    A signature that starts inside the previous site's core (crafted or
+    corrupted bytes) extends that site's region instead of opening a
+    segment; ``overlaps`` maps it to the site it overlaps.
+    """
 
     def __init__(self, image: FirmwareImage, sites: list[TrampolineSite]):
         self.image = image
         self.sites = sorted(sites, key=lambda s: s.address)
-        regions = [(s.address, s.address + TRAMPOLINE_CORE) for s in self.sites]
         self.segments: list[tuple[int, int]] = []
-        cursor = image.base
-        for lo, hi in regions:
-            self.segments.append((cursor, lo))
-            cursor = hi
+        self.overlaps: dict[int, int] = {}
+        cursor, prev = image.base, None
+        for site in self.sites:
+            if site.address < cursor:
+                self.overlaps[site.address] = prev
+            else:
+                self.segments.append((cursor, site.address))
+            prev, cursor = site.address, site.address + TRAMPOLINE_CORE
         self.segments.append((cursor, image.end))
         self._decoded: dict[int, list] = {}
+
+    def overlap_failure(self, site: TrampolineSite, method: str) -> Prediction | None:
+        """The ``ok=False`` verdict for a site inside another site's core."""
+        outer = self.overlaps.get(site.address)
+        if outer is None:
+            return None
+        return Prediction(site, method, ok=False, reason=f"overlaps site 0x{outer:x}")
 
     def segment_before(self, addr: int) -> int:
         """Index of the segment that ends exactly at ``addr``."""
@@ -167,6 +201,23 @@ class Prediction:
             else list(self.intersection.names()),
         }
 
+    @classmethod
+    def from_json(cls, obj: dict, site: TrampolineSite) -> "Prediction":
+        def regs(names):
+            return None if names is None else RegisterList.from_names(names)
+
+        return cls(
+            site=site,
+            method=obj["method"],
+            ok=obj["ok"],
+            kind=obj["kind"],
+            reglist=regs(obj["reglist"]),
+            confidence=obj["confidence"],
+            reason=obj["reason"],
+            union=regs(obj["union"]),
+            intersection=regs(obj["intersection"]),
+        )
+
 
 def _written_callee_saved(insns) -> RegisterList:
     mask = 0
@@ -207,6 +258,9 @@ def recover_by_symmetry(
     penalty per region crossed and per extra push in range.
     """
     view = view or ImageView(image, sites if sites is not None else find_trampolines(image))
+    failure = view.overlap_failure(site, "symmetry")
+    if failure is not None:
+        return failure
     seg = view.segment_before(site.address)
     found = None
     distance = 0
@@ -260,6 +314,9 @@ def recover_by_liveness(
     callee-saved registers is classified as a leaf returning via lr.
     """
     view = view or ImageView(image, sites if sites is not None else find_trampolines(image))
+    failure = view.overlap_failure(site, "liveness")
+    if failure is not None:
+        return failure
     seg = view.segment_before(site.address)
     w0 = view.decoded(seg)
     anchor = None
@@ -374,6 +431,16 @@ class GadgetCandidate:
             "stack_delta": self.stack_delta,
             "pc_slot_index": self.pc_slot_index,
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "GadgetCandidate":
+        return cls(
+            start=int(obj["start"], 16),
+            site_address=int(obj["site"], 16),
+            instructions=obj["instructions"],
+            stack_delta=obj["stack_delta"],
+            pc_slot_index=obj["pc_slot_index"],
+        )
 
 
 def _admissible(insn, kind: str) -> bool:
@@ -499,22 +566,28 @@ class AttackResult:
     def to_json(self) -> dict:
         return {
             "image_sha256": self.image_sha256,
-            "sites": [
-                {
-                    "address": f"0x{s.address:x}",
-                    "adds_imm": s.adds_imm,
-                    "literal_value": f"0x{s.literal_value:x}",
-                    "encrypted_halfword": f"0x{s.encrypted_halfword:04x}",
-                    "inferred_table_offset": s.inferred_table_offset,
-                }
-                for s in self.sites
-            ],
+            "sites": [s.to_json() for s in self.sites],
             "predictions": {
                 method: [p.to_json() for p in preds]
                 for method, preds in self.predictions.items()
             },
             "gadget_count": len(self.catalog),
         }
+
+    @classmethod
+    def from_json(cls, obj: dict, catalog: list[GadgetCandidate]) -> "AttackResult":
+        """Rebuild a result from its ``to_json`` form; the catalog is stored
+        separately (one ``GadgetCandidate`` JSON object per line)."""
+        sites = {site.address: site for site in map(TrampolineSite.from_json, obj["sites"])}
+        return cls(
+            image_sha256=obj["image_sha256"],
+            sites=sorted(sites.values(), key=lambda s: s.address),
+            predictions={
+                method: [Prediction.from_json(p, sites[int(p["site"], 16)]) for p in preds]
+                for method, preds in obj["predictions"].items()
+            },
+            catalog=catalog,
+        )
 
 
 def run_attack(

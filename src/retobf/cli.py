@@ -18,17 +18,14 @@ from . import harden as harden_mod
 from . import image as image_mod
 from . import machine, obfuscation
 from .attack import (
+    AttackError,
     AttackResult,
     GadgetCandidate,
-    LineageError,
-    Prediction,
-    TrampolineSite,
     baseline_gadget_scan,
     evaluate_recovery,
     run_attack,
 )
 from .image import CorpusParams, FirmwareImage, ImageError, load, save
-from .isa import RegisterList
 from .machine import MachineFault, call, check_gadget, states_equivalent
 from .obfuscation import ObfuscationError, build_table
 
@@ -157,82 +154,18 @@ def cmd_harden(args) -> int:
     return 0
 
 
-def _result_from_json(obj: dict, catalog: list) -> AttackResult:
-    sites = {}
-    for entry in obj["sites"]:
-        site = TrampolineSite(
-            address=int(entry["address"], 16),
-            adds_imm=entry["adds_imm"],
-            literal_value=int(entry["literal_value"], 16),
-            encrypted_halfword=int(entry["encrypted_halfword"], 16),
-            inferred_table_offset=entry["inferred_table_offset"],
-        )
-        sites[site.address] = site
-    predictions = {}
-    for method, preds in obj["predictions"].items():
-        out = []
-        for p in preds:
-            out.append(
-                Prediction(
-                    site=sites[int(p["site"], 16)],
-                    method=p["method"],
-                    ok=p["ok"],
-                    kind=p["kind"],
-                    reglist=None
-                    if p["reglist"] is None
-                    else RegisterList.from_names(p["reglist"]),
-                    confidence=p["confidence"],
-                    reason=p["reason"],
-                    union=None if p["union"] is None else RegisterList.from_names(p["union"]),
-                    intersection=None
-                    if p["intersection"] is None
-                    else RegisterList.from_names(p["intersection"]),
-                )
-            )
-        predictions[method] = out
-    return AttackResult(
-        image_sha256=obj["image_sha256"],
-        sites=sorted(sites.values(), key=lambda s: s.address),
-        predictions=predictions,
-        catalog=catalog,
-    )
-
-
 def _load_attack(prefix) -> AttackResult:
     obj = json.loads(Path(str(prefix) + ".attack.json").read_text())
-    catalog = []
     gadget_path = Path(str(prefix) + ".gadgets.jsonl")
-    if gadget_path.exists():
-        for line in gadget_path.read_text().splitlines():
-            entry = json.loads(line)
-            catalog.append(
-                GadgetCandidate(
-                    start=int(entry["start"], 16),
-                    site_address=int(entry["site"], 16),
-                    instructions=entry["instructions"],
-                    stack_delta=entry["stack_delta"],
-                    pc_slot_index=entry["pc_slot_index"],
-                )
-            )
-    return _result_from_json(obj, catalog)
+    lines = gadget_path.read_text().splitlines() if gadget_path.exists() else []
+    catalog = [GadgetCandidate.from_json(json.loads(line)) for line in lines]
+    return AttackResult.from_json(obj, catalog)
 
 
-def _equivalence_suite(plain, plain_man, image, manifest, key, *, runs, seeds):
-    """Randomized original-vs-transformed call comparisons; returns
-    (runs, passed)."""
+def _equivalence_suite(plain, plain_man, image, manifest, tables, *, runs):
+    """Randomized original-vs-transformed call comparisons, cycling through
+    the boot ``tables``; returns (runs, passed)."""
     rng = random.Random(0xEC0)
-    rotated = manifest.has_pass("encrypt_pushes") and any(
-        e.get("rotation_capable") for e in manifest.transform_log
-    )
-    tables = []
-    if rotated:
-        tables = [
-            harden_mod.build_rotated_table(image, manifest, key, seed) for seed in seeds
-        ]
-    elif manifest.has_pass("obfuscate_returns"):
-        tables = [build_table(image, key)]
-    else:
-        tables = [None]
     passed = 0
     total = 0
     pairs = list(zip(plain_man.functions, manifest.functions))
@@ -264,16 +197,20 @@ def cmd_eval(args) -> int:
     before = [c for c in baseline_gadget_scan(plain) if not c.instructions]
     after = baseline_gadget_scan(image)
     seeds = list(range(args.rotation_seeds))
+    rotated = manifest.has_pass("encrypt_pushes") and manifest.rotation_capable
+    if rotated:
+        tables = [
+            harden_mod.build_rotated_table(image, manifest, key, seed) for seed in seeds or [0]
+        ]
+    else:
+        tables = [build_table(image, key) if manifest.has_pass("obfuscate_returns") else None]
     runs, passed = _equivalence_suite(
-        plain, plain_man, image, manifest, key, runs=args.equivalence_runs, seeds=seeds or [0]
+        plain, plain_man, image, manifest, tables, runs=args.equivalence_runs
     )
 
-    rotated = manifest.has_pass("encrypt_pushes") and any(
-        e.get("rotation_capable") for e in manifest.transform_log
-    )
     gadget_check = None
     if result.catalog and not rotated:
-        table = build_table(image, key) if manifest.has_pass("obfuscate_returns") else None
+        table = tables[0]
         rng = random.Random(0xCA7)
         sample = rng.sample(result.catalog, min(25, len(result.catalog)))
         ok = sum(
@@ -382,7 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ImageError, ObfuscationError, LineageError, OSError) as exc:
+    except (CliError, ImageError, ObfuscationError, AttackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

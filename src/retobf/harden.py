@@ -18,79 +18,21 @@ import random
 from dataclasses import dataclass
 
 from . import isa
-from ._rewrite import InsnItem, TrampolineItem, TrampolineRecord, lift
-from .image import FirmwareImage, FunctionRecord, Manifest, remap_manifest
-from .isa import BranchW, BxLr, Pop, Push, RegisterList, encode
+from ._rewrite import InsnItem, TrampolineRecord, lift
+from .image import FirmwareImage, FunctionRecord, Manifest, commit
+from .isa import BranchW, Pop, Push, RegisterList, encode
 from .machine import TABLE_SIZE
 from .obfuscation import (
-    ObfuscationError,
+    HardenError,
     RamTable,
-    _Allocator,
-    _decode_sealed,
-    _make_record,
     check_key,
+    decode_sealed,
     entry_bytes_for,
+    obfuscate_returns,
+    plan_rotation,
     scan_trampolines,
+    seal_sites,
 )
-
-
-class HardenError(ObfuscationError):
-    pass
-
-
-@dataclass
-class RotationPlan:
-    """One return-address placement and the instruction pair realizing it.
-
-    ``position`` is the stack slot (0 = lowest address) the return address
-    occupies; position == len(regs) reproduces the plain push/pop pair.
-    """
-
-    regs: RegisterList
-    position: int
-    pop_sequence: list
-    push_sequence: list
-
-    @property
-    def layout(self) -> list[str]:
-        """Stack contents from the lowest address upward."""
-        names = list(self.regs.names())
-        split = len(names) - self.position
-        return names[split:] + ["ret"] + names[:split]
-
-    @property
-    def stack_words(self) -> int:
-        return len(self.regs) + 1
-
-
-def plan_rotation(regs: RegisterList, position: int) -> RotationPlan:
-    """Build the split pop/push sequences placing the return address at
-    ``position``.
-
-    The family is the cyclic rotations of the plain layout: a contiguous
-    split keeps every emitted register list ascending, hence encodable.
-    """
-    regs = regs.without_flags()
-    n = len(regs)
-    if not 0 <= position <= n:
-        raise HardenError(f"position {position} out of range for {n} registers")
-    lr = RegisterList.of("lr")
-    pc = RegisterList.of("pc")
-    if position == n:
-        return RotationPlan(regs, position, [Pop(regs.union(pc))], [Push(regs.union(lr))])
-    names = regs.indices()
-    split = n - position
-    head = RegisterList.of(*names[:split])
-    tail = RegisterList.of(*names[split:])
-    pop_seq: list = [Pop(tail.union(lr))]
-    if not head.is_empty:
-        pop_seq.append(Pop(head))
-    pop_seq.append(BxLr())
-    push_seq = []
-    if not head.is_empty:
-        push_seq.append(Push(head))
-    push_seq.append(Push(tail.union(lr)))
-    return RotationPlan(regs, position, pop_seq, push_seq)
 
 
 @dataclass
@@ -138,23 +80,19 @@ def pad_corpus(
             prog.items[idx] = InsnItem(
                 Pop(new_list.union(RegisterList.of("pc"))), orig_addr=site
             )
-    layout = prog.layout()
-    new_image = FirmwareImage(image.base, layout.data, image.sram_base, image.table_base)
-    new_manifest = remap_manifest(manifest, layout.addr_map, prog)
+    new_image, new_manifest = commit(
+        prog,
+        image,
+        manifest,
+        "pad_registers",
+        kmax=kmax,
+        seed=key_seed,
+        draws=[plan.to_json() for plan in plans],
+    )
     for fn, plan in zip(new_manifest.functions, plans):
         if not plan.extra.is_empty:
             fn.pad_registers = fn.pad_registers.union(plan.extra)
             fn.true_pop = fn.true_pop.union(plan.extra)
-    new_manifest.transform_log.append(
-        {
-            "pass": "pad_registers",
-            "kmax": kmax,
-            "seed": key_seed,
-            "draws": [plan.to_json() for plan in plans],
-            "image_sha256": new_image.sha256(),
-        }
-    )
-    new_manifest.validate(new_image)
     return new_image, new_manifest, plans
 
 
@@ -166,48 +104,16 @@ def encrypt_pushes(
     check_key(key)
     if manifest.has_pass("encrypt_pushes"):
         raise HardenError("pushes are already encrypted")
-    rotation_capable = any(
-        entry.get("rotation_capable")
-        for entry in manifest.transform_log
-        if entry.get("pass") == "obfuscate_returns"
-    )
+    rotation_capable = manifest.rotation_capable
     prog = lift(image, manifest)
-    existing = [it.record for it in prog.items if isinstance(it, TrampolineItem)]
-    alloc = _Allocator()
-    if existing:
-        alloc.next_offset = max(r.table_offset + r.capacity for r in existing)
-    from .obfuscation import _rotation_push_capacity
-
-    for fn in manifest.functions:
-        if fn.prologue_site is None:
-            continue
-        idx = prog.index_at(fn.prologue_site)
-        item = prog.items[idx]
-        if not isinstance(item, InsnItem) or not isinstance(item.insn, Push):
-            raise HardenError(f"prologue of {fn.name} is not a plaintext push")
-        plain = encode(item.insn)
-        capacity = len(plain) + 4
-        if rotation_capable:
-            capacity = _rotation_push_capacity(item.insn.regs)
-        record = _make_record(
-            "push", fn.name, plain, key, alloc, manifest.table_base, capacity
-        )
-        prog.items[idx] = TrampolineItem(record, orig_addr=fn.prologue_site)
-
-    layout = prog.layout()
-    new_image = FirmwareImage(image.base, layout.data, image.sram_base, image.table_base)
-    new_manifest = remap_manifest(manifest, layout.addr_map, prog)
-    records = [it.record for it in prog.items if isinstance(it, TrampolineItem)]
-    new_manifest.transform_log.append(
-        {
-            "pass": "encrypt_pushes",
-            "rotation_capable": rotation_capable,
-            "sites": [rec.to_json() for rec in records],
-            "image_sha256": new_image.sha256(),
-        }
+    sites = [
+        (fn.name, fn.prologue_site) for fn in manifest.functions if fn.prologue_site is not None
+    ]
+    seal_sites(prog, "push", sites, key, manifest.table_base, rotation_capable)
+    new_image, new_manifest = commit(
+        prog, image, manifest, "encrypt_pushes", rotation_capable=rotation_capable
     )
-    new_manifest.validate(new_image)
-    return new_image, new_manifest, records
+    return new_image, new_manifest, prog.trampoline_records()
 
 
 def harden(
@@ -224,8 +130,6 @@ def harden(
     and optionally seal pushes.  Rotation requires sealed pushes (a fixed
     plaintext push cannot match a per-boot layout), so ``rotate`` implies
     ``encrypt_push``."""
-    from .obfuscation import obfuscate_returns
-
     if rotate:
         encrypt_push = True
     image, manifest, pad_plans = pad_corpus(image, manifest, seed, kmax)
@@ -236,18 +140,20 @@ def harden(
 
 
 def _paired_sites(image: FirmwareImage, manifest: Manifest, key: int):
-    """Group the image's trampolines per function, with decrypted payloads.
+    """Group the image's trampolines per function, in manifest order.
 
-    Returns a list of (fn_name, push_sighting | None, [return sightings],
-    regs | None) in address order.  Raises unless sightings and manifest
-    records line up."""
+    Each group holds the function record ``fn``, ``push`` (its (record,
+    sighting) pair, or None when the prologue is not sealed), ``regs`` (the
+    sealed push's register list without lr, decrypted once here), and
+    ``returns`` (the (record, sighting) pairs of its sealed returns).
+    Raises unless sightings and manifest records line up."""
     records = manifest.trampoline_records()
     if not records:
         raise HardenError("image has no trampoline records")
     by_core = {s.core: s for s in scan_trampolines(image.data, image.base)}
     grouped: dict[str, dict] = {}
     for fn in manifest.functions:
-        grouped[fn.name] = {"push": None, "returns": [], "fn": fn}
+        grouped[fn.name] = {"push": None, "regs": None, "returns": [], "fn": fn}
     for rec in records:
         sighting = by_core.get(rec.core)
         if sighting is None:
@@ -255,24 +161,23 @@ def _paired_sites(image: FirmwareImage, manifest: Manifest, key: int):
         entry = grouped[rec.fn]
         if rec.kind == "push":
             entry["push"] = (rec, sighting)
+            entry["regs"] = decode_sealed(key, sighting)[0].regs.without_flags()
         else:
             entry["returns"].append((rec, sighting))
     return [grouped[fn.name] for fn in manifest.functions]
 
 
-def _draw_positions(groups, seed: int, key: int) -> list[dict]:
+def _draw_positions(groups, seed: int) -> list[dict]:
     """Per-function rotation draws for one boot.  The draw order is the
     function order, making the sequence reproducible for any seed."""
     rng = random.Random(seed)
     draws = []
     for group in groups:
         fn = group["fn"]
-        if group["push"] is None:
+        regs = group["regs"]
+        if regs is None:
             draws.append({"fn": fn.name, "slots": 0, "position": 0})
             continue
-        rec, sighting = group["push"]
-        insn, _ = _decode_sealed(sighting.enc_window, key, sighting)
-        regs = insn.regs.without_flags()
         position = rng.randint(0, len(regs))
         draws.append(
             {"fn": fn.name, "slots": len(regs) + 1, "position": position, "regs": regs}
@@ -291,7 +196,7 @@ def build_rotated_table(
     if not manifest.has_pass("encrypt_pushes"):
         raise HardenError("rotation needs sealed pushes; run encrypt_pushes first")
     groups = _paired_sites(image, manifest, key)
-    draws = _draw_positions(groups, seed, key)
+    draws = _draw_positions(groups, seed)
     table = RamTable(base=image.table_base)
     table.draws = [
         {k: (list(v.names()) if isinstance(v, RegisterList) else v) for k, v in d.items()}
@@ -299,10 +204,9 @@ def build_rotated_table(
     ]
     items: list[tuple[int, bytes, str, int]] = []
     for group, draw in zip(groups, draws):
-        fn = group["fn"]
         if group["push"] is None:
             for rec, sighting in group["returns"]:
-                insn, plain = _decode_sealed(sighting.enc_window, key, sighting)
+                insn, plain = decode_sealed(key, sighting)
                 data, text = entry_bytes_for(insn, plain, sighting, sighting.entry_address)
                 items.append((rec.table_offset, data, text, rec.capacity))
             continue
@@ -349,18 +253,14 @@ def position_distribution(
     hist: dict[str, dict] = {}
     for group in groups:
         fn = group["fn"]
-        slots = 0
-        if group["push"] is not None:
-            rec, sighting = group["push"]
-            insn, _ = _decode_sealed(sighting.enc_window, key, sighting)
-            slots = len(insn.regs.without_flags()) + 1
+        slots = 0 if group["regs"] is None else len(group["regs"]) + 1
         hist[fn.name] = {
             "slots": slots,
             "counts": [0] * max(slots, 1),
             "degenerate": slots <= 1 or len(seeds) == 1,
         }
     for seed in seeds:
-        for draw in _draw_positions(groups, seed, key):
+        for draw in _draw_positions(groups, seed):
             if draw["slots"]:
                 hist[draw["fn"]]["counts"][draw["position"]] += 1
     return hist

@@ -14,7 +14,15 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._rewrite import BlobItem, InsnItem, Program, RewriteError, TrampolineItem, lift
+from ._rewrite import (
+    BlobItem,
+    InsnItem,
+    Program,
+    RewriteError,
+    TrampolineRecord,
+    lift,
+    signature_offsets,
+)
 from .isa import (
     AddReg,
     AddSpImm,
@@ -160,9 +168,8 @@ class Manifest:
                 return entry["image_sha256"]
         return None
 
-    def trampoline_records(self):
-        from ._rewrite import TrampolineRecord
-
+    def trampoline_records(self) -> list[TrampolineRecord]:
+        """The newest ``sites`` snapshot in the transform log."""
         for entry in reversed(self.transform_log):
             if "sites" in entry:
                 return [TrampolineRecord.from_json(obj) for obj in entry["sites"]]
@@ -170,6 +177,12 @@ class Manifest:
 
     def has_pass(self, name: str) -> bool:
         return any(entry.get("pass") == name for entry in self.transform_log)
+
+    @property
+    def rotation_capable(self) -> bool:
+        """Whether the sealed sites reserve table room for every rotated
+        replacement sequence (``obfuscate_returns(rotation_capable=True)``)."""
+        return any(entry.get("rotation_capable") for entry in self.transform_log)
 
     def fn(self, name: str) -> FunctionRecord:
         for record in self.functions:
@@ -376,7 +389,7 @@ def generate_corpus(params: CorpusParams) -> tuple[FirmwareImage, Manifest]:
     if len(layout.data) > MAX_IMAGE_SIZE:
         raise ImageError("generated image exceeds configured size")
     image = FirmwareImage(DEFAULT_BASE, layout.data)
-    if find_signature_halfwords(image.data):
+    if signature_offsets(image.data):
         # The generator's instruction vocabulary cannot emit the trampoline
         # signature; treat an occurrence as a hard bug rather than retrying.
         raise ImageError("generated image contains a trampoline signature")
@@ -390,25 +403,6 @@ def generate_corpus(params: CorpusParams) -> tuple[FirmwareImage, Manifest]:
     manifest.record_pass(image, "generate", params=params.to_json())
     manifest.validate(image)
     return image, manifest
-
-
-#: First and third signature halfwords: ldr r0,[pc,#12] and mov pc, r0.
-_SIG_LDR = 0x4803
-_SIG_MOV = 0x4687
-
-
-def find_signature_halfwords(data: bytes) -> list[int]:
-    """Halfword-aligned offsets where the three-instruction trampoline
-    signature occurs (ldr r0,[pc,#12]; adds r0,#imm; mov pc,r0)."""
-    out = []
-    for off in range(0, len(data) - 5, 2):
-        if (
-            int.from_bytes(data[off : off + 2], "little") == _SIG_LDR
-            and (int.from_bytes(data[off + 2 : off + 4], "little") & 0xFF00) == 0x3000
-            and int.from_bytes(data[off + 4 : off + 6], "little") == _SIG_MOV
-        ):
-            out.append(off)
-    return out
 
 
 def save(image: FirmwareImage, manifest: Manifest, prefix) -> tuple[Path, Path]:
@@ -463,17 +457,32 @@ def splice(
             key: idx + 1 if idx >= insert_idx else idx
             for key, idx in prog.labels.items()
         }
+    return commit(prog, image, manifest, "splice", at=f"0x{at:x}", length=len(insert))
+
+
+def commit(
+    prog: Program, image: FirmwareImage, manifest: Manifest, name: str, **params
+) -> tuple[FirmwareImage, Manifest]:
+    """Lay out an edited program as the next image of ``image``'s lineage.
+
+    The manifest's addresses follow the layout, and the transform log gains
+    one entry for pass ``name`` with ``params``.  The entry carries the
+    ``sites`` snapshot whenever the program holds trampolines, so the
+    newest snapshot always describes the current image.
+    """
     layout = prog.layout()
     new_image = FirmwareImage(image.base, layout.data, image.sram_base, image.table_base)
-    new_manifest = remap_manifest(manifest, layout.addr_map, prog)
-    new_manifest.record_pass(new_image, "splice", at=f"0x{at:x}", length=len(insert))
+    new_manifest = remap_manifest(manifest, layout.addr_map)
+    records = prog.trampoline_records()
+    if records:
+        params["sites"] = [rec.to_json() for rec in records]
+    new_manifest.record_pass(new_image, name, **params)
     new_manifest.validate(new_image)
     return new_image, new_manifest
 
 
-def remap_manifest(manifest: Manifest, addr_map: dict, prog: Program) -> Manifest:
-    """Rebuild the manifest with every address pushed through ``addr_map``
-    and the trampoline snapshot refreshed from the program items."""
+def remap_manifest(manifest: Manifest, addr_map: dict) -> Manifest:
+    """Rebuild the manifest with every address pushed through ``addr_map``."""
 
     def m(addr):
         try:
@@ -494,7 +503,7 @@ def remap_manifest(manifest: Manifest, addr_map: dict, prog: Program) -> Manifes
         )
         for fn in manifest.functions
     ]
-    new_manifest = Manifest(
+    return Manifest(
         base=manifest.base,
         sram_base=manifest.sram_base,
         table_base=manifest.table_base,
@@ -502,12 +511,3 @@ def remap_manifest(manifest: Manifest, addr_map: dict, prog: Program) -> Manifes
         functions=functions,
         transform_log=[dict(entry) for entry in manifest.transform_log],
     )
-    records = [
-        item.record for item in prog.items if isinstance(item, TrampolineItem)
-    ]
-    if records:
-        # Refresh the latest snapshot so lift() keeps working on the result.
-        new_manifest.transform_log.append(
-            {"pass": "relocate_sites", "sites": [rec.to_json() for rec in records]}
-        )
-    return new_manifest

@@ -9,6 +9,9 @@ uses to find them again.
 
 The boot pass is modeled offline: ``build_table`` scans the image like the
 in-firmware initialization would and returns the table to install in RAM.
+
+Rotation planning lives here too: a rotation-capable site reserves table
+room for the longest rotated sequence, so sealing needs the plans.
 """
 
 from __future__ import annotations
@@ -18,16 +21,19 @@ from dataclasses import dataclass, field
 from . import isa
 from ._rewrite import (
     ENC_SLOT_OFFSET,
+    LDR_LITERAL_IMM,
     LITERAL_SLOT_OFFSET,
     TRAMPOLINE_CORE,
     BlobItem,
     InsnItem,
+    Program,
     TrampolineItem,
     TrampolineRecord,
     lift,
+    signature_offsets,
 )
-from .image import FirmwareImage, Manifest, remap_manifest
-from .isa import BranchW, Nop, Pop, Push, RegisterList, encode, is_return
+from .image import FirmwareImage, Manifest, commit
+from .isa import BranchW, BxLr, Nop, Pop, Push, RegisterList, encode, is_return
 from .machine import TABLE_SIZE
 
 #: Table entry granularity in bytes; plain return entries use one stride.
@@ -51,6 +57,11 @@ class IntegrityError(ObfuscationError):
 
 class TableCapacityError(ObfuscationError):
     pass
+
+
+class HardenError(ObfuscationError):
+    """A hardening step (rotation planning, push sealing, rotated tables)
+    cannot run on its input."""
 
 
 def check_key(key: int) -> int:
@@ -83,68 +94,112 @@ def encrypt_bytes(data: bytes, key: int) -> bytes:
 decrypt_bytes = encrypt_bytes  # XOR involution
 
 
-class _Allocator:
-    """Hands out table offsets at stride granularity."""
+@dataclass
+class RotationPlan:
+    """One return-address placement and the instruction pair realizing it.
 
-    def __init__(self, capacity: int = TABLE_SIZE):
-        self.next_offset = 0
-        self.capacity = capacity
+    ``position`` is the stack slot (0 = lowest address) the return address
+    occupies; position == len(regs) reproduces the plain push/pop pair.
+    """
 
-    def take(self, nbytes: int) -> tuple[int, int]:
-        size = -(-nbytes // TABLE_STRIDE) * TABLE_STRIDE
-        offset = self.next_offset
-        if offset + size > self.capacity:
-            raise TableCapacityError(
-                f"table needs {offset + size} bytes, capacity {self.capacity}"
-            )
-        self.next_offset += size
-        return offset, size
+    regs: RegisterList
+    position: int
+    pop_sequence: list
+    push_sequence: list
 
+    @property
+    def layout(self) -> list[str]:
+        """Stack contents from the lowest address upward."""
+        names = list(self.regs.names())
+        split = len(names) - self.position
+        return names[split:] + ["ret"] + names[:split]
 
-def _rotation_pop_capacity(regs: RegisterList) -> int:
-    """Worst-case byte size of any rotated pop replacement for ``regs``."""
-    from .harden import plan_rotation
-
-    worst = 0
-    plain = regs.without_flags()
-    for position in range(len(plain) + 1):
-        plan = plan_rotation(plain, position)
-        worst = max(worst, sum(i.byte_length() for i in plan.pop_sequence))
-    return worst
+    @property
+    def stack_words(self) -> int:
+        return len(self.regs) + 1
 
 
-def _rotation_push_capacity(regs: RegisterList) -> int:
-    from .harden import plan_rotation
+def plan_rotation(regs: RegisterList, position: int) -> RotationPlan:
+    """Build the split pop/push sequences placing the return address at
+    ``position``.
 
-    worst = 0
-    plain = regs.without_flags()
-    for position in range(len(plain) + 1):
-        plan = plan_rotation(plain, position)
-        worst = max(worst, sum(i.byte_length() for i in plan.push_sequence))
-    return worst + 4  # branch back to the function
+    The family is the cyclic rotations of the plain layout: a contiguous
+    split keeps every emitted register list ascending, hence encodable.
+    """
+    regs = regs.without_flags()
+    n = len(regs)
+    if not 0 <= position <= n:
+        raise HardenError(f"position {position} out of range for {n} registers")
+    lr = RegisterList.of("lr")
+    pc = RegisterList.of("pc")
+    if position == n:
+        return RotationPlan(regs, position, [Pop(regs.union(pc))], [Push(regs.union(lr))])
+    names = regs.indices()
+    split = n - position
+    head = RegisterList.of(*names[:split])
+    tail = RegisterList.of(*names[split:])
+    pop_seq: list = [Pop(tail.union(lr))]
+    if not head.is_empty:
+        pop_seq.append(Pop(head))
+    pop_seq.append(BxLr())
+    push_seq = []
+    if not head.is_empty:
+        push_seq.append(Push(head))
+    push_seq.append(Push(tail.union(lr)))
+    return RotationPlan(regs, position, pop_seq, push_seq)
 
 
-def _make_record(
+def _entry_capacity(insn, rotation_capable: bool) -> int:
+    """Table bytes a sealed return or push reserves: its own entry or, when
+    ``rotation_capable``, the longest entry any rotation draw can produce.
+    A push's entry ends in a 4-byte branch back to the function."""
+    size = insn.byte_length()
+    if rotation_capable and isinstance(insn, (Pop, Push)):
+        regs = insn.regs.without_flags()
+        plans = [plan_rotation(regs, position) for position in range(len(regs) + 1)]
+        sequences = [p.pop_sequence if isinstance(insn, Pop) else p.push_sequence for p in plans]
+        size = max(sum(i.byte_length() for i in seq) for seq in sequences)
+    return size if is_return(insn) else size + 4
+
+
+def seal_sites(
+    prog: Program,
     kind: str,
-    fn_name: str,
-    plain: bytes,
+    sites: list[tuple[str, int]],
     key: int,
-    alloc: _Allocator,
     table_base: int,
-    capacity_bytes: int,
-) -> TrampolineRecord:
-    offset, capacity = alloc.take(capacity_bytes)
-    block = offset // OFFSET_BLOCK
-    return TrampolineRecord(
-        kind=kind,
-        fn=fn_name,
-        item_start=0,  # assigned at layout
-        enc=encrypt_bytes(plain, key),
-        adds_imm=offset - block * OFFSET_BLOCK,
-        literal_value=table_base + block * OFFSET_BLOCK,
-        table_offset=offset,
-        capacity=capacity,
+    rotation_capable: bool,
+) -> None:
+    """Replace the instruction at each ``(function, address)`` site with a
+    trampoline sealing it.  ``kind`` is "return" or "push".  Table room is
+    reserved at stride granularity after every trampoline ``prog`` holds."""
+    next_offset = max(
+        (rec.table_offset + rec.capacity for rec in prog.trampoline_records()), default=0
     )
+    for fn_name, site in sites:
+        idx = prog.index_at(site)
+        item = prog.items[idx]
+        insn = item.insn if isinstance(item, InsnItem) else None
+        if not (is_return(insn) if kind == "return" else isinstance(insn, Push)):
+            raise ObfuscationError(f"site 0x{site:x} in {fn_name} is not a plaintext {kind}")
+        plain = encode(insn)
+        offset = next_offset
+        size = -(-_entry_capacity(insn, rotation_capable) // TABLE_STRIDE) * TABLE_STRIDE
+        next_offset += size
+        if next_offset > TABLE_SIZE:
+            raise TableCapacityError(f"table needs {next_offset} bytes, capacity {TABLE_SIZE}")
+        block = offset // OFFSET_BLOCK
+        record = TrampolineRecord(
+            kind=kind,
+            fn=fn_name,
+            item_start=0,  # assigned at layout
+            enc=encrypt_bytes(plain, key),
+            adds_imm=offset - block * OFFSET_BLOCK,
+            literal_value=table_base + block * OFFSET_BLOCK,
+            table_offset=offset,
+            capacity=size,
+        )
+        prog.items[idx] = TrampolineItem(record, orig_addr=site)
 
 
 def obfuscate_returns(
@@ -164,43 +219,22 @@ def obfuscate_returns(
     if manifest.has_pass("obfuscate_returns"):
         raise ObfuscationError("image is already return-obfuscated")
     prog = lift(image, manifest)
-    alloc = _Allocator()
     if manifest.functions:
         stub = BlobItem(encode(Nop()) * (INIT_STUB_BYTES // 2))
         prog.items.insert(0, stub)
         prog.labels = {key_: idx + 1 for key_, idx in prog.labels.items()}
-
-    for fn in manifest.functions:
-        for site in fn.epilogue_sites:
-            idx = prog.index_at(site)
-            item = prog.items[idx]
-            if not isinstance(item, InsnItem) or not is_return(item.insn):
-                raise ObfuscationError(f"site 0x{site:x} in {fn.name} is not a return")
-            plain = encode(item.insn)
-            capacity = len(plain)
-            if rotation_capable and isinstance(item.insn, Pop):
-                capacity = _rotation_pop_capacity(item.insn.regs)
-            record = _make_record(
-                "return", fn.name, plain, key, alloc, manifest.table_base, capacity
-            )
-            prog.items[idx] = TrampolineItem(record, orig_addr=site)
-
-    layout = prog.layout()
-    new_image = FirmwareImage(image.base, layout.data, image.sram_base, image.table_base)
-    new_manifest = remap_manifest(manifest, layout.addr_map, prog)
-    records = [it.record for it in prog.items if isinstance(it, TrampolineItem)]
-    new_manifest.transform_log.append(
-        {
-            "pass": "obfuscate_returns",
-            "rotation_capable": rotation_capable,
-            "init_stub_bytes": INIT_STUB_BYTES if manifest.functions else 0,
-            "leaf_returns_obfuscated": True,
-            "sites": [rec.to_json() for rec in records],
-            "image_sha256": new_image.sha256(),
-        }
+    sites = [(fn.name, site) for fn in manifest.functions for site in fn.epilogue_sites]
+    seal_sites(prog, "return", sites, key, manifest.table_base, rotation_capable)
+    new_image, new_manifest = commit(
+        prog,
+        image,
+        manifest,
+        "obfuscate_returns",
+        rotation_capable=rotation_capable,
+        init_stub_bytes=INIT_STUB_BYTES if manifest.functions else 0,
+        leaf_returns_obfuscated=True,
     )
-    new_manifest.validate(new_image)
-    return new_image, new_manifest, records
+    return new_image, new_manifest, prog.trampoline_records()
 
 
 @dataclass
@@ -229,10 +263,6 @@ class RawSighting:
         return self.literal_value + self.adds_imm
 
 
-_SIG_LDR = 0x4803  # ldr r0, [pc, #12]
-_SIG_MOV = 0x4687  # mov pc, r0
-
-
 def scan_trampolines(data: bytes, base: int) -> list[RawSighting]:
     """Find every halfword-aligned trampoline signature.
 
@@ -241,25 +271,16 @@ def scan_trampolines(data: bytes, base: int) -> list[RawSighting]:
     boot pass can find, an attacker can find.
     """
     sightings = []
-    for off in range(0, len(data) - 1, 2):
-        if int.from_bytes(data[off : off + 2], "little") != _SIG_LDR:
-            continue
-        if off + 6 > len(data):
-            continue
-        adds = int.from_bytes(data[off + 2 : off + 4], "little")
-        if adds & 0xFF00 != 0x3000:
-            continue
-        if int.from_bytes(data[off + 4 : off + 6], "little") != _SIG_MOV:
-            continue
+    for off in signature_offsets(data):
         addr = base + off
-        literal_addr = ((addr + 4) & ~3) + 12
+        literal_addr = ((addr + 4) & ~3) + LDR_LITERAL_IMM
         lit_off = literal_addr - base
         if lit_off + 4 > len(data):
             continue
         sightings.append(
             RawSighting(
                 core=addr,
-                adds_imm=adds & 0xFF,
+                adds_imm=data[off + 2],
                 literal_value=int.from_bytes(data[lit_off : lit_off + 4], "little"),
                 enc_window=bytes(data[off + 6 : lit_off]),
             )
@@ -320,25 +341,45 @@ class RamTable:
         }
 
 
+#: First halfwords of the wide pop and push encodings.
+_WIDE_POP = 0xE8BD
+_WIDE_PUSH = 0xE92D
+
+
 def _classify_halfword(hw: int) -> str | None:
-    """Is this decrypted halfword a plausible table payload on its own?"""
+    """Raw bit-pattern class of one halfword: a pc-popping or lr-pushing
+    narrow pop/push, ``bx lr``, or the prefix of a wide pop/push.  The boot
+    check asks it of each decrypted slot, the plaintext sweep of each code
+    halfword."""
     if (hw & 0xFF00) == 0xBD00:
         return "pop-pc"
     if hw == 0x4770:
         return "bx-lr"
     if (hw & 0xFF00) == 0xB500:
         return "push-lr"
-    if hw in (0xE8BD, 0xE92D):
+    if hw in (_WIDE_POP, _WIDE_PUSH):
         return "wide-prefix"
     return None
 
 
-def _decode_sealed(window: bytes, key: int, sighting: RawSighting):
+def _wide_list_plausible(prefix: int, hw2: int) -> bool:
+    """Raw check of the register-list halfword after a wide prefix: a pop
+    must load pc and not lr, a push must store lr.  Looser than
+    ``isa.decode`` on purpose: the reserved bit and whether the list needs
+    the wide form are not checked, so the plaintext sweep over-reports
+    rather than misses a wide return or push."""
+    if prefix == _WIDE_POP:
+        return hw2 & 0xC000 == 0x8000
+    return bool(hw2 & 0x4000)
+
+
+def decode_sealed(key: int, sighting: RawSighting):
     """Decrypt the sealed slot of one site and decode the hidden instruction.
 
     Raises IntegrityError unless the plaintext is a return or a prologue
     push, the only things the transform ever seals.
     """
+    window = sighting.enc_window
     hw = decrypt_halfword(int.from_bytes(window[0:2], "little"), key)
     kind = _classify_halfword(hw)
     if kind in ("pop-pc", "bx-lr", "push-lr"):
@@ -378,25 +419,23 @@ def build_table(image: FirmwareImage, key: int) -> RamTable:
     table = RamTable(base=image.table_base)
     sightings = sorted(scan_trampolines(image.data, image.base), key=lambda s: s.entry_address)
     for sighting in sightings:
-        insn, plain = _decode_sealed(sighting.enc_window, key, sighting)
+        insn, plain = decode_sealed(key, sighting)
         offset = sighting.entry_address - image.table_base
         if offset < 0 or offset >= TABLE_SIZE:
             raise IntegrityError(f"site 0x{sighting.core:x}: entry outside table")
-        data, text = entry_bytes_for(insn, plain, sighting, sighting.entry_address)
+        if offset % TABLE_STRIDE or offset < table.size:
+            raise IntegrityError(
+                f"site 0x{sighting.core:x}: table entry +{offset} is misaligned "
+                "or overlaps the previous entry"
+            )
+        try:
+            data, text = entry_bytes_for(insn, plain, sighting, sighting.entry_address)
+        except isa.EncodingError as exc:  # the branch back cannot reach the site
+            raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
         table.add(offset, data, text)
     if table.size > TABLE_SIZE:
         raise TableCapacityError(f"table size {table.size} exceeds {TABLE_SIZE}")
     return table
-
-
-#: Raw patterns a plaintext sweep hunts for.  The sweep checks architectural
-#: bit patterns, not canonical encodings, so nothing slips through.
-def _halfword_is_return(hw: int) -> bool:
-    return (hw & 0xFF00) == 0xBD00 or hw == 0x4770
-
-
-def _halfword_is_push_lr(hw: int) -> bool:
-    return (hw & 0xFF00) == 0xB500
 
 
 def sweep_plaintext(
@@ -415,27 +454,22 @@ def sweep_plaintext(
     def masked(off: int) -> bool:
         return any(lo <= off < hi for lo, hi in exclude)
 
+    if want == "returns":
+        narrow, wide = ("pop-pc", "bx-lr"), _WIDE_POP
+    else:
+        narrow, wide = ("push-lr",), _WIDE_PUSH
     hits = []
     for off in range(0, len(data) - 1, 2):
         if masked(off):
             continue
         hw = int.from_bytes(data[off : off + 2], "little")
-        if want == "returns":
-            if _halfword_is_return(hw):
-                hits.append(off)
-                continue
-            if hw == 0xE8BD and off + 4 <= len(data) and not masked(off + 2):
-                hw2 = int.from_bytes(data[off + 2 : off + 4], "little")
-                if hw2 & 0x8000 and not hw2 & 0x4000:
-                    hits.append(off)
-        else:
-            if _halfword_is_push_lr(hw):
-                hits.append(off)
-                continue
-            if hw == 0xE92D and off + 4 <= len(data) and not masked(off + 2):
-                hw2 = int.from_bytes(data[off + 2 : off + 4], "little")
-                if hw2 & 0x4000:
-                    hits.append(off)
+        if _classify_halfword(hw) in narrow or (
+            hw == wide
+            and off + 4 <= len(data)
+            and not masked(off + 2)
+            and _wide_list_plausible(hw, int.from_bytes(data[off + 2 : off + 4], "little"))
+        ):
+            hits.append(off)
     return hits
 
 

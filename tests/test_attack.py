@@ -4,8 +4,10 @@ gadget catalog, baseline scan, and the evaluator."""
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from retobf import isa
+from retobf._rewrite import ENC_SLOT_OFFSET
 from retobf.attack import (
     AttackError,
     LineageError,
@@ -18,6 +20,7 @@ from retobf.attack import (
     recover_by_symmetry,
     run_attack,
 )
+from retobf.cli import main
 from retobf.image import FirmwareImage, FunctionRecord, Manifest
 from retobf.isa import (
     AddReg,
@@ -34,7 +37,7 @@ from retobf.isa import (
 from retobf.machine import check_gadget
 from retobf.obfuscation import build_table, obfuscate_returns
 
-from conftest import KEY
+from conftest import KEY, crafted_images, plant_signature
 
 R = RegisterList.of
 BASE = 0x00040000
@@ -143,6 +146,33 @@ def test_adversarial_literal_counts_as_false_positive():
     report = evaluate_recovery(result, man3, spiked)
     assert report.false_positives == 1
     assert report.site_recall == 1.0
+
+
+def test_signature_inside_another_core(tmp_path):
+    """A signature starting in the sealed slot of another is located, but
+    neither method gives it a verdict; the outer site keeps its own."""
+    data = bytearray(96)
+    data[0:4] = encode(Push(R("r4", "lr"))) + encode(MovImm(4, 1))
+    outer, inner = 6, 6 + ENC_SLOT_OFFSET + 2
+    for off in (outer, inner):
+        assert plant_signature(data, BASE, off, 0, 0x00240000)
+    image = FirmwareImage(BASE, bytes(data))
+    result = run_attack(image)
+    assert [s.address for s in result.sites] == [BASE + outer, BASE + inner]
+    for method in ("symmetry", "liveness", "combined"):
+        pred = result.predictions_at(method)[BASE + inner]
+        assert not pred.ok and f"overlaps site 0x{BASE + outer:x}" in pred.reason
+    assert result.predictions_at("symmetry")[BASE + outer].reglist == R("r4", "pc")
+    (tmp_path / "img.bin").write_bytes(image.data)
+    assert main(["attack", "--in", str(tmp_path / "img"), "--out", str(tmp_path / "atk")]) == 0
+
+
+@given(crafted_images())
+@settings(max_examples=150, deadline=None)
+def test_attack_never_raises_on_crafted_images(image):
+    result = run_attack(image)
+    for preds in result.predictions.values():
+        assert [p.site for p in preds] == result.sites
 
 
 def test_symmetry_on_symmetric_pair_fixture():

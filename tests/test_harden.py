@@ -264,6 +264,15 @@ def test_encrypt_pushes_empty_image():
     assert records == []
 
 
+def test_pushes_sealed_before_returns_get_their_own_table_room(corpus):
+    """Whichever pass seals first, later sites reserve table room after the
+    earlier ones, so the boot pass rebuilds one entry per site."""
+    image, manifest = corpus
+    img, man, _ = encrypt_pushes(image, manifest, KEY)
+    img, man, records = obfuscate_returns(img, man, KEY)
+    assert len(build_table(img, KEY).entries) == len(records)
+
+
 def test_rotated_table_draws_differ_and_preserve_behavior(corpus, hardened):
     image, manifest = corpus
     himg, hman, _ = hardened

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from retobf import isa
+from retobf._rewrite import signature_offsets
 from retobf.image import (
     CorpusParams,
     FunctionRecord,
     ImageError,
-    find_signature_halfwords,
     generate_corpus,
     load,
     save,
@@ -69,7 +69,7 @@ def test_symmetric_pairs_exist():
 
 def test_no_accidental_signature(small_corpus):
     image, _ = small_corpus
-    assert find_signature_halfwords(image.data) == []
+    assert signature_offsets(image.data) == []
 
 
 def test_aapcs_conformance(small_corpus):

@@ -14,6 +14,7 @@ from retobf.machine import call, states_equivalent
 from retobf.obfuscation import (
     IntegrityError,
     ObfuscationError,
+    TableCapacityError,
     build_table,
     decrypt_halfword,
     encrypt_halfword,
@@ -23,7 +24,7 @@ from retobf.obfuscation import (
     trampoline_data_ranges,
 )
 
-from conftest import KEY
+from conftest import KEY, crafted_images
 
 R = RegisterList.of
 
@@ -189,6 +190,17 @@ def test_wrong_key_raises_integrity_error(obfuscated):
         except IntegrityError:
             errors += 1
     assert errors >= trials * 0.99 - 1
+
+
+@given(crafted_images())
+@settings(max_examples=200, deadline=None)
+def test_build_table_raises_only_typed_errors(image):
+    """The boot pass on crafted bytes either builds a table or reports an
+    integrity or capacity fault; no other exception escapes."""
+    try:
+        build_table(image, KEY)
+    except (IntegrityError, TableCapacityError):
+        pass
 
 
 def test_halfword_validity_census():
