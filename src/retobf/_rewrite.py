@@ -71,8 +71,32 @@ def core_address(item_start: int) -> int:
     return item_start if item_start % 4 == 2 else item_start + 2
 
 
+class TrampolineGeometry:
+    """Where the parts of one trampoline sit, from its ``core``,
+    ``adds_imm`` and ``literal_value``: the one definition the planted
+    record and the scanned sighting share."""
+
+    @property
+    def enc_slot(self) -> int:
+        return self.core + ENC_SLOT_OFFSET
+
+    @property
+    def literal_slot(self) -> int:
+        """The word ``ldr r0, [pc, #12]`` at ``core`` loads."""
+        return ((self.core + 4) & ~3) + LDR_LITERAL_IMM
+
+    @property
+    def resume(self) -> int:
+        """Address execution continues at after the table entry runs."""
+        return self.literal_slot + 4
+
+    @property
+    def entry_address(self) -> int:
+        return self.literal_value + self.adds_imm
+
+
 @dataclass
-class TrampolineRecord:
+class TrampolineRecord(TrampolineGeometry):
     """One planted trampoline; serialized into the manifest transform log."""
 
     kind: str  # "return" or "push"
@@ -87,23 +111,6 @@ class TrampolineRecord:
     @property
     def core(self) -> int:
         return core_address(self.item_start)
-
-    @property
-    def enc_slot(self) -> int:
-        return self.core + ENC_SLOT_OFFSET
-
-    @property
-    def literal_slot(self) -> int:
-        return self.core + LITERAL_SLOT_OFFSET
-
-    @property
-    def resume(self) -> int:
-        """Address execution continues at after the table entry runs."""
-        return self.core + TRAMPOLINE_CORE
-
-    @property
-    def entry_address(self) -> int:
-        return self.literal_value + self.adds_imm
 
     def to_json(self) -> dict:
         return {

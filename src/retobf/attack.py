@@ -47,6 +47,9 @@ CONF_EXTENDED = 0.8
 CONF_REGION = 0.7
 CONF_FLOOR = 0.05
 
+#: The verdict lists every attack result carries, in report order.
+METHODS = ("symmetry", "liveness", "combined")
+
 
 class AttackError(Exception):
     pass
@@ -65,10 +68,6 @@ class TrampolineSite:
     literal_value: int
     encrypted_halfword: int
     inferred_table_offset: int
-
-    @property
-    def entry_address(self) -> int:
-        return self.literal_value + self.adds_imm
 
     def to_json(self) -> dict:
         return {
@@ -243,12 +242,7 @@ def _real_code(insns) -> bool:
 
 
 def recover_by_symmetry(
-    image: FirmwareImage,
-    site: TrampolineSite,
-    sites: list[TrampolineSite] | None = None,
-    *,
-    window: int = SYMMETRY_WINDOW,
-    view: ImageView | None = None,
+    image: FirmwareImage, site: TrampolineSite, *, view: ImageView | None = None
 ) -> Prediction:
     """Predict the hidden pop from the nearest preceding push-with-lr.
 
@@ -257,7 +251,7 @@ def recover_by_symmetry(
     intervening trampolines (they are recognizable), paying a confidence
     penalty per region crossed and per extra push in range.
     """
-    view = view or ImageView(image, sites if sites is not None else find_trampolines(image))
+    view = view or ImageView(image, find_trampolines(image))
     failure = view.overlap_failure(site, "symmetry")
     if failure is not None:
         return failure
@@ -269,14 +263,14 @@ def recover_by_symmetry(
     for idx in range(seg, -1, -1):
         for addr, insn in reversed(view.decoded(idx)):
             distance = site.address - addr
-            if distance > window:
+            if distance > SYMMETRY_WINDOW:
                 break
             if isinstance(insn, Push) and insn.regs.has_lr:
                 if found is None:
                     found = (addr, insn, distance, crossed)
                 else:
                     extra_pushes += 1
-        if distance > window or idx == 0:
+        if distance > SYMMETRY_WINDOW or idx == 0:
             break
         crossed += 1
     if found is None:
@@ -284,7 +278,7 @@ def recover_by_symmetry(
     addr, push, dist, crossed_at = found
     confidence = max(
         CONF_FLOOR,
-        1.0 - 0.5 * dist / window - 0.1 * crossed_at - 0.05 * extra_pushes,
+        1.0 - 0.5 * dist / SYMMETRY_WINDOW - 0.1 * crossed_at - 0.05 * extra_pushes,
     )
     return Prediction(
         site,
@@ -297,12 +291,7 @@ def recover_by_symmetry(
 
 
 def recover_by_liveness(
-    image: FirmwareImage,
-    site: TrampolineSite,
-    sites: list[TrampolineSite] | None = None,
-    *,
-    window: int = LIVENESS_WINDOW,
-    view: ImageView | None = None,
+    image: FirmwareImage, site: TrampolineSite, *, view: ImageView | None = None
 ) -> Prediction:
     """Predict the hidden pop from callee-saved register usage.
 
@@ -313,7 +302,7 @@ def recover_by_liveness(
     (sealed prologues), and a code run that neither calls out nor touches
     callee-saved registers is classified as a leaf returning via lr.
     """
-    view = view or ImageView(image, sites if sites is not None else find_trampolines(image))
+    view = view or ImageView(image, find_trampolines(image))
     failure = view.overlap_failure(site, "liveness")
     if failure is not None:
         return failure
@@ -345,7 +334,7 @@ def recover_by_liveness(
     collected = list(w0)
     for idx in range(seg - 1, -1, -1):
         insns = view.decoded(idx)
-        if insns and site.address - insns[0][0] > window:
+        if insns and site.address - insns[0][0] > LIVENESS_WINDOW:
             break
         pushes = [a for a, i in insns if isinstance(i, Push) and i.regs.has_lr]
         if pushes:
@@ -465,14 +454,11 @@ def _sp_words(insn) -> int:
 
 
 def _candidates_for(
-    window_insns: list,
-    terminator: tuple[str, RegisterList | None],
-    site_address: int,
-    window: int,
+    window_insns: list, terminator: tuple[str, RegisterList | None], site_address: int
 ) -> list[GadgetCandidate]:
     kind, reglist = terminator
     out = []
-    for k in range(0, min(window, len(window_insns)) + 1):
+    for k in range(0, min(GADGET_WINDOW, len(window_insns)) + 1):
         suffix = window_insns[len(window_insns) - k :]
         if any(not _admissible(insn, kind) for _, insn in suffix):
             continue
@@ -498,11 +484,7 @@ def _candidates_for(
 
 
 def build_gadget_catalog(
-    image: FirmwareImage,
-    predictions: list[Prediction],
-    window: int = GADGET_WINDOW,
-    *,
-    view: ImageView | None = None,
+    image: FirmwareImage, predictions: list[Prediction], *, view: ImageView | None = None
 ) -> list[GadgetCandidate]:
     """Expand each usable prediction into gadget candidates: the bare return
     plus every admissible instruction window leading into it."""
@@ -515,15 +497,11 @@ def build_gadget_catalog(
             continue
         seg = view.segment_before(pred.site.address)
         terminator = (pred.kind, pred.reglist)
-        catalog.extend(
-            _candidates_for(view.decoded(seg), terminator, pred.site.address, window)
-        )
+        catalog.extend(_candidates_for(view.decoded(seg), terminator, pred.site.address))
     return catalog
 
 
-def baseline_gadget_scan(
-    image: FirmwareImage, window: int = GADGET_WINDOW
-) -> list[GadgetCandidate]:
+def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
     """The classic sweep: find every plaintext return and emit backward
     windows.  On an obfuscated image (trampoline data slots masked out, as
     any competent scanner would once it has located them) this returns
@@ -549,7 +527,7 @@ def baseline_gadget_scan(
         except StopIteration:
             continue
         preceding = [(a, i) for a, i in view.decoded(seg_idx) if a < addr]
-        catalog.extend(_candidates_for(preceding, terminator, addr, window))
+        catalog.extend(_candidates_for(preceding, terminator, addr))
     return catalog
 
 
@@ -583,34 +561,25 @@ class AttackResult:
             image_sha256=obj["image_sha256"],
             sites=sorted(sites.values(), key=lambda s: s.address),
             predictions={
-                method: [Prediction.from_json(p, sites[int(p["site"], 16)]) for p in preds]
-                for method, preds in obj["predictions"].items()
+                method: [
+                    Prediction.from_json(p, sites[int(p["site"], 16)])
+                    for p in obj["predictions"][method]
+                ]
+                for method in METHODS
             },
             catalog=catalog,
         )
 
 
-def run_attack(
-    image: FirmwareImage,
-    *,
-    symmetry_window: int = SYMMETRY_WINDOW,
-    liveness_window: int = LIVENESS_WINDOW,
-    gadget_window: int = GADGET_WINDOW,
-) -> AttackResult:
+def run_attack(image: FirmwareImage) -> AttackResult:
     """Full pipeline over image bytes: locate, recover by both methods,
     cross-check, and build the gadget catalog from the combined verdicts."""
     sites = find_trampolines(image)
     view = ImageView(image, sites)
-    sym = [
-        recover_by_symmetry(image, s, sites, window=symmetry_window, view=view)
-        for s in sites
-    ]
-    live = [
-        recover_by_liveness(image, s, sites, window=liveness_window, view=view)
-        for s in sites
-    ]
+    sym = [recover_by_symmetry(image, s, view=view) for s in sites]
+    live = [recover_by_liveness(image, s, view=view) for s in sites]
     combined = [combine_predictions(a, b) for a, b in zip(sym, live)]
-    catalog = build_gadget_catalog(image, combined, gadget_window, view=view)
+    catalog = build_gadget_catalog(image, combined, view=view)
     return AttackResult(
         image_sha256=hashlib.sha256(image.data).hexdigest(),
         sites=sites,
@@ -735,7 +704,7 @@ def evaluate_recovery(result: AttackResult, manifest: Manifest, image: FirmwareI
     false_positives = len(found_addrs - truth_addrs)
 
     methods = {}
-    for method in ("symmetry", "liveness", "combined"):
+    for method in METHODS:
         metrics = MethodMetrics()
         preds = result.predictions_at(method)
         buckets = [[0, 0] for _ in _BUCKETS]

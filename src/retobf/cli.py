@@ -26,6 +26,7 @@ from .attack import (
     run_attack,
 )
 from .image import CorpusParams, FirmwareImage, ImageError, load, save
+from .isa import EncodingError
 from .machine import MachineFault, call, check_gadget, states_equivalent
 from .obfuscation import ObfuscationError, build_table
 
@@ -63,6 +64,12 @@ def _echo(args, **extra) -> dict:
     return {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(cfg.items())}
 
 
+def _rotated(manifest) -> bool:
+    """Whether each boot of the image draws a rotated table: its pushes are
+    sealed and its sites reserve room for every rotated sequence."""
+    return manifest.has_pass("encrypt_pushes") and manifest.rotation_capable
+
+
 def cmd_gen(args) -> int:
     params = CorpusParams(
         function_count=args.functions,
@@ -92,7 +99,7 @@ def cmd_obfuscate(args) -> int:
 def cmd_init(args) -> int:
     key = _parse_key(args.key)
     image, manifest = load(args.input)
-    if args.seed is not None and manifest.has_pass("encrypt_pushes"):
+    if args.seed is not None and _rotated(manifest):
         table = harden_mod.build_rotated_table(image, manifest, key, args.seed)
     else:
         table = build_table(image, key)
@@ -155,11 +162,15 @@ def cmd_harden(args) -> int:
 
 
 def _load_attack(prefix) -> AttackResult:
-    obj = json.loads(Path(str(prefix) + ".attack.json").read_text())
+    path = Path(str(prefix) + ".attack.json")
     gadget_path = Path(str(prefix) + ".gadgets.jsonl")
+    text = path.read_text()
     lines = gadget_path.read_text().splitlines() if gadget_path.exists() else []
-    catalog = [GadgetCandidate.from_json(json.loads(line)) for line in lines]
-    return AttackResult.from_json(obj, catalog)
+    try:
+        catalog = [GadgetCandidate.from_json(json.loads(line)) for line in lines]
+        return AttackResult.from_json(json.loads(text), catalog)
+    except (KeyError, ValueError, TypeError, EncodingError) as exc:
+        raise CliError(f"malformed attack report {path}: {exc!r}") from exc
 
 
 def _equivalence_suite(plain, plain_man, image, manifest, tables, *, runs):
@@ -197,7 +208,7 @@ def cmd_eval(args) -> int:
     before = [c for c in baseline_gadget_scan(plain) if not c.instructions]
     after = baseline_gadget_scan(image)
     seeds = list(range(args.rotation_seeds))
-    rotated = manifest.has_pass("encrypt_pushes") and manifest.rotation_capable
+    rotated = _rotated(manifest)
     if rotated:
         tables = [
             harden_mod.build_rotated_table(image, manifest, key, seed) for seed in seeds or [0]

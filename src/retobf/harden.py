@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from . import isa
 from ._rewrite import InsnItem, TrampolineRecord, lift
 from .image import FirmwareImage, FunctionRecord, Manifest, commit
-from .isa import BranchW, Pop, Push, RegisterList, encode
-from .machine import TABLE_SIZE
+from .isa import Pop, Push, RegisterList
 from .obfuscation import (
     HardenError,
     RamTable,
@@ -161,7 +160,7 @@ def _paired_sites(image: FirmwareImage, manifest: Manifest, key: int):
         entry = grouped[rec.fn]
         if rec.kind == "push":
             entry["push"] = (rec, sighting)
-            entry["regs"] = decode_sealed(key, sighting)[0].regs.without_flags()
+            entry["regs"] = decode_sealed(key, sighting).regs.without_flags()
         else:
             entry["returns"].append((rec, sighting))
     return [grouped[fn.name] for fn in manifest.functions]
@@ -195,6 +194,9 @@ def build_rotated_table(
     check_key(key)
     if not manifest.has_pass("encrypt_pushes"):
         raise HardenError("rotation needs sealed pushes; run encrypt_pushes first")
+    if not manifest.rotation_capable:
+        raise HardenError("rotation needs table room for every rotated sequence; "
+                          "seal the returns with rotation_capable")
     groups = _paired_sites(image, manifest, key)
     draws = _draw_positions(groups, seed)
     table = RamTable(base=image.table_base)
@@ -202,43 +204,18 @@ def build_rotated_table(
         {k: (list(v.names()) if isinstance(v, RegisterList) else v) for k, v in d.items()}
         for d in draws
     ]
-    items: list[tuple[int, bytes, str, int]] = []
+    entries = []  # (record, sighting, sequence, branch back)
     for group, draw in zip(groups, draws):
         if group["push"] is None:
-            for rec, sighting in group["returns"]:
-                insn, plain = decode_sealed(key, sighting)
-                data, text = entry_bytes_for(insn, plain, sighting, sighting.entry_address)
-                items.append((rec.table_offset, data, text, rec.capacity))
+            entries += [(rec, s, [decode_sealed(key, s)], False) for rec, s in group["returns"]]
             continue
         plan = plan_rotation(draw["regs"], draw["position"])
-        for rec, sighting in group["returns"]:
-            data = b"".join(
-                encode(i, address=sighting.entry_address + off)
-                for i, off in _with_offsets(plan.pop_sequence)
-            )
-            text = "; ".join(i.text() for i in plan.pop_sequence)
-            items.append((rec.table_offset, data, text, rec.capacity))
-        rec, sighting = group["push"]
-        seq = list(plan.push_sequence)
-        body = b""
-        for insn, off in _with_offsets(seq):
-            body += encode(insn, address=sighting.entry_address + off)
-        back = BranchW(sighting.resume)
-        body += encode(back, address=sighting.entry_address + len(body))
-        text = "; ".join(i.text() for i in seq) + f"; {back.text()}"
-        items.append((rec.table_offset, body, text, rec.capacity))
-    for offset, data, text, capacity in sorted(items):
-        table.add(offset, data, text, capacity=capacity)
-    if table.size > TABLE_SIZE:
-        raise HardenError(f"table size {table.size} exceeds {TABLE_SIZE}")
+        entries += [(rec, s, plan.pop_sequence, False) for rec, s in group["returns"]]
+        entries.append((*group["push"], plan.push_sequence, True))
+    for rec, sighting, seq, branch_back in sorted(entries, key=lambda e: e[0].table_offset):
+        data, text = entry_bytes_for(seq, sighting, branch_back)
+        table.add(rec.table_offset, data, text, capacity=rec.capacity)
     return table
-
-
-def _with_offsets(seq):
-    off = 0
-    for insn in seq:
-        yield insn, off
-        off += insn.byte_length()
 
 
 def position_distribution(

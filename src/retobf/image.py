@@ -184,12 +184,6 @@ class Manifest:
         replacement sequence (``obfuscate_returns(rotation_capable=True)``)."""
         return any(entry.get("rotation_capable") for entry in self.transform_log)
 
-    def fn(self, name: str) -> FunctionRecord:
-        for record in self.functions:
-            if record.name == name:
-                return record
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         return {
             "base": f"0x{self.base:x}",

@@ -6,9 +6,11 @@ not modeled (nothing in the subset branches on them), and there is no cycle
 accuracy; a step budget bounds every run.
 
 Memory model: a read-only flash region holding the firmware image and a
-read-write scratch RAM region holding the rebuilt instruction table at its
-bottom and the stack at its top.  Execution is allowed from flash and from
-the table region only.
+read-write scratch RAM region of ``SRAM_SIZE`` bytes.  The top
+``STACK_RESERVE`` bytes of RAM are the stack; the RAM below them, from the
+table base up, holds the rebuilt instruction table (``TABLE_SIZE`` bytes
+when the table sits at the RAM base).  Execution is allowed from flash and
+from the table region only.
 """
 
 from __future__ import annotations
@@ -21,13 +23,18 @@ from .isa import Instruction, decode
 
 #: Scratch RAM region size and internal split (table at bottom, stack at top).
 SRAM_SIZE = 0x10000
-TABLE_SIZE = 0x4000
 STACK_RESERVE = 0x4000
+TABLE_SIZE = SRAM_SIZE - STACK_RESERVE
 
 #: Address used as the "caller" a harnessed call returns to.
-DEFAULT_SENTINEL = 0x000E0000
+SENTINEL = 0x000E0000
 
 DEFAULT_STEP_BUDGET = 100_000
+
+#: Step budget of one gadget check, and the base of the values seeded into
+#: the stack words a gadget consumes.
+GADGET_STEP_BUDGET = 2000
+GADGET_FILLER = 0x40404040
 
 #: Bytes of pre-seeded caller stack left above the initial sp.
 CALLER_STACK_BYTES = 64
@@ -74,7 +81,6 @@ class MachineState:
     sram_base: int
     sram: bytearray
     table_base: int
-    table_size: int = TABLE_SIZE
     stack_limit: int = 0
     stack_top: int = 0
     step_count: int = 0
@@ -128,31 +134,22 @@ class MachineState:
         )
 
 
-def make_state(
-    image,
-    table=None,
-    *,
-    regs: dict[int, int] | None = None,
-    sram_size: int = SRAM_SIZE,
-    table_size: int = TABLE_SIZE,
-) -> MachineState:
+def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> MachineState:
     """Build a fresh state for ``image`` with ``table`` installed in RAM.
 
     ``image`` needs ``base``, ``data`` and ``sram_base``/``table_base``
     attributes; ``table`` is installed via its ``install`` hook when given.
     """
-    sram = bytearray(sram_size)
     state = MachineState(
         regs=[0] * 16,
         flash_base=image.base,
         flash=bytes(image.data),
         sram_base=image.sram_base,
-        sram=sram,
+        sram=bytearray(SRAM_SIZE),
         table_base=image.table_base,
-        table_size=table_size,
     )
-    state.stack_limit = image.table_base + table_size
-    state.stack_top = image.sram_base + sram_size
+    state.stack_top = image.sram_base + SRAM_SIZE
+    state.stack_limit = state.stack_top - STACK_RESERVE
     if table is not None:
         table.install(state)
     if regs:
@@ -165,7 +162,7 @@ def _fetch(state: MachineState) -> tuple[Instruction, int]:
     pc = state.pc
     if pc % 2:
         raise MachineFault(FaultKind.BAD_PC, f"misaligned pc 0x{pc:08x}")
-    in_table = state.table_base <= pc < state.table_base + state.table_size
+    in_table = state.table_base <= pc < state.stack_limit
     if state.in_flash(pc, 2):
         data, off = state.flash, pc - state.flash_base
     elif in_table and state.in_sram(pc, 2):
@@ -285,11 +282,10 @@ def call(
     entry: int | None = None,
     regs: dict[int, int] | None = None,
     *,
-    sentinel: int = DEFAULT_SENTINEL,
     budget: int = DEFAULT_STEP_BUDGET,
     keep_trace: bool = True,
 ) -> CallResult:
-    """Run a function at ``entry`` until it returns to ``sentinel``.
+    """Run a function at ``entry`` until it returns to ``SENTINEL``.
 
     The callee sees lr holding the sentinel (thumb bit set) and a small
     pre-seeded caller stack above sp.  Raises ``MachineFault`` on any fault,
@@ -299,10 +295,10 @@ def call(
     state.sp = state.stack_top - CALLER_STACK_BYTES
     for i in range(CALLER_STACK_BYTES // 4):
         state.write(state.sp + 4 * i, 4, 0xCA000000 + i)
-    state.lr = sentinel | 1
+    state.lr = SENTINEL | 1
     state.pc = (entry if entry is not None else image.base) & ~1
     trace: list[TraceEvent] = []
-    while state.pc != sentinel:
+    while state.pc != SENTINEL:
         if state.step_count >= budget:
             raise MachineFault(FaultKind.BUDGET, f"after {budget} steps")
         event = step(state)
@@ -311,17 +307,7 @@ def call(
     return CallResult(state, trace)
 
 
-def check_gadget(
-    image,
-    table,
-    start: int,
-    stack_delta: int,
-    pc_slot_index: int | None,
-    *,
-    sentinel: int = DEFAULT_SENTINEL,
-    budget: int = 2000,
-    filler: int = 0x40404040,
-) -> bool:
+def check_gadget(image, table, start: int, stack_delta: int, pc_slot_index: int | None) -> bool:
     """Verify one gadget candidate by running it.
 
     The stack words the gadget will consume are seeded with filler values,
@@ -333,15 +319,15 @@ def check_gadget(
     words = stack_delta // 4
     state.sp = state.stack_top - stack_delta
     for i in range(words):
-        value = (sentinel | 1) if i == pc_slot_index else (filler + i)
+        value = (SENTINEL | 1) if i == pc_slot_index else (GADGET_FILLER + i)
         state.write(state.sp + 4 * i, 4, value)
     if pc_slot_index is None:
-        state.lr = sentinel | 1
+        state.lr = SENTINEL | 1
     sp0 = state.sp
     state.pc = start & ~1
     try:
-        while state.pc != sentinel:
-            if state.step_count >= budget:
+        while state.pc != SENTINEL:
+            if state.step_count >= GADGET_STEP_BUDGET:
                 return False
             step(state)
     except MachineFault:

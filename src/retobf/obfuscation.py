@@ -20,13 +20,10 @@ from dataclasses import dataclass, field
 
 from . import isa
 from ._rewrite import (
-    ENC_SLOT_OFFSET,
-    LDR_LITERAL_IMM,
-    LITERAL_SLOT_OFFSET,
-    TRAMPOLINE_CORE,
     BlobItem,
     InsnItem,
     Program,
+    TrampolineGeometry,
     TrampolineItem,
     TrampolineRecord,
     lift,
@@ -89,9 +86,6 @@ def encrypt_bytes(data: bytes, key: int) -> bytes:
         hw = int.from_bytes(data[i : i + 2], "little")
         out += encrypt_halfword(hw, key).to_bytes(2, "little")
     return bytes(out)
-
-
-decrypt_bytes = encrypt_bytes  # XOR involution
 
 
 @dataclass
@@ -238,29 +232,13 @@ def obfuscate_returns(
 
 
 @dataclass
-class RawSighting:
+class RawSighting(TrampolineGeometry):
     """A trampoline signature match found by scanning image bytes alone."""
 
     core: int
     adds_imm: int
-    literal_value: int
-    enc_window: bytes  # the 8 bytes between the jump and the literal
-
-    @property
-    def enc_slot(self) -> int:
-        return self.core + ENC_SLOT_OFFSET
-
-    @property
-    def literal_slot(self) -> int:
-        return self.core + LITERAL_SLOT_OFFSET
-
-    @property
-    def resume(self) -> int:
-        return self.core + TRAMPOLINE_CORE
-
-    @property
-    def entry_address(self) -> int:
-        return self.literal_value + self.adds_imm
+    literal_value: int = 0
+    enc_window: bytes = b""  # the bytes between the jump and the literal
 
 
 def scan_trampolines(data: bytes, base: int) -> list[RawSighting]:
@@ -272,19 +250,13 @@ def scan_trampolines(data: bytes, base: int) -> list[RawSighting]:
     """
     sightings = []
     for off in signature_offsets(data):
-        addr = base + off
-        literal_addr = ((addr + 4) & ~3) + LDR_LITERAL_IMM
-        lit_off = literal_addr - base
+        sighting = RawSighting(core=base + off, adds_imm=data[off + 2])
+        lit_off = sighting.literal_slot - base
         if lit_off + 4 > len(data):
             continue
-        sightings.append(
-            RawSighting(
-                core=addr,
-                adds_imm=data[off + 2],
-                literal_value=int.from_bytes(data[lit_off : lit_off + 4], "little"),
-                enc_window=bytes(data[off + 6 : lit_off]),
-            )
-        )
+        sighting.literal_value = int.from_bytes(data[lit_off : lit_off + 4], "little")
+        sighting.enc_window = bytes(data[sighting.enc_slot - base : lit_off])
+        sightings.append(sighting)
     return sightings
 
 
@@ -300,7 +272,6 @@ class RamTable:
     """The rebuilt instruction table that lives at the bottom of RAM."""
 
     base: int
-    stride: int = TABLE_STRIDE
     entries: list[TableEntry] = field(default_factory=list)
     draws: list[dict] = field(default_factory=list)
 
@@ -309,12 +280,14 @@ class RamTable:
             prev = self.entries[-1]
             if offset < prev.offset + len(prev.data):
                 raise ObfuscationError("table entries overlap")
-        if offset % self.stride:
+        if offset % TABLE_STRIDE:
             raise ObfuscationError("table offset not stride-aligned")
         if capacity is not None and len(data) > capacity:
             raise TableCapacityError(
                 f"entry at +{offset} needs {len(data)} bytes, reserved {capacity}"
             )
+        if offset + len(data) > TABLE_SIZE:
+            raise TableCapacityError(f"table size {offset + len(data)} exceeds {TABLE_SIZE}")
         self.entries.append(TableEntry(offset, data, text))
 
     @property
@@ -332,7 +305,7 @@ class RamTable:
     def to_json(self) -> dict:
         return {
             "base": f"0x{self.base:x}",
-            "stride": self.stride,
+            "stride": TABLE_STRIDE,
             "entries": [
                 {"offset": e.offset, "data": e.data.hex(), "text": e.text}
                 for e in self.entries
@@ -375,6 +348,8 @@ def _wide_list_plausible(prefix: int, hw2: int) -> bool:
 
 def decode_sealed(key: int, sighting: RawSighting):
     """Decrypt the sealed slot of one site and decode the hidden instruction.
+    ``isa.decode`` is canonical, so encoding the instruction gives back the
+    decrypted bytes.
 
     Raises IntegrityError unless the plaintext is a return or a prologue
     push, the only things the transform ever seals.
@@ -383,9 +358,7 @@ def decode_sealed(key: int, sighting: RawSighting):
     hw = decrypt_halfword(int.from_bytes(window[0:2], "little"), key)
     kind = _classify_halfword(hw)
     if kind in ("pop-pc", "bx-lr", "push-lr"):
-        plain = hw.to_bytes(2, "little")
-        insn, _ = isa.decode(plain)
-        return insn, plain
+        return isa.decode(hw.to_bytes(2, "little"))[0]
     if kind == "wide-prefix" and len(window) >= 4:
         hw2 = decrypt_halfword(int.from_bytes(window[2:4], "little"), key)
         plain = hw.to_bytes(2, "little") + hw2.to_bytes(2, "little")
@@ -394,21 +367,23 @@ def decode_sealed(key: int, sighting: RawSighting):
             isinstance(insn, Push) and insn.regs.has_lr
         )
         if length == 4 and ok:
-            return insn, plain
+            return insn
     raise IntegrityError(
         f"site 0x{sighting.core:x}: decrypted word 0x{hw:04x} is not a return "
         "or prologue push (wrong key or corrupted image)"
     )
 
 
-def entry_bytes_for(insn, plain: bytes, sighting: RawSighting, entry_addr: int) -> tuple[bytes, str]:
-    """Table entry payload for a decrypted instruction: a return executes in
-    place; a push gains a branch back to the function."""
-    if is_return(insn):
-        return plain, insn.text()
-    back = BranchW(sighting.resume)
-    data = plain + encode(back, address=entry_addr + len(plain))
-    return data, f"{insn.text()}; {back.text()}"
+def entry_bytes_for(seq, sighting: RawSighting, branch_back: bool) -> tuple[bytes, str]:
+    """Table entry bytes and text for the instruction sequence ``seq`` at the
+    sighting's entry address.  With ``branch_back`` (a sealed push) the entry
+    ends in a branch back to the sighting's resume address."""
+    if branch_back:
+        seq = [*seq, BranchW(sighting.resume)]
+    data = bytearray()
+    for insn in seq:
+        data += encode(insn, address=sighting.entry_address + len(data))
+    return bytes(data), "; ".join(insn.text() for insn in seq)
 
 
 def build_table(image: FirmwareImage, key: int) -> RamTable:
@@ -419,7 +394,7 @@ def build_table(image: FirmwareImage, key: int) -> RamTable:
     table = RamTable(base=image.table_base)
     sightings = sorted(scan_trampolines(image.data, image.base), key=lambda s: s.entry_address)
     for sighting in sightings:
-        insn, plain = decode_sealed(key, sighting)
+        insn = decode_sealed(key, sighting)
         offset = sighting.entry_address - image.table_base
         if offset < 0 or offset >= TABLE_SIZE:
             raise IntegrityError(f"site 0x{sighting.core:x}: entry outside table")
@@ -429,12 +404,10 @@ def build_table(image: FirmwareImage, key: int) -> RamTable:
                 "or overlaps the previous entry"
             )
         try:
-            data, text = entry_bytes_for(insn, plain, sighting, sighting.entry_address)
+            data, text = entry_bytes_for([insn], sighting, not is_return(insn))
         except isa.EncodingError as exc:  # the branch back cannot reach the site
             raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
         table.add(offset, data, text)
-    if table.size > TABLE_SIZE:
-        raise TableCapacityError(f"table size {table.size} exceeds {TABLE_SIZE}")
     return table
 
 

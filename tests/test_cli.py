@@ -1,6 +1,7 @@
 """End-to-end command-line tests: determinism, exit codes, manifest
 isolation of the attack command, report golden behavior."""
 
+import hashlib
 import json
 import shutil
 
@@ -67,6 +68,21 @@ def test_init_wrong_key_fails(workdir, capsys):
     assert run("init", "--in", str(workdir / "obf"), "--key", "0x1111",
                "--out", str(workdir / "bad_table.json")) == 1
     assert "wrong key" in capsys.readouterr().err
+
+
+def test_init_seed_without_rotation_builds_plain_table(workdir, tmp_path):
+    """A push-sealed image without rotation room boots one table, with or
+    without a boot seed."""
+    hard = tmp_path / "sealed"
+    assert run("harden", "--in", str(workdir / "corpus"), "--out", str(hard),
+               "--key", KEY, "--encrypt-push", "on") == 0
+    assert run("init", "--in", str(hard), "--key", KEY,
+               "--out", str(tmp_path / "plain.json")) == 0
+    assert run("init", "--in", str(hard), "--key", KEY, "--seed", "1",
+               "--out", str(tmp_path / "seeded.json")) == 0
+    plain, seeded = (json.loads((tmp_path / name).read_text())
+                     for name in ("plain.json", "seeded.json"))
+    assert seeded["entries"] == plain["entries"]
 
 
 def test_key_env_fallback(workdir, tmp_path, monkeypatch):
@@ -140,6 +156,19 @@ def test_eval_lineage_mismatch(workdir, tmp_path):
     assert run("eval", "--plain", str(workdir / "corpus"),
                "--image", str(workdir / "obf"), "--attack", str(tmp_path / "stale"),
                "--out", str(tmp_path / "ev3"), "--key", KEY) == 1
+
+
+def test_eval_rejects_malformed_attack_report(workdir, tmp_path, capsys):
+    """A report missing its digest, or one of the method verdict lists,
+    ends in one error line, not a traceback."""
+    digest = hashlib.sha256((workdir / "obf.bin").read_bytes()).hexdigest()
+    for report in ({"sites": []}, {"image_sha256": digest, "sites": [], "predictions": {}}):
+        (tmp_path / "bad.attack.json").write_text(json.dumps(report))
+        assert run("eval", "--plain", str(workdir / "corpus"),
+                   "--image", str(workdir / "obf"), "--attack", str(tmp_path / "bad"),
+                   "--out", str(tmp_path / "ev4"), "--key", KEY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed attack report") and err.count("\n") == 1
 
 
 def test_harden_identity_knobs(workdir, tmp_path):

@@ -298,6 +298,30 @@ def test_rotation_requires_sealed_pushes(corpus):
         build_rotated_table(obf, man2, KEY, seed=1)
 
 
+def test_rotation_requires_rotation_room(corpus):
+    image, manifest = corpus
+    img, man, _ = harden(image, manifest, KEY, kmax=0, encrypt_push=True)
+    with pytest.raises(HardenError, match="rotated sequence"):
+        build_rotated_table(img, man, KEY, seed=1)
+
+
+def test_rotation_fits_a_1000_function_corpus():
+    """The table region is all the RAM below the stack reserve, so a large
+    rotation-capable corpus seals and boots; the last functions' entries
+    lie beyond the first 16 KiB of the table."""
+    image, manifest = generate_corpus(CorpusParams(function_count=1000, seed=42))
+    himg, hman, _ = harden(image, manifest, KEY, kmax=3, rotate=True)
+    table = build_rotated_table(himg, hman, KEY, seed=1)
+    assert table.size > 0x4000
+    rng = random.Random(9)
+    for idx in rng.sample(range(995), 3) + [997, 998, 999]:
+        fn_old, fn_new = manifest.functions[idx], hman.functions[idx]
+        regs = {i: rng.randrange(1 << 32) for i in range(13)}
+        a = call(image, entry=fn_old.start, regs=regs)
+        b = call(himg, table, entry=fn_new.start, regs=regs)
+        assert states_equivalent(a.state, b.state), fn_old.name
+
+
 def test_position_distribution(hardened):
     himg, hman, _ = hardened
     hist = position_distribution(himg, hman, KEY, seeds=range(60))

@@ -161,6 +161,16 @@ def test_execution_from_table_region():
     assert state.pc == 0x000E0000
 
 
+def test_stack_reserve_does_not_move_with_the_table_base():
+    """The stack is the top ``STACK_RESERVE`` bytes of RAM and the table
+    region runs from the table base up to it, wherever the base sits."""
+    code = asm(Push(R("r4", "lr")), MovImm(4, 1), Pop(R("r4", "pc")))
+    img = FirmwareImage(code.base, code.data, table_base=code.sram_base + 0x6000)
+    state = call(img).state
+    assert state.stack_limit == state.stack_top - machine.STACK_RESERVE
+    assert state.sp == state.stack_top - CALLER_STACK_BYTES
+
+
 def test_determinism():
     img = asm(Push(R("r4", "lr")), MovImm(2, 9), Pop(R("r4", "pc")))
     a = call(img, entry=img.base, regs={4: 0xAA})

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retobf import isa
-from retobf.image import CorpusParams, generate_corpus
+from retobf.image import DEFAULT_BASE, CorpusParams, generate_corpus
 from retobf.isa import BxLr, Pop, RegisterList, decode
 from retobf.machine import call, states_equivalent
 from retobf.obfuscation import (
@@ -24,7 +24,7 @@ from retobf.obfuscation import (
     trampoline_data_ranges,
 )
 
-from conftest import KEY, crafted_images
+from conftest import KEY, crafted_images, plant_signature
 
 R = RegisterList.of
 
@@ -70,6 +70,20 @@ def test_trampoline_bytes_fixed_shape(obfuscated):
         assert lit == rec.literal_value
         # Offset soundness: literal + adds == table_base + table_offset.
         assert rec.literal_value + rec.adds_imm == image.table_base + rec.table_offset
+
+
+@pytest.mark.parametrize("off", [0, 2])
+def test_sighting_geometry_follows_the_literal_load(off):
+    """Whatever the core's alignment, the literal slot is the word the
+    ``ldr r0, [pc, #12]`` loads, and execution resumes right after it."""
+    data = bytearray(64)
+    assert plant_signature(data, DEFAULT_BASE, off, 0x10, 0x00240100)
+    (s,) = scan_trampolines(bytes(data), DEFAULT_BASE)
+    assert (s.core - DEFAULT_BASE) % 4 == off
+    lo = s.literal_slot - DEFAULT_BASE
+    assert int.from_bytes(data[lo : lo + 4], "little") == s.literal_value == 0x00240100
+    assert s.resume == s.literal_slot + 4
+    assert s.entry_address == 0x00240110
 
 
 def test_encrypted_slot_follows_jump(obfuscated):

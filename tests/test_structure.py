@@ -1,7 +1,9 @@
-"""Module-structure rules for the library: imports stay at module top, and
-no module reaches into another module's private names."""
+"""Module-structure rules for the library: imports stay at module top, no
+module reaches into another module's private names, and the trampoline
+geometry and the RAM map each have one definition."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,37 @@ def test_no_private_names_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{path.name}: imports private names {private}"
+
+
+GEOMETRY = ("enc_slot", "literal_slot", "resume", "entry_address")
+
+
+def _defined_names(tree):
+    """Names a module defines: functions, methods and (annotated) assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_slot_offsets_named_only_in_rewrite():
+    users = [
+        path.name
+        for path in SOURCES
+        if path.name != "_rewrite.py"
+        and re.search(r"\b(ENC_SLOT_OFFSET|LITERAL_SLOT_OFFSET)\b", path.read_text())
+    ]
+    assert users == []
+
+
+def test_geometry_and_table_size_defined_once():
+    where: dict[str, list[str]] = {}
+    for path in SOURCES:
+        for name in _defined_names(ast.parse(path.read_text(), filename=str(path))):
+            if name in GEOMETRY or name == "TABLE_SIZE":
+                where.setdefault(name, []).append(path.name)
+    want = {name: ["_rewrite.py"] for name in GEOMETRY}
+    want["TABLE_SIZE"] = ["machine.py"]
+    assert where == want
