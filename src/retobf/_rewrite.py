@@ -23,6 +23,7 @@ so relocating a trampoline never changes its size.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import isa
@@ -74,7 +75,7 @@ def core_address(item_start: int) -> int:
 class TrampolineGeometry:
     """Where the parts of one trampoline sit, from its ``core``,
     ``adds_imm`` and ``literal_value``: the one definition the planted
-    record and the scanned sighting share."""
+    record, the scanned sighting and the located site share."""
 
     @property
     def enc_slot(self) -> int:
@@ -291,19 +292,17 @@ def lift(image, manifest) -> Program:
     and everything else is preserved as opaque blobs.
     """
     records = {rec.item_start: rec for rec in manifest.trampoline_records()}
-    fn_bounds = [(fn.start, fn.end) for fn in manifest.functions]
+    # Sorted and non-overlapping, as ``Manifest.validate`` requires.
+    starts = [fn.start for fn in manifest.functions]
+    ends = [fn.end for fn in manifest.functions]
     prog = Program(image.base)
     end = image.base + len(image.data)
     prog.orig_end = end
-    boundaries = sorted(
-        {image.base, end}
-        | {s for s, _ in fn_bounds}
-        | {e for _, e in fn_bounds}
-        | set(records)
-    )
+    boundaries = sorted({image.base, end, *starts, *ends, *records})
 
     def in_function(addr: int) -> bool:
-        return any(s <= addr < e for s, e in fn_bounds)
+        idx = bisect_right(starts, addr) - 1
+        return idx >= 0 and addr < ends[idx]
 
     addr = image.base
     while addr < end:
@@ -313,9 +312,7 @@ def lift(image, manifest) -> Program:
             addr += TRAMPOLINE_FOOTPRINT
             continue
         if not in_function(addr):
-            stop = min(b for b in boundaries if b > addr)
-            next_rec = min((a for a in records if a > addr), default=end)
-            stop = min(stop, next_rec)
+            stop = boundaries[bisect_right(boundaries, addr)]
             prog.add(BlobItem(image.data[addr - image.base : stop - image.base], orig_addr=addr))
             addr = stop
             continue

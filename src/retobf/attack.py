@@ -11,10 +11,12 @@ next chain address goes in).  Ground truth enters only in
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import isa
-from ._rewrite import TRAMPOLINE_CORE
+from ._rewrite import TrampolineGeometry
 from .image import FirmwareImage, Manifest
 from .isa import (
     AddReg,
@@ -60,7 +62,7 @@ class LineageError(AttackError):
 
 
 @dataclass(frozen=True)
-class TrampolineSite:
+class TrampolineSite(TrampolineGeometry):
     """A located trampoline, reconstructed purely from image bytes."""
 
     address: int
@@ -68,6 +70,10 @@ class TrampolineSite:
     literal_value: int
     encrypted_halfword: int
     inferred_table_offset: int
+
+    @property
+    def core(self) -> int:
+        return self.address
 
     def to_json(self) -> dict:
         return {
@@ -111,9 +117,10 @@ def find_trampolines(image: FirmwareImage) -> list[TrampolineSite]:
 class ImageView:
     """Code segments of an image with trampoline regions cut out.
 
-    A signature that starts inside the previous site's core (crafted or
-    corrupted bytes) extends that site's region instead of opening a
-    segment; ``overlaps`` maps it to the site it overlaps.
+    A site's region runs from its core to its ``resume`` address.  A
+    signature that starts inside the previous site's region (crafted or
+    corrupted bytes) extends that region instead of opening a segment;
+    ``overlaps`` maps it to the site it overlaps.
     """
 
     def __init__(self, image: FirmwareImage, sites: list[TrampolineSite]):
@@ -127,8 +134,10 @@ class ImageView:
                 self.overlaps[site.address] = prev
             else:
                 self.segments.append((cursor, site.address))
-            prev, cursor = site.address, site.address + TRAMPOLINE_CORE
+            prev, cursor = site.address, site.resume
         self.segments.append((cursor, image.end))
+        self._starts = [lo for lo, _ in self.segments]
+        self._ending_at = {hi: idx for idx, (_, hi) in enumerate(self.segments)}
         self._decoded: dict[int, list] = {}
 
     def overlap_failure(self, site: TrampolineSite, method: str) -> Prediction | None:
@@ -140,10 +149,15 @@ class ImageView:
 
     def segment_before(self, addr: int) -> int:
         """Index of the segment that ends exactly at ``addr``."""
-        for idx, (lo, hi) in enumerate(self.segments):
-            if hi == addr and lo <= addr:
-                return idx
-        raise AttackError(f"no code segment ends at 0x{addr:x}")
+        idx = self._ending_at.get(addr)
+        if idx is None:
+            raise AttackError(f"no code segment ends at 0x{addr:x}")
+        return idx
+
+    def segment_at(self, addr: int) -> int | None:
+        """Index of the segment holding ``addr``; None inside a region."""
+        idx = bisect_right(self._starts, addr) - 1
+        return idx if idx >= 0 and addr < self.segments[idx][1] else None
 
     def decoded(self, idx: int) -> list:
         """[(address, instruction)] for one segment; tolerant of junk."""
@@ -520,13 +534,13 @@ def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
             terminator = ("pop", insn.regs)
         else:
             terminator = ("bx_lr", None)
-        try:
-            seg_idx = next(
-                i for i, (lo, hi) in enumerate(view.segments) if lo <= addr < hi
-            )
-        except StopIteration:
+        seg_idx = view.segment_at(addr)
+        if seg_idx is None:
             continue
-        preceding = [(a, i) for a, i in view.decoded(seg_idx) if a < addr]
+        # _candidates_for reads at most GADGET_WINDOW entries back.
+        insns = view.decoded(seg_idx)
+        stop = bisect_left(insns, addr, key=itemgetter(0))
+        preceding = insns[max(0, stop - GADGET_WINDOW) : stop]
         catalog.extend(_candidates_for(preceding, terminator, addr))
     return catalog
 

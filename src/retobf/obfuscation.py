@@ -424,22 +424,24 @@ def sweep_plaintext(
     patterns at any halfword boundary.
     """
 
-    def masked(off: int) -> bool:
-        return any(lo <= off < hi for lo, hi in exclude)
-
+    masked = bytearray(len(data))
+    for lo, hi in exclude:
+        lo = min(max(lo, 0), len(data))
+        hi = min(max(hi, lo), len(data))
+        masked[lo:hi] = b"\1" * (hi - lo)
     if want == "returns":
         narrow, wide = ("pop-pc", "bx-lr"), _WIDE_POP
     else:
         narrow, wide = ("push-lr",), _WIDE_PUSH
     hits = []
     for off in range(0, len(data) - 1, 2):
-        if masked(off):
+        if masked[off]:
             continue
         hw = int.from_bytes(data[off : off + 2], "little")
         if _classify_halfword(hw) in narrow or (
             hw == wide
             and off + 4 <= len(data)
-            and not masked(off + 2)
+            and not masked[off + 2]
             and _wide_list_plausible(hw, int.from_bytes(data[off + 2 : off + 4], "little"))
         ):
             hits.append(off)
@@ -449,7 +451,7 @@ def sweep_plaintext(
 def trampoline_data_ranges(image: FirmwareImage) -> list[tuple[int, int]]:
     """Byte ranges (offsets) of the non-code slots inside found trampolines:
     the sealed instruction plus padding plus the literal word."""
-    out = []
-    for s in scan_trampolines(image.data, image.base):
-        out.append((s.enc_slot - image.base, s.literal_slot + 4 - image.base))
-    return out
+    return [
+        (s.enc_slot - image.base, s.resume - image.base)
+        for s in scan_trampolines(image.data, image.base)
+    ]

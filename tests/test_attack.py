@@ -10,6 +10,7 @@ from retobf import isa
 from retobf._rewrite import ENC_SLOT_OFFSET
 from retobf.attack import (
     AttackError,
+    ImageView,
     LineageError,
     Prediction,
     baseline_gadget_scan,
@@ -165,6 +166,17 @@ def test_signature_inside_another_core(tmp_path):
     assert result.predictions_at("symmetry")[BASE + outer].reglist == R("r4", "pc")
     (tmp_path / "img.bin").write_bytes(image.data)
     assert main(["attack", "--in", str(tmp_path / "img"), "--out", str(tmp_path / "atk")]) == 0
+
+
+def test_region_ends_after_the_literal():
+    """A core at 0 mod 4 keeps its literal at core+16..core+20; the next
+    segment must start after it, not decode its high half as code."""
+    data = bytearray(encode(MovImm(0, 1)) * 24)
+    assert plant_signature(data, BASE, 0, 0, 0x11223344)
+    image = FirmwareImage(BASE, bytes(data))
+    view = ImageView(image, find_trampolines(image))
+    assert view.segments == [(BASE, BASE), (BASE + 20, image.end)]
+    assert isa.Unknown(0x1122) not in [insn for _, insn in view.decoded(1)]
 
 
 @given(crafted_images())
