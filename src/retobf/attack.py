@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import isa
-from ._rewrite import TrampolineGeometry
 from .image import FirmwareImage, Manifest
 from .isa import (
     AddReg,
@@ -33,7 +32,7 @@ from .isa import (
     decode,
     is_return,
 )
-from .obfuscation import scan_trampolines, sweep_plaintext, trampoline_data_ranges
+from .obfuscation import RawSighting, scan_trampolines, sweep_plaintext, trampoline_data_ranges
 
 SYMMETRY_WINDOW = 512
 LIVENESS_WINDOW = 2048
@@ -61,88 +60,43 @@ class LineageError(AttackError):
     """Attack output and manifest belong to different image builds."""
 
 
-@dataclass(frozen=True)
-class TrampolineSite(TrampolineGeometry):
-    """A located trampoline, reconstructed purely from image bytes."""
-
-    address: int
-    adds_imm: int
-    literal_value: int
-    encrypted_halfword: int
-    inferred_table_offset: int
-
-    @property
-    def core(self) -> int:
-        return self.address
-
-    def to_json(self) -> dict:
-        return {
-            "address": f"0x{self.address:x}",
-            "adds_imm": self.adds_imm,
-            "literal_value": f"0x{self.literal_value:x}",
-            "encrypted_halfword": f"0x{self.encrypted_halfword:04x}",
-            "inferred_table_offset": self.inferred_table_offset,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrampolineSite":
-        return cls(
-            address=int(obj["address"], 16),
-            adds_imm=obj["adds_imm"],
-            literal_value=int(obj["literal_value"], 16),
-            encrypted_halfword=int(obj["encrypted_halfword"], 16),
-            inferred_table_offset=obj["inferred_table_offset"],
-        )
-
-
-def find_trampolines(image: FirmwareImage) -> list[TrampolineSite]:
+def find_trampolines(image: FirmwareImage) -> list[RawSighting]:
     """Locate every halfword-aligned trampoline signature, exactly the way
-    the boot-time initialization does."""
-    raw = scan_trampolines(image.data, image.base)
-    if not raw:
-        return []
-    min_entry = min(s.entry_address for s in raw)
-    return [
-        TrampolineSite(
-            address=s.core,
-            adds_imm=s.adds_imm,
-            literal_value=s.literal_value,
-            encrypted_halfword=int.from_bytes(s.enc_window[0:2], "little"),
-            inferred_table_offset=s.entry_address - min_entry,
-        )
-        for s in sorted(raw, key=lambda s: s.core)
-    ]
+    the boot-time initialization does; the scan walks forward, so the
+    sightings come in address order."""
+    return scan_trampolines(image.data, image.base)
 
 
 class ImageView:
-    """Code segments of an image with trampoline regions cut out.
+    """Code segments of an image with its trampoline regions cut out.
 
-    A site's region runs from its core to its ``resume`` address.  A
-    signature that starts inside the previous site's region (crafted or
-    corrupted bytes) extends that region instead of opening a segment;
-    ``overlaps`` maps it to the site it overlaps.
+    The view locates the sites itself with ``find_trampolines``.  A site's
+    region runs from its core to its ``resume`` address.  A signature that
+    starts inside the previous site's region (crafted or corrupted bytes)
+    extends that region instead of opening a segment; ``overlaps`` maps it
+    to the site it overlaps.
     """
 
-    def __init__(self, image: FirmwareImage, sites: list[TrampolineSite]):
+    def __init__(self, image: FirmwareImage):
         self.image = image
-        self.sites = sorted(sites, key=lambda s: s.address)
+        self.sites = find_trampolines(image)
         self.segments: list[tuple[int, int]] = []
         self.overlaps: dict[int, int] = {}
         cursor, prev = image.base, None
         for site in self.sites:
-            if site.address < cursor:
-                self.overlaps[site.address] = prev
+            if site.core < cursor:
+                self.overlaps[site.core] = prev
             else:
-                self.segments.append((cursor, site.address))
-            prev, cursor = site.address, site.resume
+                self.segments.append((cursor, site.core))
+            prev, cursor = site.core, site.resume
         self.segments.append((cursor, image.end))
         self._starts = [lo for lo, _ in self.segments]
         self._ending_at = {hi: idx for idx, (_, hi) in enumerate(self.segments)}
         self._decoded: dict[int, list] = {}
 
-    def overlap_failure(self, site: TrampolineSite, method: str) -> Prediction | None:
+    def overlap_failure(self, site: RawSighting, method: str) -> Prediction | None:
         """The ``ok=False`` verdict for a site inside another site's core."""
-        outer = self.overlaps.get(site.address)
+        outer = self.overlaps.get(site.core)
         if outer is None:
             return None
         return Prediction(site, method, ok=False, reason=f"overlaps site 0x{outer:x}")
@@ -189,7 +143,7 @@ class Prediction:
     a reason, which is distinct from a wrong prediction.
     """
 
-    site: TrampolineSite
+    site: RawSighting
     method: str
     ok: bool
     kind: str | None = None
@@ -201,7 +155,7 @@ class Prediction:
 
     def to_json(self) -> dict:
         return {
-            "site": f"0x{self.site.address:x}",
+            "site": f"0x{self.site.core:x}",
             "method": self.method,
             "ok": self.ok,
             "kind": self.kind,
@@ -215,7 +169,7 @@ class Prediction:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, site: TrampolineSite) -> "Prediction":
+    def from_json(cls, obj: dict, site: RawSighting) -> "Prediction":
         def regs(names):
             return None if names is None else RegisterList.from_names(names)
 
@@ -255,9 +209,7 @@ def _real_code(insns) -> bool:
     return any(not isinstance(insn, (Nop, isa.Unknown)) for _, insn in insns)
 
 
-def recover_by_symmetry(
-    image: FirmwareImage, site: TrampolineSite, *, view: ImageView | None = None
-) -> Prediction:
+def recover_by_symmetry(view: ImageView, site: RawSighting) -> Prediction:
     """Predict the hidden pop from the nearest preceding push-with-lr.
 
     Prologues and epilogues are symmetrical: the epilogue pops what the
@@ -265,18 +217,17 @@ def recover_by_symmetry(
     intervening trampolines (they are recognizable), paying a confidence
     penalty per region crossed and per extra push in range.
     """
-    view = view or ImageView(image, find_trampolines(image))
     failure = view.overlap_failure(site, "symmetry")
     if failure is not None:
         return failure
-    seg = view.segment_before(site.address)
+    seg = view.segment_before(site.core)
     found = None
     distance = 0
     crossed = 0
     extra_pushes = 0
     for idx in range(seg, -1, -1):
         for addr, insn in reversed(view.decoded(idx)):
-            distance = site.address - addr
+            distance = site.core - addr
             if distance > SYMMETRY_WINDOW:
                 break
             if isinstance(insn, Push) and insn.regs.has_lr:
@@ -304,9 +255,7 @@ def recover_by_symmetry(
     )
 
 
-def recover_by_liveness(
-    image: FirmwareImage, site: TrampolineSite, *, view: ImageView | None = None
-) -> Prediction:
+def recover_by_liveness(view: ImageView, site: RawSighting) -> Prediction:
     """Predict the hidden pop from callee-saved register usage.
 
     A callee must save every callee-saved register it writes, so the set
@@ -316,11 +265,10 @@ def recover_by_liveness(
     (sealed prologues), and a code run that neither calls out nor touches
     callee-saved registers is classified as a leaf returning via lr.
     """
-    view = view or ImageView(image, find_trampolines(image))
     failure = view.overlap_failure(site, "liveness")
     if failure is not None:
         return failure
-    seg = view.segment_before(site.address)
+    seg = view.segment_before(site.core)
     w0 = view.decoded(seg)
     anchor = None
     for addr, insn in reversed(w0):
@@ -348,7 +296,7 @@ def recover_by_liveness(
     collected = list(w0)
     for idx in range(seg - 1, -1, -1):
         insns = view.decoded(idx)
-        if insns and site.address - insns[0][0] > LIVENESS_WINDOW:
+        if insns and site.core - insns[0][0] > LIVENESS_WINDOW:
             break
         pushes = [a for a, i in insns if isinstance(i, Push) and i.regs.has_lr]
         if pushes:
@@ -497,21 +445,16 @@ def _candidates_for(
     return out
 
 
-def build_gadget_catalog(
-    image: FirmwareImage, predictions: list[Prediction], *, view: ImageView | None = None
-) -> list[GadgetCandidate]:
+def build_gadget_catalog(view: ImageView, predictions: list[Prediction]) -> list[GadgetCandidate]:
     """Expand each usable prediction into gadget candidates: the bare return
     plus every admissible instruction window leading into it."""
-    if not predictions:
-        return []
-    view = view or ImageView(image, find_trampolines(image))
     catalog = []
     for pred in predictions:
         if not pred.ok or pred.kind not in ("pop", "bx_lr"):
             continue
-        seg = view.segment_before(pred.site.address)
+        seg = view.segment_before(pred.site.core)
         terminator = (pred.kind, pred.reglist)
-        catalog.extend(_candidates_for(view.decoded(seg), terminator, pred.site.address))
+        catalog.extend(_candidates_for(view.decoded(seg), terminator, pred.site.core))
     return catalog
 
 
@@ -522,8 +465,7 @@ def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
     nothing: the starting points are gone."""
     exclude = trampoline_data_ranges(image)
     hits = sweep_plaintext(image.data, exclude=exclude, want="returns")
-    sites = find_trampolines(image)
-    view = ImageView(image, sites)
+    view = ImageView(image)
     catalog = []
     for off in hits:
         addr = image.base + off
@@ -548,17 +490,30 @@ def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
 @dataclass
 class AttackResult:
     image_sha256: str
-    sites: list[TrampolineSite]
+    sites: list[RawSighting]
     predictions: dict[str, list[Prediction]]
     catalog: list[GadgetCandidate]
 
     def predictions_at(self, method: str) -> dict[int, Prediction]:
-        return {p.site.address: p for p in self.predictions[method]}
+        return {p.site.core: p for p in self.predictions[method]}
 
     def to_json(self) -> dict:
+        """The report form.  ``inferred_table_offset`` is a site's table
+        entry relative to the lowest entry the image's sites point at."""
+        min_entry = min((s.entry_address for s in self.sites), default=0)
         return {
             "image_sha256": self.image_sha256,
-            "sites": [s.to_json() for s in self.sites],
+            "sites": [
+                {
+                    "address": f"0x{s.core:x}",
+                    "adds_imm": s.adds_imm,
+                    "literal_value": f"0x{s.literal_value:x}",
+                    "encrypted_halfword":
+                        f"0x{int.from_bytes(s.enc_window[0:2], 'little'):04x}",
+                    "inferred_table_offset": s.entry_address - min_entry,
+                }
+                for s in self.sites
+            ],
             "predictions": {
                 method: [p.to_json() for p in preds]
                 for method, preds in self.predictions.items()
@@ -569,11 +524,23 @@ class AttackResult:
     @classmethod
     def from_json(cls, obj: dict, catalog: list[GadgetCandidate]) -> "AttackResult":
         """Rebuild a result from its ``to_json`` form; the catalog is stored
-        separately (one ``GadgetCandidate`` JSON object per line)."""
-        sites = {site.address: site for site in map(TrampolineSite.from_json, obj["sites"])}
+        separately (one ``GadgetCandidate`` JSON object per line).  A rebuilt
+        site's ``enc_window`` holds only the encrypted halfword, and
+        ``inferred_table_offset`` is derived again when the result is written."""
+        sites = {}
+        for site in obj["sites"]:
+            core, halfword = int(site["address"], 16), int(site["encrypted_halfword"], 16)
+            if not 0 <= halfword <= 0xFFFF:
+                raise ValueError(f"encrypted halfword 0x{halfword:x} out of range")
+            sites[core] = RawSighting(
+                core=core,
+                adds_imm=site["adds_imm"],
+                literal_value=int(site["literal_value"], 16),
+                enc_window=halfword.to_bytes(2, "little"),
+            )
         return cls(
             image_sha256=obj["image_sha256"],
-            sites=sorted(sites.values(), key=lambda s: s.address),
+            sites=sorted(sites.values(), key=lambda s: s.core),
             predictions={
                 method: [
                     Prediction.from_json(p, sites[int(p["site"], 16)])
@@ -588,15 +555,14 @@ class AttackResult:
 def run_attack(image: FirmwareImage) -> AttackResult:
     """Full pipeline over image bytes: locate, recover by both methods,
     cross-check, and build the gadget catalog from the combined verdicts."""
-    sites = find_trampolines(image)
-    view = ImageView(image, sites)
-    sym = [recover_by_symmetry(image, s, view=view) for s in sites]
-    live = [recover_by_liveness(image, s, view=view) for s in sites]
+    view = ImageView(image)
+    sym = [recover_by_symmetry(view, s) for s in view.sites]
+    live = [recover_by_liveness(view, s) for s in view.sites]
     combined = [combine_predictions(a, b) for a, b in zip(sym, live)]
-    catalog = build_gadget_catalog(image, combined, view=view)
+    catalog = build_gadget_catalog(view, combined)
     return AttackResult(
         image_sha256=hashlib.sha256(image.data).hexdigest(),
-        sites=sites,
+        sites=view.sites,
         predictions={"symmetry": sym, "liveness": live, "combined": combined},
         catalog=catalog,
     )
@@ -710,7 +676,7 @@ def evaluate_recovery(result: AttackResult, manifest: Manifest, image: FirmwareI
     for rec in records:
         fn = fn_by_name[rec.fn]
         truth_by_addr[rec.core] = (rec, fn)
-    found_addrs = {s.address for s in result.sites}
+    found_addrs = {s.core for s in result.sites}
     truth_addrs = set(truth_by_addr)
     recall = None
     if truth_addrs:

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import harden as harden_mod
 from . import image as image_mod
 from . import machine, obfuscation
+from ._rewrite import RewriteError
 from .attack import (
     AttackError,
     AttackResult,
@@ -25,8 +26,7 @@ from .attack import (
     evaluate_recovery,
     run_attack,
 )
-from .image import CorpusParams, FirmwareImage, ImageError, load, save
-from .isa import EncodingError
+from .image import MALFORMED_INPUT, CorpusParams, FirmwareImage, ImageError, load, save
 from .machine import MachineFault, call, check_gadget, states_equivalent
 from .obfuscation import ObfuscationError, build_table
 
@@ -169,7 +169,7 @@ def _load_attack(prefix) -> AttackResult:
     try:
         catalog = [GadgetCandidate.from_json(json.loads(line)) for line in lines]
         return AttackResult.from_json(json.loads(text), catalog)
-    except (KeyError, ValueError, TypeError, EncodingError) as exc:
+    except MALFORMED_INPUT as exc:
         raise CliError(f"malformed attack report {path}: {exc!r}") from exc
 
 
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ImageError, ObfuscationError, AttackError, OSError) as exc:
+    except (CliError, ImageError, RewriteError, ObfuscationError, AttackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

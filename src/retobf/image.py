@@ -28,6 +28,7 @@ from .isa import (
     AddSpImm,
     Bl,
     BxLr,
+    EncodingError,
     LdrSpRel,
     MovImm,
     MovReg,
@@ -50,6 +51,10 @@ MAX_IMAGE_SIZE = 0x40000
 
 class ImageError(Exception):
     """Validation failure in an image/manifest pair."""
+
+
+#: What parsing a malformed JSON artifact (manifest or attack report) raises.
+MALFORMED_INPUT = (KeyError, ValueError, TypeError, EncodingError)
 
 
 @dataclass
@@ -202,7 +207,7 @@ class Manifest:
             table_base=int(obj["table_base"], 16),
             seed=int(obj["seed"]),
             functions=[FunctionRecord.from_json(o) for o in obj["functions"]],
-            transform_log=list(obj["transform_log"]),
+            transform_log=[dict(entry) for entry in obj["transform_log"]],
         )
 
 
@@ -417,7 +422,8 @@ def load(prefix) -> tuple[FirmwareImage, Manifest]:
     json_path = prefix.with_suffix(".json")
     try:
         manifest = Manifest.from_json(json.loads(json_path.read_text()))
-    except (KeyError, ValueError) as exc:
+        manifest.trampoline_records()  # fail here, not later inside a pass
+    except MALFORMED_INPUT as exc:
         raise ImageError(f"malformed manifest {json_path}: {exc}") from exc
     image = FirmwareImage(
         base=manifest.base,

@@ -166,7 +166,7 @@ def _fetch(state: MachineState) -> tuple[Instruction, int]:
     if state.in_flash(pc, 2):
         data, off = state.flash, pc - state.flash_base
     elif in_table and state.in_sram(pc, 2):
-        data, off = bytes(state.sram), pc - state.sram_base
+        data, off = state.sram, pc - state.sram_base
     else:
         raise MachineFault(FaultKind.BAD_PC, f"pc 0x{pc:08x} not executable")
     try:

@@ -10,7 +10,7 @@ give equal results.
 
 from retobf import isa
 from retobf._rewrite import TRAMPOLINE_FOOTPRINT, BlobItem, InsnItem, Program, TrampolineItem
-from retobf.attack import ImageView, _candidates_for, find_trampolines
+from retobf.attack import ImageView, _candidates_for
 from retobf.isa import Bl, BranchW, Pop, decode, is_return
 from retobf.obfuscation import (
     _WIDE_POP,
@@ -60,7 +60,7 @@ def segment_at(view, addr):
 def baseline_gadget_scan(image):
     exclude = trampoline_data_ranges(image)
     hits = sweep_plaintext(image.data, exclude=exclude, want="returns")
-    view = ImageView(image, find_trampolines(image))
+    view = ImageView(image)
     catalog = []
     for off in hits:
         addr = image.base + off

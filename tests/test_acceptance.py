@@ -11,6 +11,7 @@ import pytest
 
 from retobf import isa
 from retobf.attack import (
+    ImageView,
     baseline_gadget_scan,
     evaluate_recovery,
     find_trampolines,
@@ -66,9 +67,9 @@ def test_criterion_1_symmetric_pair_recovery():
     by_fn = {rec.core: rec.fn for rec in records}
     want = {"four_regs": R("r4", "r6", "r7", "pc"), "one_reg": R("r7", "pc")}
     for site in find_trampolines(obf):
-        pred = recover_by_symmetry(obf, site)
+        pred = recover_by_symmetry(ImageView(obf), site)
         assert pred.ok and pred.kind == "pop"
-        assert pred.reglist == want[by_fn[site.address]]
+        assert pred.reglist == want[by_fn[site.core]]
     _pass(1, "prologue symmetry recovers pop{r4,r6,r7,pc} and pop{r7,pc} exactly")
 
 
@@ -109,7 +110,7 @@ def test_criterion_3_plaintext_elimination(corpus42, obf42):
 def test_criterion_4_locator_completeness(corpus42, obf42):
     obf, man2, records = obf42
     sites = find_trampolines(obf)
-    assert {s.address for s in sites} == {rec.core for rec in records}
+    assert {s.core for s in sites} == {rec.core for rec in records}
     assert len(sites) == len(records)
     # False positives are measured on the adversarial collision fixture.
     fake = (

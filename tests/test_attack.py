@@ -10,6 +10,7 @@ from retobf import isa
 from retobf._rewrite import ENC_SLOT_OFFSET
 from retobf.attack import (
     AttackError,
+    AttackResult,
     ImageView,
     LineageError,
     Prediction,
@@ -115,8 +116,9 @@ def symmetric_pair_fixture():
 def test_locator_matches_ground_truth(obfuscated):
     image, manifest, records = obfuscated
     sites = find_trampolines(image)
-    assert {s.address for s in sites} == {rec.core for rec in records}
-    offsets = {s.address: s.inferred_table_offset for s in sites}
+    assert {s.core for s in sites} == {rec.core for rec in records}
+    report = run_attack(image).to_json()
+    offsets = {int(s["address"], 16): s["inferred_table_offset"] for s in report["sites"]}
     base_offset = min(rec.table_offset for rec in records)
     for rec in records:
         assert offsets[rec.core] == rec.table_offset - base_offset
@@ -159,7 +161,7 @@ def test_signature_inside_another_core(tmp_path):
         assert plant_signature(data, BASE, off, 0, 0x00240000)
     image = FirmwareImage(BASE, bytes(data))
     result = run_attack(image)
-    assert [s.address for s in result.sites] == [BASE + outer, BASE + inner]
+    assert [s.core for s in result.sites] == [BASE + outer, BASE + inner]
     for method in ("symmetry", "liveness", "combined"):
         pred = result.predictions_at(method)[BASE + inner]
         assert not pred.ok and f"overlaps site 0x{BASE + outer:x}" in pred.reason
@@ -174,7 +176,7 @@ def test_region_ends_after_the_literal():
     data = bytearray(encode(MovImm(0, 1)) * 24)
     assert plant_signature(data, BASE, 0, 0, 0x11223344)
     image = FirmwareImage(BASE, bytes(data))
-    view = ImageView(image, find_trampolines(image))
+    view = ImageView(image)
     assert view.segments == [(BASE, BASE), (BASE + 20, image.end)]
     assert isa.Unknown(0x1122) not in [insn for _, insn in view.decoded(1)]
 
@@ -187,6 +189,21 @@ def test_attack_never_raises_on_crafted_images(image):
         assert [p.site for p in preds] == result.sites
 
 
+def _assert_report_round_trips(result):
+    report = result.to_json()
+    assert AttackResult.from_json(report, result.catalog).to_json() == report
+
+
+@given(crafted_images())
+@settings(max_examples=100, deadline=None)
+def test_report_round_trips_on_crafted_images(image):
+    _assert_report_round_trips(run_attack(image))
+
+
+def test_report_round_trips_on_corpus(obfuscated):
+    _assert_report_round_trips(run_attack(obfuscated[0]))
+
+
 def test_symmetry_on_symmetric_pair_fixture():
     image, manifest = symmetric_pair_fixture()
     obf, man2, records = obfuscate_returns(image, manifest, KEY)
@@ -194,9 +211,9 @@ def test_symmetry_on_symmetric_pair_fixture():
     by_fn = {rec.core: rec.fn for rec in records}
     want = {"four_regs": R("r4", "r6", "r7", "pc"), "one_reg": R("r7", "pc")}
     for site in sites:
-        pred = recover_by_symmetry(obf, site)
+        pred = recover_by_symmetry(ImageView(obf), site)
         assert pred.ok and pred.kind == "pop"
-        assert pred.reglist == want[by_fn[site.address]]
+        assert pred.reglist == want[by_fn[site.core]]
         assert pred.confidence > 0.9
 
 
@@ -206,7 +223,7 @@ def test_symmetry_minimal_pair():
     )
     obf, _, _ = obfuscate_returns(image, manifest, KEY)
     (site,) = find_trampolines(obf)
-    pred = recover_by_symmetry(obf, site)
+    pred = recover_by_symmetry(ImageView(obf), site)
     assert pred.ok and pred.reglist == R("pc")
 
 
@@ -216,7 +233,7 @@ def test_symmetry_failure_without_push():
     )
     obf, _, _ = obfuscate_returns(image, manifest, KEY)
     (site,) = find_trampolines(obf)
-    pred = recover_by_symmetry(obf, site)
+    pred = recover_by_symmetry(ImageView(obf), site)
     assert not pred.ok
     assert "no push-with-lr" in pred.reason
 
@@ -245,7 +262,7 @@ def test_liveness_pop_pc_for_pushless_body():
     )
     obf, _, _ = obfuscate_returns(image, manifest, KEY)
     (site,) = find_trampolines(obf)
-    pred = recover_by_liveness(obf, site)
+    pred = recover_by_liveness(ImageView(obf), site)
     assert pred.ok and pred.reglist == R("pc")
 
 
@@ -255,7 +272,7 @@ def test_liveness_leaf_verdict():
     )
     obf, _, _ = obfuscate_returns(image, manifest, KEY)
     (site,) = find_trampolines(obf)
-    pred = recover_by_liveness(obf, site)
+    pred = recover_by_liveness(ImageView(obf), site)
     assert pred.ok and pred.kind == "bx_lr"
 
 
@@ -277,7 +294,7 @@ def test_liveness_collects_high_register_writes():
     )
     obf, _, _ = obfuscate_returns(image, manifest, KEY)
     (site,) = find_trampolines(obf)
-    pred = recover_by_liveness(obf, site)
+    pred = recover_by_liveness(ImageView(obf), site)
     assert pred.ok and pred.reglist == R("r4", "r9", "pc")
 
 
@@ -293,10 +310,10 @@ def test_multi_epilogue_recovery(multi_epilogue_corpus):
 
 def test_combine_agreement_and_passthrough(obfuscated):
     image, _, _ = obfuscated
-    sites = find_trampolines(image)
-    site = sites[0]
-    sym = recover_by_symmetry(image, site)
-    live = recover_by_liveness(image, site)
+    view = ImageView(image)
+    site = view.sites[0]
+    sym = recover_by_symmetry(view, site)
+    live = recover_by_liveness(view, site)
     both = combine_predictions(sym, live)
     assert both.method == "combined"
     if sym.ok and live.ok and sym.reglist == live.reglist:

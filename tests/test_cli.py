@@ -162,13 +162,43 @@ def test_eval_rejects_malformed_attack_report(workdir, tmp_path, capsys):
     """A report missing its digest, or one of the method verdict lists,
     ends in one error line, not a traceback."""
     digest = hashlib.sha256((workdir / "obf.bin").read_bytes()).hexdigest()
-    for report in ({"sites": []}, {"image_sha256": digest, "sites": [], "predictions": {}}):
+    wide_halfword = {"address": "0x40000", "adds_imm": 0, "literal_value": "0x0",
+                     "encrypted_halfword": "0x10000", "inferred_table_offset": 0}
+    for report in ({"sites": []}, {"image_sha256": digest, "sites": [], "predictions": {}},
+                   {"image_sha256": digest, "sites": [wide_halfword],
+                    "predictions": {"symmetry": [], "liveness": [], "combined": []}}):
         (tmp_path / "bad.attack.json").write_text(json.dumps(report))
         assert run("eval", "--plain", str(workdir / "corpus"),
                    "--image", str(workdir / "obf"), "--attack", str(tmp_path / "bad"),
                    "--out", str(tmp_path / "ev4"), "--key", KEY) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed attack report") and err.count("\n") == 1
+
+
+def _lower_first_epilogue(manifest):
+    sites = manifest["functions"][3]["epilogue_sites"]
+    sites[0] = f"0x{int(sites[0], 16) - 1:x}"
+
+
+@pytest.mark.parametrize("edit", [
+    _lower_first_epilogue,
+    lambda m: m.update(seed=None),
+    lambda m: m.update(transform_log=5),
+    lambda m: m["functions"][2].update(true_pop=["lr", "pc"]),
+    lambda m: m["transform_log"][0].update(sites=[{"kind": "return"}]),
+    lambda m: m["transform_log"].append("pass"),
+], ids=["epilogue-off-boundary", "null-seed", "scalar-log", "lr-and-pc-pop",
+        "truncated-site", "non-object-log-entry"])
+def test_malformed_manifest_is_one_error_line(tmp_path, capsys, edit):
+    assert run("gen", "--out", str(tmp_path / "c"), "--functions", "20", "--seed", "1") == 0
+    manifest = json.loads((tmp_path / "c.json").read_text())
+    edit(manifest)
+    (tmp_path / "c.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("obfuscate", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+               "--key", KEY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_harden_identity_knobs(workdir, tmp_path):

@@ -14,7 +14,6 @@ from retobf.attack import (
     AttackError,
     ImageView,
     baseline_gadget_scan,
-    find_trampolines,
     run_attack,
 )
 from retobf.image import CorpusParams, generate_corpus
@@ -30,7 +29,7 @@ def corpus_image(request, corpus, obfuscated, hardened):
 
 
 def _check_lookups(image):
-    view = ImageView(image, find_trampolines(image))
+    view = ImageView(image)
     for addr in range(image.base - 2, image.end + 2, 2):
         assert view.segment_at(addr) == ref.segment_at(view, addr)
         want = ref.segment_before(view, addr)

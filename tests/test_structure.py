@@ -1,6 +1,7 @@
 """Module-structure rules for the library: imports stay at module top, no
-module reaches into another module's private names, and the trampoline
-geometry and the RAM map each have one definition."""
+module reaches into another module's private names, the trampoline
+geometry and the RAM map each have one definition, and each source of
+trampolines (the rewriter, the byte scan) has one trampoline type."""
 
 import ast
 import re
@@ -71,3 +72,17 @@ def test_geometry_and_table_size_defined_once():
     want = {name: ["_rewrite.py"] for name in GEOMETRY}
     want["TABLE_SIZE"] = ["machine.py"]
     assert where == want
+
+
+def test_one_trampoline_type_per_source():
+    """The rewriter plants records and the byte scan yields sightings; the
+    attack reads the scan's sightings as they are, as the boot pass does."""
+    users = sorted(
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "TrampolineGeometry"
+                for base in node.bases)
+    )
+    assert users == ["_rewrite.TrampolineRecord", "obfuscation.RawSighting"]
