@@ -24,12 +24,10 @@ from .isa import Pop, Push, RegisterList
 from .obfuscation import (
     HardenError,
     RamTable,
+    boot_scan,
     check_key,
-    decode_sealed,
-    entry_bytes_for,
     obfuscate_returns,
     plan_rotation,
-    scan_trampolines,
     seal_sites,
 )
 
@@ -108,7 +106,7 @@ def encrypt_pushes(
     sites = [
         (fn.name, fn.prologue_site) for fn in manifest.functions if fn.prologue_site is not None
     ]
-    seal_sites(prog, "push", sites, key, manifest.table_base, rotation_capable)
+    seal_sites(prog, "push", sites, key, image, rotation_capable)
     new_image, new_manifest = commit(
         prog, image, manifest, "encrypt_pushes", rotation_capable=rotation_capable
     )
@@ -138,48 +136,37 @@ def harden(
     return image, manifest, pad_plans
 
 
-def _paired_sites(image: FirmwareImage, manifest: Manifest, key: int):
-    """Group the image's trampolines per function, in manifest order.
-
-    Each group holds the function record ``fn``, ``push`` (its (record,
-    sighting) pair, or None when the prologue is not sealed), ``regs`` (the
-    sealed push's register list without lr, decrypted once here), and
-    ``returns`` (the (record, sighting) pairs of its sealed returns).
-    Raises unless sightings and manifest records line up."""
-    records = manifest.trampoline_records()
-    if not records:
-        raise HardenError("image has no trampoline records")
-    by_core = {s.core: s for s in scan_trampolines(image.data, image.base)}
-    grouped: dict[str, dict] = {}
-    for fn in manifest.functions:
-        grouped[fn.name] = {"push": None, "regs": None, "returns": [], "fn": fn}
-    for rec in records:
-        sighting = by_core.get(rec.core)
-        if sighting is None:
-            raise HardenError(f"recorded trampoline at 0x{rec.core:x} not found in image")
-        entry = grouped[rec.fn]
-        if rec.kind == "push":
-            entry["push"] = (rec, sighting)
-            entry["regs"] = decode_sealed(key, sighting).regs.without_flags()
-        else:
-            entry["returns"].append((rec, sighting))
-    return [grouped[fn.name] for fn in manifest.functions]
+def _boot_plan(image: FirmwareImage, manifest: Manifest, key: int):
+    """The boot scan, the manifest record of each scanned core, and each
+    function's sealed push list without lr (None when its prologue is not
+    sealed), in manifest order.  Raises unless the records and the
+    sightings cover the same cores."""
+    records = {rec.core: rec for rec in manifest.trampoline_records()}
+    scanned = boot_scan(image, key)
+    unmatched = records.keys() ^ {sighting.core for sighting, _ in scanned}
+    if unmatched:
+        raise HardenError(
+            f"trampoline at 0x{min(unmatched):x} is not both recorded and in the image"
+        )
+    pushes: dict[str, RegisterList | None] = {fn.name: None for fn in manifest.functions}
+    for sighting, insn in scanned:
+        if isinstance(insn, Push):
+            pushes[records[sighting.core].fn] = insn.regs.without_flags()
+    return scanned, records, pushes
 
 
-def _draw_positions(groups, seed: int) -> list[dict]:
+def _draw_positions(pushes: dict, seed: int) -> list[dict]:
     """Per-function rotation draws for one boot.  The draw order is the
     function order, making the sequence reproducible for any seed."""
     rng = random.Random(seed)
     draws = []
-    for group in groups:
-        fn = group["fn"]
-        regs = group["regs"]
+    for fn, regs in pushes.items():
         if regs is None:
-            draws.append({"fn": fn.name, "slots": 0, "position": 0})
+            draws.append({"fn": fn, "slots": 0, "position": 0})
             continue
         position = rng.randint(0, len(regs))
         draws.append(
-            {"fn": fn.name, "slots": len(regs) + 1, "position": position, "regs": regs}
+            {"fn": fn, "slots": len(regs) + 1, "position": position, "regs": list(regs.names())}
         )
     return draws
 
@@ -190,31 +177,27 @@ def build_rotated_table(
     """Build one boot's table with per-function rotated pair sequences.
 
     Requires an image hardened with rotation-capable sites (returns and
-    pushes both sealed and cross-referenced in the transform log)."""
-    check_key(key)
+    pushes both sealed and cross-referenced in the transform log).  The
+    manifest gives only each site's function and reserved capacity."""
     if not manifest.has_pass("encrypt_pushes"):
         raise HardenError("rotation needs sealed pushes; run encrypt_pushes first")
     if not manifest.rotation_capable:
         raise HardenError("rotation needs table room for every rotated sequence; "
                           "seal the returns with rotation_capable")
-    groups = _paired_sites(image, manifest, key)
-    draws = _draw_positions(groups, seed)
-    table = RamTable(base=image.table_base)
-    table.draws = [
-        {k: (list(v.names()) if isinstance(v, RegisterList) else v) for k, v in d.items()}
-        for d in draws
-    ]
-    entries = []  # (record, sighting, sequence, branch back)
-    for group, draw in zip(groups, draws):
-        if group["push"] is None:
-            entries += [(rec, s, [decode_sealed(key, s)], False) for rec, s in group["returns"]]
-            continue
-        plan = plan_rotation(draw["regs"], draw["position"])
-        entries += [(rec, s, plan.pop_sequence, False) for rec, s in group["returns"]]
-        entries.append((*group["push"], plan.push_sequence, True))
-    for rec, sighting, seq, branch_back in sorted(entries, key=lambda e: e[0].table_offset):
-        data, text = entry_bytes_for(seq, sighting, branch_back)
-        table.add(rec.table_offset, data, text, capacity=rec.capacity)
+    scanned, records, pushes = _boot_plan(image, manifest, key)
+    table = RamTable(image.table_base, image.table_room)
+    table.draws = _draw_positions(pushes, seed)
+    plans = {
+        d["fn"]: plan_rotation(pushes[d["fn"]], d["position"]) for d in table.draws if d["slots"]
+    }
+    for sighting, insn in scanned:
+        rec = records[sighting.core]
+        plan = plans.get(rec.fn)
+        if plan is None:
+            seq = [insn]
+        else:
+            seq = plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence
+        table.add(sighting, seq, rec.capacity)
     return table
 
 
@@ -226,18 +209,17 @@ def position_distribution(
     seeds = list(seeds)
     if not seeds:
         raise HardenError("at least one seed required")
-    groups = _paired_sites(image, manifest, key)
+    _, _, pushes = _boot_plan(image, manifest, key)
     hist: dict[str, dict] = {}
-    for group in groups:
-        fn = group["fn"]
-        slots = 0 if group["regs"] is None else len(group["regs"]) + 1
-        hist[fn.name] = {
+    for fn, regs in pushes.items():
+        slots = 0 if regs is None else len(regs) + 1
+        hist[fn] = {
             "slots": slots,
             "counts": [0] * max(slots, 1),
             "degenerate": slots <= 1 or len(seeds) == 1,
         }
     for seed in seeds:
-        for draw in _draw_positions(groups, seed):
+        for draw in _draw_positions(pushes, seed):
             if draw["slots"]:
                 hist[draw["fn"]]["counts"][draw["position"]] += 1
     return hist

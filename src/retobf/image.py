@@ -46,6 +46,11 @@ DEFAULT_BASE = 0x00040000
 DEFAULT_SRAM_BASE = 0x00240000
 DEFAULT_TABLE_BASE = DEFAULT_SRAM_BASE
 
+#: Scratch RAM size.  Its top ``STACK_RESERVE`` bytes are the stack; the boot
+#: table runs from the table base up to them.
+SRAM_SIZE = 0x10000
+STACK_RESERVE = 0x4000
+
 MAX_IMAGE_SIZE = 0x40000
 
 
@@ -69,10 +74,28 @@ class FirmwareImage:
             raise ImageError("base addresses must be word-aligned")
         if len(self.data) % 2:
             raise ImageError("image length must be even")
+        if not self.sram_base <= self.table_base < self.stack_limit:
+            raise ImageError(
+                f"table base 0x{self.table_base:x} outside the RAM below the stack "
+                f"(0x{self.sram_base:x}..0x{self.stack_limit:x})"
+            )
 
     @property
     def end(self) -> int:
         return self.base + len(self.data)
+
+    @property
+    def stack_top(self) -> int:
+        return self.sram_base + SRAM_SIZE
+
+    @property
+    def stack_limit(self) -> int:
+        return self.stack_top - STACK_RESERVE
+
+    @property
+    def table_room(self) -> int:
+        """Bytes the boot table may fill: the RAM from its base up to the stack."""
+        return self.stack_limit - self.table_base
 
     def sha256(self) -> str:
         return hashlib.sha256(self.data).hexdigest()
@@ -99,6 +122,9 @@ class FunctionRecord:
         for site in self.epilogue_sites:
             if not self.start <= site < self.end:
                 raise ImageError(f"{self.name}: epilogue site outside range")
+        for site in [self.prologue_site or 0, *self.epilogue_sites]:
+            if site % 2:
+                raise ImageError(f"{self.name}: site 0x{site:x} is not halfword-aligned")
         if self.true_pop is not None and not self.true_pop.has_pc:
             raise ImageError(f"{self.name}: true_pop lacks pc")
 
@@ -424,7 +450,7 @@ def load(prefix) -> tuple[FirmwareImage, Manifest]:
         manifest = Manifest.from_json(json.loads(json_path.read_text()))
         manifest.trampoline_records()  # fail here, not later inside a pass
     except MALFORMED_INPUT as exc:
-        raise ImageError(f"malformed manifest {json_path}: {exc}") from exc
+        raise ImageError(f"malformed manifest {json_path}: {exc!r}") from exc
     image = FirmwareImage(
         base=manifest.base,
         data=bin_path.read_bytes(),

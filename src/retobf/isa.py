@@ -143,11 +143,6 @@ class RegisterList:
             raise EncodingError("list has no lr to replace")
         return RegisterList((self.mask & ~(1 << LR)) | (1 << PC))
 
-    def with_lr_for_pc(self) -> "RegisterList":
-        if not self.has_pc:
-            raise EncodingError("list has no pc to replace")
-        return RegisterList((self.mask & ~(1 << PC)) | (1 << LR))
-
     def __str__(self) -> str:
         return "{" + ", ".join(self.names()) + "}"
 

@@ -6,11 +6,11 @@ not modeled (nothing in the subset branches on them), and there is no cycle
 accuracy; a step budget bounds every run.
 
 Memory model: a read-only flash region holding the firmware image and a
-read-write scratch RAM region of ``SRAM_SIZE`` bytes.  The top
-``STACK_RESERVE`` bytes of RAM are the stack; the RAM below them, from the
-table base up, holds the rebuilt instruction table (``TABLE_SIZE`` bytes
-when the table sits at the RAM base).  Execution is allowed from flash and
-from the table region only.
+read-write scratch RAM region, laid out by the image's RAM map
+(``image.SRAM_SIZE`` bytes from ``sram_base``).  The top
+``image.STACK_RESERVE`` bytes of RAM are the stack; the RAM below them,
+from the table base up to ``stack_limit``, holds the rebuilt instruction
+table.  Execution is allowed from flash and from that table region only.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ import enum
 from dataclasses import dataclass
 
 from . import isa
+from .image import SRAM_SIZE
 from .isa import Instruction, decode
-
-#: Scratch RAM region size and internal split (table at bottom, stack at top).
-SRAM_SIZE = 0x10000
-STACK_RESERVE = 0x4000
-TABLE_SIZE = SRAM_SIZE - STACK_RESERVE
 
 #: Address used as the "caller" a harnessed call returns to.
 SENTINEL = 0x000E0000
@@ -81,8 +77,8 @@ class MachineState:
     sram_base: int
     sram: bytearray
     table_base: int
-    stack_limit: int = 0
-    stack_top: int = 0
+    stack_limit: int
+    stack_top: int
     step_count: int = 0
 
     @property
@@ -137,8 +133,9 @@ class MachineState:
 def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> MachineState:
     """Build a fresh state for ``image`` with ``table`` installed in RAM.
 
-    ``image`` needs ``base``, ``data`` and ``sram_base``/``table_base``
-    attributes; ``table`` is installed via its ``install`` hook when given.
+    The RAM map (``sram_base``, ``table_base``, ``stack_limit`` and
+    ``stack_top``) comes from ``image``; ``table`` is installed via its
+    ``install`` hook when given.
     """
     state = MachineState(
         regs=[0] * 16,
@@ -147,9 +144,9 @@ def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> Mach
         sram_base=image.sram_base,
         sram=bytearray(SRAM_SIZE),
         table_base=image.table_base,
+        stack_limit=image.stack_limit,
+        stack_top=image.stack_top,
     )
-    state.stack_top = image.sram_base + SRAM_SIZE
-    state.stack_limit = state.stack_top - STACK_RESERVE
     if table is not None:
         table.install(state)
     if regs:

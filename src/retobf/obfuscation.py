@@ -7,8 +7,9 @@ flash right behind each trampoline, followed by the word holding the table
 base for that site, which is exactly what the boot pass (and any attacker)
 uses to find them again.
 
-The boot pass is modeled offline: ``build_table`` scans the image like the
-in-firmware initialization would and returns the table to install in RAM.
+The boot pass is modeled offline: ``boot_scan`` walks the image like the
+in-firmware initialization would, and ``RamTable.add`` places each entry of
+the table to install in RAM, plain (``build_table``) or rotated.
 
 Rotation planning lives here too: a rotation-capable site reserves table
 room for the longest rotated sequence, so sealing needs the plans.
@@ -31,7 +32,6 @@ from ._rewrite import (
 )
 from .image import FirmwareImage, Manifest, commit
 from .isa import BranchW, BxLr, Nop, Pop, Push, RegisterList, encode, is_return
-from .machine import TABLE_SIZE
 
 #: Table entry granularity in bytes; plain return entries use one stride.
 TABLE_STRIDE = 4
@@ -161,12 +161,13 @@ def seal_sites(
     kind: str,
     sites: list[tuple[str, int]],
     key: int,
-    table_base: int,
+    image: FirmwareImage,
     rotation_capable: bool,
 ) -> None:
-    """Replace the instruction at each ``(function, address)`` site with a
-    trampoline sealing it.  ``kind`` is "return" or "push".  Table room is
-    reserved at stride granularity after every trampoline ``prog`` holds."""
+    """Replace the instruction at each ``(function, address)`` site of
+    ``image`` (lifted as ``prog``) with a trampoline sealing it.  ``kind`` is
+    "return" or "push".  Table room is reserved at stride granularity after
+    every trampoline ``prog`` holds, within ``image.table_room``."""
     next_offset = max(
         (rec.table_offset + rec.capacity for rec in prog.trampoline_records()), default=0
     )
@@ -180,8 +181,10 @@ def seal_sites(
         offset = next_offset
         size = -(-_entry_capacity(insn, rotation_capable) // TABLE_STRIDE) * TABLE_STRIDE
         next_offset += size
-        if next_offset > TABLE_SIZE:
-            raise TableCapacityError(f"table needs {next_offset} bytes, capacity {TABLE_SIZE}")
+        if next_offset > image.table_room:
+            raise TableCapacityError(
+                f"table needs {next_offset} bytes, capacity {image.table_room}"
+            )
         block = offset // OFFSET_BLOCK
         record = TrampolineRecord(
             kind=kind,
@@ -189,7 +192,7 @@ def seal_sites(
             item_start=0,  # assigned at layout
             enc=encrypt_bytes(plain, key),
             adds_imm=offset - block * OFFSET_BLOCK,
-            literal_value=table_base + block * OFFSET_BLOCK,
+            literal_value=image.table_base + block * OFFSET_BLOCK,
             table_offset=offset,
             capacity=size,
         )
@@ -218,7 +221,7 @@ def obfuscate_returns(
         prog.items.insert(0, stub)
         prog.labels = {key_: idx + 1 for key_, idx in prog.labels.items()}
     sites = [(fn.name, site) for fn in manifest.functions for site in fn.epilogue_sites]
-    seal_sites(prog, "return", sites, key, manifest.table_base, rotation_capable)
+    seal_sites(prog, "return", sites, key, image, rotation_capable)
     new_image, new_manifest = commit(
         prog,
         image,
@@ -269,25 +272,35 @@ class TableEntry:
 
 @dataclass
 class RamTable:
-    """The rebuilt instruction table that lives at the bottom of RAM."""
+    """The rebuilt instruction table: ``room`` bytes of RAM from ``base``."""
 
     base: int
+    room: int
     entries: list[TableEntry] = field(default_factory=list)
     draws: list[dict] = field(default_factory=list)
 
-    def add(self, offset: int, data: bytes, text: str, capacity: int | None = None):
-        if self.entries:
-            prev = self.entries[-1]
-            if offset < prev.offset + len(prev.data):
-                raise ObfuscationError("table entries overlap")
-        if offset % TABLE_STRIDE:
-            raise ObfuscationError("table offset not stride-aligned")
+    def add(self, sighting: RawSighting, seq, capacity: int | None = None) -> None:
+        """Place the entry for ``seq`` at the sighting's entry address, after
+        the entries already placed; ``capacity`` is the room the site
+        reserved, when known."""
+        offset = sighting.entry_address - self.base
+        if not 0 <= offset < self.room:
+            raise IntegrityError(f"site 0x{sighting.core:x}: entry outside table")
+        if offset % TABLE_STRIDE or offset < self.size:
+            raise IntegrityError(
+                f"site 0x{sighting.core:x}: table entry +{offset} is misaligned "
+                "or overlaps the previous entry"
+            )
+        try:
+            data, text = entry_bytes_for(seq, sighting)
+        except isa.EncodingError as exc:  # the branch back cannot reach the site
+            raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
         if capacity is not None and len(data) > capacity:
             raise TableCapacityError(
                 f"entry at +{offset} needs {len(data)} bytes, reserved {capacity}"
             )
-        if offset + len(data) > TABLE_SIZE:
-            raise TableCapacityError(f"table size {offset + len(data)} exceeds {TABLE_SIZE}")
+        if offset + len(data) > self.room:
+            raise TableCapacityError(f"table size {offset + len(data)} exceeds {self.room}")
         self.entries.append(TableEntry(offset, data, text))
 
     @property
@@ -351,34 +364,27 @@ def decode_sealed(key: int, sighting: RawSighting):
     ``isa.decode`` is canonical, so encoding the instruction gives back the
     decrypted bytes.
 
-    Raises IntegrityError unless the plaintext is a return or a prologue
-    push, the only things the transform ever seals.
+    Raises IntegrityError unless ``isa.decode`` reads the plaintext as a
+    return or an lr-pushing push, the only things the transform ever seals.
     """
-    window = sighting.enc_window
-    hw = decrypt_halfword(int.from_bytes(window[0:2], "little"), key)
-    kind = _classify_halfword(hw)
-    if kind in ("pop-pc", "bx-lr", "push-lr"):
-        return isa.decode(hw.to_bytes(2, "little"))[0]
-    if kind == "wide-prefix" and len(window) >= 4:
-        hw2 = decrypt_halfword(int.from_bytes(window[2:4], "little"), key)
-        plain = hw.to_bytes(2, "little") + hw2.to_bytes(2, "little")
-        insn, length = isa.decode(plain)
-        ok = (isinstance(insn, Pop) and insn.regs.has_pc) or (
-            isinstance(insn, Push) and insn.regs.has_lr
-        )
-        if length == 4 and ok:
-            return insn
+    plain = encrypt_bytes(sighting.enc_window[:4], key)
+    try:
+        insn = isa.decode(plain)[0]
+    except isa.TruncatedStreamError:
+        insn = None
+    if is_return(insn) or (isinstance(insn, Push) and insn.regs.has_lr):
+        return insn
     raise IntegrityError(
-        f"site 0x{sighting.core:x}: decrypted word 0x{hw:04x} is not a return "
-        "or prologue push (wrong key or corrupted image)"
+        f"site 0x{sighting.core:x}: decrypted word 0x{int.from_bytes(plain[:2], 'little'):04x} "
+        "is not a return or prologue push (wrong key or corrupted image)"
     )
 
 
-def entry_bytes_for(seq, sighting: RawSighting, branch_back: bool) -> tuple[bytes, str]:
+def entry_bytes_for(seq, sighting: RawSighting) -> tuple[bytes, str]:
     """Table entry bytes and text for the instruction sequence ``seq`` at the
-    sighting's entry address.  With ``branch_back`` (a sealed push) the entry
-    ends in a branch back to the sighting's resume address."""
-    if branch_back:
+    sighting's entry address.  A sequence ending in a push (a sealed
+    prologue) branches back to the sighting's resume address."""
+    if isinstance(seq[-1], Push):
         seq = [*seq, BranchW(sighting.resume)]
     data = bytearray()
     for insn in seq:
@@ -386,28 +392,20 @@ def entry_bytes_for(seq, sighting: RawSighting, branch_back: bool) -> tuple[byte
     return bytes(data), "; ".join(insn.text() for insn in seq)
 
 
-def build_table(image: FirmwareImage, key: int) -> RamTable:
-    """Reconstruct the RAM table exactly as the boot pass would: scan the
-    image for trampolines, decrypt each sealed slot, and place the plaintext
-    at its site's table offset."""
+def boot_scan(image: FirmwareImage, key: int) -> list[tuple[RawSighting, isa.Instruction]]:
+    """The boot pass's walk: every trampoline in entry-address order, paired
+    with its sealed instruction, each slot decrypted once."""
     check_key(key)
-    table = RamTable(base=image.table_base)
     sightings = sorted(scan_trampolines(image.data, image.base), key=lambda s: s.entry_address)
-    for sighting in sightings:
-        insn = decode_sealed(key, sighting)
-        offset = sighting.entry_address - image.table_base
-        if offset < 0 or offset >= TABLE_SIZE:
-            raise IntegrityError(f"site 0x{sighting.core:x}: entry outside table")
-        if offset % TABLE_STRIDE or offset < table.size:
-            raise IntegrityError(
-                f"site 0x{sighting.core:x}: table entry +{offset} is misaligned "
-                "or overlaps the previous entry"
-            )
-        try:
-            data, text = entry_bytes_for([insn], sighting, not is_return(insn))
-        except isa.EncodingError as exc:  # the branch back cannot reach the site
-            raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
-        table.add(offset, data, text)
+    return [(sighting, decode_sealed(key, sighting)) for sighting in sightings]
+
+
+def build_table(image: FirmwareImage, key: int) -> RamTable:
+    """Reconstruct the RAM table exactly as the boot pass would: place each
+    decrypted instruction at its site's table offset."""
+    table = RamTable(image.table_base, image.table_room)
+    for sighting, insn in boot_scan(image, key):
+        table.add(sighting, [insn])
     return table
 
 

@@ -11,12 +11,13 @@ from retobf.harden import harden
 from retobf.image import (
     DEFAULT_BASE,
     DEFAULT_TABLE_BASE,
+    SRAM_SIZE,
+    STACK_RESERVE,
     CorpusParams,
     FirmwareImage,
     generate_corpus,
 )
 from retobf.isa import AddsImmR0, BxLr, LdrLitR0, MovPcR0, Pop, Push, RegisterList, encode
-from retobf.machine import TABLE_SIZE
 from retobf.obfuscation import encrypt_bytes, obfuscate_returns
 
 KEY = 0xA5A5
@@ -56,7 +57,7 @@ def crafted_images(draw):
         ]))
         sealed = b"" if payload is None else encrypt_bytes(encode(payload), KEY)
         literal = draw(st.one_of(
-            st.integers(-8, TABLE_SIZE + 8).map(lambda o: DEFAULT_TABLE_BASE + o),
+            st.integers(-8, SRAM_SIZE - STACK_RESERVE + 8).map(lambda o: DEFAULT_TABLE_BASE + o),
             st.integers(0, 0xFFFFFFFF),
         ))
         if plant_signature(data, base, off, draw(st.integers(0, 255)), literal, sealed):

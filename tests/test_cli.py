@@ -175,6 +175,15 @@ def test_eval_rejects_malformed_attack_report(workdir, tmp_path, capsys):
         assert err.startswith("error: malformed attack report") and err.count("\n") == 1
 
 
+def _edited_corpus(tmp_path, edit, functions=20):
+    assert run("gen", "--out", str(tmp_path / "c"), "--functions", str(functions),
+               "--seed", "1") == 0
+    manifest = json.loads((tmp_path / "c.json").read_text())
+    edit(manifest)
+    (tmp_path / "c.json").write_text(json.dumps(manifest))
+    return tmp_path / "c"
+
+
 def _lower_first_epilogue(manifest):
     sites = manifest["functions"][3]["epilogue_sites"]
     sites[0] = f"0x{int(sites[0], 16) - 1:x}"
@@ -187,18 +196,46 @@ def _lower_first_epilogue(manifest):
     lambda m: m["functions"][2].update(true_pop=["lr", "pc"]),
     lambda m: m["transform_log"][0].update(sites=[{"kind": "return"}]),
     lambda m: m["transform_log"].append("pass"),
+    lambda m: m.update(table_base="0x23f000"),
+    lambda m: m.update(table_base="0x24f000"),
 ], ids=["epilogue-off-boundary", "null-seed", "scalar-log", "lr-and-pc-pop",
-        "truncated-site", "non-object-log-entry"])
+        "truncated-site", "non-object-log-entry", "table-below-ram", "table-in-stack"])
 def test_malformed_manifest_is_one_error_line(tmp_path, capsys, edit):
-    assert run("gen", "--out", str(tmp_path / "c"), "--functions", "20", "--seed", "1") == 0
-    manifest = json.loads((tmp_path / "c.json").read_text())
-    edit(manifest)
-    (tmp_path / "c.json").write_text(json.dumps(manifest))
+    corpus = _edited_corpus(tmp_path, edit)
     capsys.readouterr()
-    assert run("obfuscate", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+    assert run("obfuscate", "--in", str(corpus), "--out", str(tmp_path / "o"),
                "--key", KEY) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_manifest_names_the_exception(tmp_path, capsys):
+    corpus = _edited_corpus(
+        tmp_path, lambda m: m["transform_log"][0].update(sites=[{"kind": "return"}])
+    )
+    capsys.readouterr()
+    assert run("obfuscate", "--in", str(corpus), "--out", str(tmp_path / "o"),
+               "--key", KEY) == 1
+    assert "KeyError('fn')" in capsys.readouterr().err
+
+
+def test_init_rejects_odd_epilogue_site(tmp_path, capsys):
+    corpus = _edited_corpus(tmp_path, _lower_first_epilogue)
+    capsys.readouterr()
+    assert run("init", "--in", str(corpus), "--key", KEY,
+               "--out", str(tmp_path / "t.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "halfword-aligned" in err and err.count("\n") == 1
+
+
+def test_obfuscate_fails_when_the_table_has_no_room(tmp_path, capsys):
+    """256 bytes below the stack cannot hold 200 functions' return entries."""
+    corpus = _edited_corpus(tmp_path, lambda m: m.update(table_base="0x24bf00"), 200)
+    capsys.readouterr()
+    assert run("obfuscate", "--in", str(corpus), "--out", str(tmp_path / "o"),
+               "--key", KEY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: table needs ") and err.endswith("capacity 256\n")
 
 
 def test_harden_identity_knobs(workdir, tmp_path):

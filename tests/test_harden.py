@@ -1,6 +1,7 @@
 """Hardening tests: rotation planning and semantics, register padding,
 push sealing, per-boot table randomization."""
 
+import copy
 import itertools
 import random
 
@@ -320,6 +321,17 @@ def test_rotation_fits_a_1000_function_corpus():
         a = call(image, entry=fn_old.start, regs=regs)
         b = call(himg, table, entry=fn_new.start, regs=regs)
         assert states_equivalent(a.state, b.state), fn_old.name
+
+
+def test_rotation_needs_a_record_for_every_scanned_site(hardened):
+    """The manifest names each site's function; a site the boot scan finds
+    but the manifest does not record cannot be placed."""
+    himg, hman, _ = hardened
+    man = copy.deepcopy(hman)
+    snapshot = next(entry for entry in reversed(man.transform_log) if "sites" in entry)
+    snapshot["sites"] = snapshot["sites"][1:]
+    with pytest.raises(HardenError, match="not both recorded"):
+        build_rotated_table(himg, man, KEY, seed=1)
 
 
 def test_position_distribution(hardened):

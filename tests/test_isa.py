@@ -165,7 +165,6 @@ def test_register_list_invariants():
     assert R("r7", "r4", "lr").names() == ("r4", "r7", "lr")
     assert str(R("r4", "r6", "r7", "pc")) == "{r4, r6, r7, pc}"
     assert R("r4", "lr").with_pc_for_lr() == R("r4", "pc")
-    assert R("r4", "pc").with_lr_for_pc() == R("r4", "lr")
     assert R("r4", "r8", "pc").without_flags() == R("r4", "r8")
 
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retobf import isa, machine
-from retobf.image import FirmwareImage
+from retobf import isa
+from retobf.image import STACK_RESERVE, FirmwareImage
 from retobf.isa import (
     AddSpImm,
     Bl,
@@ -124,7 +124,7 @@ def test_fault_kinds():
     assert err.value.kind == FaultKind.UNDECODABLE
     # pc outside executable regions.
     state = make_state(img)
-    state.pc = img.sram_base + machine.TABLE_SIZE  # stack area: not executable
+    state.pc = img.stack_limit  # stack area: not executable
     with pytest.raises(MachineFault) as err:
         step(state)
     assert err.value.kind == FaultKind.BAD_PC
@@ -167,7 +167,7 @@ def test_stack_reserve_does_not_move_with_the_table_base():
     code = asm(Push(R("r4", "lr")), MovImm(4, 1), Pop(R("r4", "pc")))
     img = FirmwareImage(code.base, code.data, table_base=code.sram_base + 0x6000)
     state = call(img).state
-    assert state.stack_limit == state.stack_top - machine.STACK_RESERVE
+    assert state.stack_limit == state.stack_top - STACK_RESERVE
     assert state.sp == state.stack_top - CALLER_STACK_BYTES
 
 

@@ -1,22 +1,35 @@
 """Transform and boot-scan tests: sealing, trampoline layout, table
 reconstruction, plaintext elimination, wrong-key behavior."""
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from retobf import isa
-from retobf.image import DEFAULT_BASE, CorpusParams, generate_corpus
-from retobf.isa import BxLr, Pop, RegisterList, decode
-from retobf.machine import call, states_equivalent
+from retobf.image import (
+    DEFAULT_BASE,
+    DEFAULT_SRAM_BASE,
+    SRAM_SIZE,
+    STACK_RESERVE,
+    CorpusParams,
+    FirmwareImage,
+    ImageError,
+    generate_corpus,
+)
+from retobf.isa import BxLr, Pop, Push, RegisterList, decode, is_return
+from retobf.machine import CALLER_STACK_BYTES, call, states_equivalent
 from retobf.obfuscation import (
     IntegrityError,
     ObfuscationError,
+    RawSighting,
     TableCapacityError,
     build_table,
+    decode_sealed,
     decrypt_halfword,
+    encrypt_bytes,
     encrypt_halfword,
     obfuscate_returns,
     scan_trampolines,
@@ -250,3 +263,60 @@ def test_site_count_matches_epilogues(obfuscated):
     expected = sum(len(fn.epilogue_sites) for fn in manifest.functions)
     assert len(records) == expected
     assert len(build_table(image, KEY).entries) == expected
+
+
+def test_decode_sealed_accepts_exactly_decoded_returns_and_pushes():
+    """Exhaustive over the first halfword, with second halfwords that make a
+    valid wide pop, a valid wide push, and neither: the boot check accepts
+    exactly what ``isa.decode`` reads as a return or an lr-pushing push."""
+    accepted = {}
+    for hw2 in (0x8110, 0x4110, 0x0000):
+        accepted[hw2] = []
+        for hw in range(0x10000):
+            plain = hw.to_bytes(2, "little") + hw2.to_bytes(2, "little")
+            insn = decode(plain)[0]
+            want = is_return(insn) or (isinstance(insn, Push) and insn.regs.has_lr)
+            sighting = RawSighting(core=DEFAULT_BASE + 2, adds_imm=0,
+                                   enc_window=encrypt_bytes(plain + bytes(4), KEY))
+            try:
+                got = decode_sealed(KEY, sighting)
+            except IntegrityError:
+                assert not want, hex(hw)
+            else:
+                assert want and got == insn, hex(hw)
+                accepted[hw2].append(hw)
+    assert len(accepted[0x0000]) == 513  # 256 pc-pops, 256 lr-pushes, bx lr
+    assert sorted(set(accepted[0x8110]) - set(accepted[0x0000])) == [0xE8BD]
+    assert sorted(set(accepted[0x4110]) - set(accepted[0x0000])) == [0xE92D]
+
+
+STACK_LIMIT = DEFAULT_SRAM_BASE + SRAM_SIZE - STACK_RESERVE
+
+
+@given(st.integers(-0x40, (SRAM_SIZE >> 2)).map(lambda w: DEFAULT_SRAM_BASE + 4 * w))
+@example(DEFAULT_SRAM_BASE - 4)
+@example(STACK_LIMIT - 4)
+@example(STACK_LIMIT)
+@settings(max_examples=40, deadline=None)
+def test_table_base_runs_or_fails_in_one_typed_error(corpus, table_base):
+    """Wherever the table base sits, the image is rejected, sealing runs out
+    of table room, or the boot table makes every function behave as before."""
+    image, manifest = corpus
+    try:
+        moved = FirmwareImage(image.base, image.data, image.sram_base, table_base)
+    except ImageError:
+        assert not DEFAULT_SRAM_BASE <= table_base < STACK_LIMIT
+        return
+    try:
+        obf, man2, _ = obfuscate_returns(
+            moved, dataclasses.replace(manifest, table_base=table_base), KEY
+        )
+    except TableCapacityError:
+        return
+    table = build_table(obf, KEY)
+    for fn_old, fn_new in zip(manifest.functions, man2.functions):
+        regs = {i: 0x1000 + i for i in range(13)}
+        a = call(image, entry=fn_old.start, regs=regs)
+        b = call(obf, table, entry=fn_new.start, regs=regs)
+        assert states_equivalent(a.state, b.state), (hex(table_base), fn_old.name)
+        assert b.state.sp == b.state.stack_top - CALLER_STACK_BYTES

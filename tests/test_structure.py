@@ -63,14 +63,19 @@ def test_slot_offsets_named_only_in_rewrite():
     assert users == []
 
 
+RAM_MAP = ("SRAM_SIZE", "STACK_RESERVE", "TABLE_SIZE")
+
+
 def test_geometry_and_table_size_defined_once():
+    """The trampoline geometry lives in ``_rewrite``; the RAM map lives in
+    ``image``, and the table's room is derived from it, never a constant."""
     where: dict[str, list[str]] = {}
     for path in SOURCES:
         for name in _defined_names(ast.parse(path.read_text(), filename=str(path))):
-            if name in GEOMETRY or name == "TABLE_SIZE":
+            if name in GEOMETRY or name in RAM_MAP:
                 where.setdefault(name, []).append(path.name)
     want = {name: ["_rewrite.py"] for name in GEOMETRY}
-    want["TABLE_SIZE"] = ["machine.py"]
+    want.update(SRAM_SIZE=["image.py"], STACK_RESERVE=["image.py"])
     assert where == want
 
 
