@@ -241,6 +241,12 @@ class Program:
             self.labels.setdefault(item.orig_addr, idx)
         return idx
 
+    def insert(self, idx: int, item: Item) -> None:
+        """Insert ``item`` before the item at ``idx``, shifting the labels of
+        every item from ``idx`` on."""
+        self.items.insert(idx, item)
+        self.labels = {key: i + 1 if i >= idx else i for key, i in self.labels.items()}
+
     def trampoline_records(self) -> list[TrampolineRecord]:
         """Records of the planted trampolines, in item order."""
         return [item.record for item in self.items if isinstance(item, TrampolineItem)]

@@ -64,12 +64,6 @@ def _echo(args, **extra) -> dict:
     return {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(cfg.items())}
 
 
-def _rotated(manifest) -> bool:
-    """Whether each boot of the image draws a rotated table: its pushes are
-    sealed and its sites reserve room for every rotated sequence."""
-    return manifest.has_pass("encrypt_pushes") and manifest.rotation_capable
-
-
 def cmd_gen(args) -> int:
     params = CorpusParams(
         function_count=args.functions,
@@ -99,7 +93,7 @@ def cmd_obfuscate(args) -> int:
 def cmd_init(args) -> int:
     key = _parse_key(args.key)
     image, manifest = load(args.input)
-    if args.seed is not None and _rotated(manifest):
+    if args.seed is not None and manifest.boots_rotated:
         table = harden_mod.build_rotated_table(image, manifest, key, args.seed)
     else:
         table = build_table(image, key)
@@ -188,8 +182,8 @@ def _equivalence_suite(plain, plain_man, image, manifest, tables, *, runs):
         regs = {r: rng.randrange(1 << 32) for r in range(13)}
         total += 1
         try:
-            a = call(plain, entry=fn_old.start, regs=regs)
-            b = call(image, table, entry=fn_new.start, regs=regs)
+            a = call(plain, entry=fn_old.start, regs=regs, keep_trace=False)
+            b = call(image, table, entry=fn_new.start, regs=regs, keep_trace=False)
             sp_ok = b.state.sp == b.state.stack_top - machine.CALLER_STACK_BYTES
             if states_equivalent(a.state, b.state) and sp_ok:
                 passed += 1
@@ -207,12 +201,10 @@ def cmd_eval(args) -> int:
 
     before = [c for c in baseline_gadget_scan(plain) if not c.instructions]
     after = baseline_gadget_scan(image)
-    seeds = list(range(args.rotation_seeds))
-    rotated = _rotated(manifest)
+    rotated = manifest.boots_rotated
     if rotated:
-        tables = [
-            harden_mod.build_rotated_table(image, manifest, key, seed) for seed in seeds or [0]
-        ]
+        seeds = range(max(args.rotation_seeds, 1))
+        tables = [harden_mod.build_rotated_table(image, manifest, key, s) for s in seeds]
     else:
         tables = [build_table(image, key) if manifest.has_pass("obfuscate_returns") else None]
     runs, passed = _equivalence_suite(
@@ -232,7 +224,7 @@ def cmd_eval(args) -> int:
 
     histogram = None
     if rotated and args.rotation_seeds > 1:
-        histogram = harden_mod.position_distribution(image, manifest, key, seeds)
+        histogram = harden_mod.position_distribution(tables)
 
     payload = {
         "config": _echo(args),

@@ -27,6 +27,7 @@ from .obfuscation import (
     boot_scan,
     check_key,
     obfuscate_returns,
+    plaintext_site,
     plan_rotation,
     seal_sites,
 )
@@ -58,22 +59,26 @@ def pad_registers(fn: FunctionRecord, rng: random.Random, kmax: int) -> PadPlan:
 def pad_corpus(
     image: FirmwareImage, manifest: Manifest, key_seed: int, kmax: int
 ) -> tuple[FirmwareImage, Manifest, list[PadPlan]]:
-    """Apply register padding to every push/pop pair in a plain image."""
+    """Apply register padding to every push/pop pair in a plain image.
+    Raises unless every manifest site holds its plaintext push or return."""
     if manifest.has_pass("obfuscate_returns"):
         raise HardenError("padding must run before return obfuscation")
     rng = random.Random(key_seed)
     plans = [pad_registers(fn, rng, kmax) for fn in manifest.functions]
     prog = lift(image, manifest)
     for fn, plan in zip(manifest.functions, plans):
+        push_idx = (
+            None if fn.prologue_site is None
+            else plaintext_site(prog, "push", fn.name, fn.prologue_site)
+        )
+        pop_idxs = [plaintext_site(prog, "return", fn.name, site) for site in fn.epilogue_sites]
         if plan.extra.is_empty:
             continue
         new_list = fn.used_callee_saved.union(fn.pad_registers).union(plan.extra)
-        push_idx = prog.index_at(fn.prologue_site)
         prog.items[push_idx] = InsnItem(
             Push(new_list.union(RegisterList.of("lr"))), orig_addr=fn.prologue_site
         )
-        for site in fn.epilogue_sites:
-            idx = prog.index_at(site)
+        for site, idx in zip(fn.epilogue_sites, pop_idxs):
             prog.items[idx] = InsnItem(
                 Pop(new_list.union(RegisterList.of("pc"))), orig_addr=site
             )
@@ -176,14 +181,12 @@ def build_rotated_table(
 ) -> RamTable:
     """Build one boot's table with per-function rotated pair sequences.
 
-    Requires an image hardened with rotation-capable sites (returns and
-    pushes both sealed and cross-referenced in the transform log).  The
-    manifest gives only each site's function and reserved capacity."""
-    if not manifest.has_pass("encrypt_pushes"):
-        raise HardenError("rotation needs sealed pushes; run encrypt_pushes first")
-    if not manifest.rotation_capable:
-        raise HardenError("rotation needs table room for every rotated sequence; "
-                          "seal the returns with rotation_capable")
+    Requires a manifest that boots rotated tables (returns and pushes both
+    sealed at rotation-capable sites).  The manifest gives only each site's
+    function and reserved capacity."""
+    if not manifest.boots_rotated:
+        raise HardenError("rotation needs sealed pushes and table room for every rotated "
+                          "sequence; harden with --rotate on")
     scanned, records, pushes = _boot_plan(image, manifest, key)
     table = RamTable(image.table_base, image.table_room)
     table.draws = _draw_positions(pushes, seed)
@@ -201,25 +204,22 @@ def build_rotated_table(
     return table
 
 
-def position_distribution(
-    image: FirmwareImage, manifest: Manifest, key: int, seeds
-) -> dict[str, dict]:
-    """Histogram of drawn return-address positions per function across boot
-    seeds, with a flag for functions whose slot is necessarily fixed."""
-    seeds = list(seeds)
-    if not seeds:
-        raise HardenError("at least one seed required")
-    _, _, pushes = _boot_plan(image, manifest, key)
-    hist: dict[str, dict] = {}
-    for fn, regs in pushes.items():
-        slots = 0 if regs is None else len(regs) + 1
-        hist[fn] = {
-            "slots": slots,
-            "counts": [0] * max(slots, 1),
-            "degenerate": slots <= 1 or len(seeds) == 1,
+def position_distribution(tables: list[RamTable]) -> dict[str, dict]:
+    """Histogram of the return-address positions the rotated boot ``tables``
+    drew per function, with a flag for functions whose slot is necessarily
+    fixed."""
+    if not tables:
+        raise HardenError("at least one table required")
+    hist = {
+        d["fn"]: {
+            "slots": d["slots"],
+            "counts": [0] * max(d["slots"], 1),
+            "degenerate": d["slots"] <= 1 or len(tables) == 1,
         }
-    for seed in seeds:
-        for draw in _draw_positions(pushes, seed):
-            if draw["slots"]:
-                hist[draw["fn"]]["counts"][draw["position"]] += 1
+        for d in tables[0].draws
+    }
+    for table in tables:
+        for d in table.draws:
+            if d["slots"]:
+                hist[d["fn"]]["counts"][d["position"]] += 1
     return hist

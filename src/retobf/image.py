@@ -215,6 +215,12 @@ class Manifest:
         replacement sequence (``obfuscate_returns(rotation_capable=True)``)."""
         return any(entry.get("rotation_capable") for entry in self.transform_log)
 
+    @property
+    def boots_rotated(self) -> bool:
+        """Whether each boot draws a rotated table: the pushes are sealed and
+        the sites reserve room for every rotated sequence."""
+        return self.has_pass("encrypt_pushes") and self.rotation_capable
+
     def to_json(self) -> dict:
         return {
             "base": f"0x{self.base:x}",
@@ -474,15 +480,7 @@ def splice(
     if not insert:
         return image, manifest
     prog = lift(image, manifest)
-    if at == image.end:
-        prog.add(BlobItem(insert))
-    else:
-        insert_idx = prog.index_at(at)
-        prog.items.insert(insert_idx, BlobItem(insert))
-        prog.labels = {
-            key: idx + 1 if idx >= insert_idx else idx
-            for key, idx in prog.labels.items()
-        }
+    prog.insert(len(prog.items) if at == image.end else prog.index_at(at), BlobItem(insert))
     return commit(prog, image, manifest, "splice", at=f"0x{at:x}", length=len(insert))
 
 

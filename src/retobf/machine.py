@@ -56,12 +56,9 @@ class MachineFault(Exception):
 
 @dataclass
 class TraceEvent:
-    index: int
     pc: int
     insn: Instruction
     sp_before: int
-    sp_after: int
-    access: tuple[str, int, int] | None = None  # (kind, address, value)
 
     def line(self) -> str:
         return f"step pc=0x{self.pc:08x} sp=0x{self.sp_before:08x} {self.insn.text()}"
@@ -185,12 +182,10 @@ def _branch_interwork(state: MachineState, value: int) -> None:
     state.pc = value & ~1
 
 
-def step(state: MachineState) -> TraceEvent:
-    """Execute one instruction, mutating ``state``; returns the trace event."""
+def step(state: MachineState) -> Instruction:
+    """Execute one instruction, mutating ``state``; returns the instruction."""
     insn, length = _fetch(state)
     pc = state.pc
-    sp_before = state.sp
-    access = None
     next_pc = pc + length
 
     if isinstance(insn, isa.Push):
@@ -218,9 +213,7 @@ def step(state: MachineState) -> TraceEvent:
         _branch_interwork(state, state.lr)
         next_pc = state.pc
     elif isinstance(insn, isa.LdrLitR0):
-        addr = ((pc + 4) & ~3) + insn.offset
-        state.regs[0] = state.read(addr, 4)
-        access = ("load", addr, state.regs[0])
+        state.regs[0] = state.read(((pc + 4) & ~3) + insn.offset, 4)
     elif isinstance(insn, isa.AddsImmR0):
         state.regs[0] = (state.regs[0] + insn.imm) & MASK32
     elif isinstance(insn, isa.MovPcR0):
@@ -240,13 +233,9 @@ def step(state: MachineState) -> TraceEvent:
     elif isinstance(insn, isa.SubReg):
         state.regs[insn.rd] = (state.regs[insn.rn] - state.regs[insn.rm]) & MASK32
     elif isinstance(insn, isa.StrSpRel):
-        addr = state.sp + insn.offset
-        state.write(addr, 4, state.regs[insn.rt])
-        access = ("store", addr, state.regs[insn.rt])
+        state.write(state.sp + insn.offset, 4, state.regs[insn.rt])
     elif isinstance(insn, isa.LdrSpRel):
-        addr = state.sp + insn.offset
-        state.regs[insn.rt] = state.read(addr, 4)
-        access = ("load", addr, state.regs[insn.rt])
+        state.regs[insn.rt] = state.read(state.sp + insn.offset, 4)
     elif isinstance(insn, isa.AddSpImm):
         state.sp = state.sp + insn.imm
         _check_sp(state)
@@ -259,9 +248,22 @@ def step(state: MachineState) -> TraceEvent:
         raise MachineFault(FaultKind.UNDECODABLE, f"at 0x{pc:08x}: {insn.text()}")
 
     state.pc = next_pc
-    event = TraceEvent(state.step_count, pc, insn, sp_before, state.sp, access)
     state.step_count += 1
-    return event
+    return insn
+
+
+def _run(state: MachineState, budget: int, trace: list[TraceEvent] | None = None) -> None:
+    """Step ``state`` until control reaches ``SENTINEL``, appending one event
+    per step to ``trace`` when given.  Raises ``MachineFault`` on any fault,
+    including exhausting the step budget."""
+    while state.pc != SENTINEL:
+        if state.step_count >= budget:
+            raise MachineFault(FaultKind.BUDGET, f"after {budget} steps")
+        if trace is None:
+            step(state)
+        else:
+            pc, sp = state.pc, state.sp
+            trace.append(TraceEvent(pc, step(state), sp))
 
 
 @dataclass
@@ -285,8 +287,9 @@ def call(
     """Run a function at ``entry`` until it returns to ``SENTINEL``.
 
     The callee sees lr holding the sentinel (thumb bit set) and a small
-    pre-seeded caller stack above sp.  Raises ``MachineFault`` on any fault,
-    including exhausting the step budget.
+    pre-seeded caller stack above sp.  The trace holds one event per step
+    when ``keep_trace`` is set and is empty otherwise.  Raises
+    ``MachineFault`` on any fault, including exhausting the step budget.
     """
     state = make_state(image, table, regs=regs)
     state.sp = state.stack_top - CALLER_STACK_BYTES
@@ -295,12 +298,7 @@ def call(
     state.lr = SENTINEL | 1
     state.pc = (entry if entry is not None else image.base) & ~1
     trace: list[TraceEvent] = []
-    while state.pc != SENTINEL:
-        if state.step_count >= budget:
-            raise MachineFault(FaultKind.BUDGET, f"after {budget} steps")
-        event = step(state)
-        if keep_trace:
-            trace.append(event)
+    _run(state, budget, trace if keep_trace else None)
     return CallResult(state, trace)
 
 
@@ -310,7 +308,7 @@ def check_gadget(image, table, start: int, stack_delta: int, pc_slot_index: int 
     The stack words the gadget will consume are seeded with filler values,
     the designated slot (or lr, for bx-lr gadgets) receives the sentinel,
     and the candidate passes when control reaches the sentinel with sp
-    advanced by exactly ``stack_delta``.
+    advanced by exactly ``stack_delta`` within ``GADGET_STEP_BUDGET`` steps.
     """
     state = make_state(image, table)
     words = stack_delta // 4
@@ -323,10 +321,7 @@ def check_gadget(image, table, start: int, stack_delta: int, pc_slot_index: int 
     sp0 = state.sp
     state.pc = start & ~1
     try:
-        while state.pc != SENTINEL:
-            if state.step_count >= GADGET_STEP_BUDGET:
-                return False
-            step(state)
+        _run(state, GADGET_STEP_BUDGET)
     except MachineFault:
         return False
     return state.sp == sp0 + stack_delta

@@ -156,6 +156,17 @@ def _entry_capacity(insn, rotation_capable: bool) -> int:
     return size if is_return(insn) else size + 4
 
 
+def plaintext_site(prog: Program, kind: str, fn_name: str, site: int) -> int:
+    """Item index of the plaintext ``kind`` ("return" or "push") at
+    ``site`` in ``fn_name``; raises unless the item there is one."""
+    idx = prog.index_at(site)
+    item = prog.items[idx]
+    insn = item.insn if isinstance(item, InsnItem) else None
+    if not (is_return(insn) if kind == "return" else isinstance(insn, Push)):
+        raise ObfuscationError(f"site 0x{site:x} in {fn_name} is not a plaintext {kind}")
+    return idx
+
+
 def seal_sites(
     prog: Program,
     kind: str,
@@ -172,11 +183,8 @@ def seal_sites(
         (rec.table_offset + rec.capacity for rec in prog.trampoline_records()), default=0
     )
     for fn_name, site in sites:
-        idx = prog.index_at(site)
-        item = prog.items[idx]
-        insn = item.insn if isinstance(item, InsnItem) else None
-        if not (is_return(insn) if kind == "return" else isinstance(insn, Push)):
-            raise ObfuscationError(f"site 0x{site:x} in {fn_name} is not a plaintext {kind}")
+        idx = plaintext_site(prog, kind, fn_name, site)
+        insn = prog.items[idx].insn
         plain = encode(insn)
         offset = next_offset
         size = -(-_entry_capacity(insn, rotation_capable) // TABLE_STRIDE) * TABLE_STRIDE
@@ -217,9 +225,7 @@ def obfuscate_returns(
         raise ObfuscationError("image is already return-obfuscated")
     prog = lift(image, manifest)
     if manifest.functions:
-        stub = BlobItem(encode(Nop()) * (INIT_STUB_BYTES // 2))
-        prog.items.insert(0, stub)
-        prog.labels = {key_: idx + 1 for key_, idx in prog.labels.items()}
+        prog.insert(0, BlobItem(encode(Nop()) * (INIT_STUB_BYTES // 2)))
     sites = [(fn.name, site) for fn in manifest.functions for site in fn.epilogue_sites]
     seal_sites(prog, "return", sites, key, image, rotation_capable)
     new_image, new_manifest = commit(
@@ -334,9 +340,9 @@ _WIDE_PUSH = 0xE92D
 
 def _classify_halfword(hw: int) -> str | None:
     """Raw bit-pattern class of one halfword: a pc-popping or lr-pushing
-    narrow pop/push, ``bx lr``, or the prefix of a wide pop/push.  The boot
-    check asks it of each decrypted slot, the plaintext sweep of each code
-    halfword."""
+    narrow pop/push, ``bx lr``, or the prefix of a wide pop/push.  The
+    plaintext sweep asks it of each code halfword; the boot check decodes
+    each decrypted slot with ``isa.decode`` instead (``decode_sealed``)."""
     if (hw & 0xFF00) == 0xBD00:
         return "pop-pc"
     if hw == 0x4770:

@@ -183,7 +183,7 @@ def test_criterion_7_padding_effect(hardened420):
 def test_criterion_8_rotation_uniformity(rotated60):
     _, (himg, hman) = rotated60
     seeds = range(1000)
-    hist = position_distribution(himg, hman, KEY, seeds)
+    hist = position_distribution([build_rotated_table(himg, hman, KEY, s) for s in seeds])
     n = 1000
     checked = 0
     for fn in hman.functions:

@@ -228,6 +228,22 @@ def test_init_rejects_odd_epilogue_site(tmp_path, capsys):
     assert err.startswith("error: ") and "halfword-aligned" in err and err.count("\n") == 1
 
 
+def test_harden_rejects_an_epilogue_site_off_the_return(tmp_path, capsys):
+    """An even epilogue site two bytes low names the instruction before the
+    pop: padding must refuse it, as sealing does, not overwrite it."""
+    def lower_by_two(manifest):
+        sites = manifest["functions"][3]["epilogue_sites"]
+        sites[0] = f"0x{int(sites[0], 16) - 2:x}"
+
+    corpus = _edited_corpus(tmp_path, lower_by_two)
+    capsys.readouterr()
+    assert run("harden", "--in", str(corpus), "--out", str(tmp_path / "h"),
+               "--key", KEY, "--rotate", "on") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a plaintext return" in err
+    assert err.count("\n") == 1
+
+
 def test_obfuscate_fails_when_the_table_has_no_room(tmp_path, capsys):
     """256 bytes below the stack cannot hold 200 functions' return entries."""
     corpus = _edited_corpus(tmp_path, lambda m: m.update(table_base="0x24bf00"), 200)

@@ -336,7 +336,7 @@ def test_rotation_needs_a_record_for_every_scanned_site(hardened):
 
 def test_position_distribution(hardened):
     himg, hman, _ = hardened
-    hist = position_distribution(himg, hman, KEY, seeds=range(60))
+    hist = position_distribution([build_rotated_table(himg, hman, KEY, s) for s in range(60)])
     for fn in hman.functions:
         entry = hist[fn.name]
         if fn.is_leaf:
@@ -350,12 +350,26 @@ def test_position_distribution(hardened):
             assert entry["counts"] == [60]
         else:
             assert len([c for c in entry["counts"] if c > 0]) > 1
-    single = position_distribution(himg, hman, KEY, seeds=[1])
+    single = position_distribution([build_rotated_table(himg, hman, KEY, seed=1)])
     assert all(e["degenerate"] or e["slots"] == 0 for e in single.values()) or any(
         e["degenerate"] for e in single.values()
     )
     with pytest.raises(HardenError):
-        position_distribution(himg, hman, KEY, seeds=[])
+        position_distribution([])
+
+
+def test_position_distribution_counts_the_tables_draws(hardened):
+    himg, hman, _ = hardened
+    tables = [build_rotated_table(himg, hman, KEY, seed) for seed in (3, 8, 8, 21)]
+    counts = {}
+    for table in tables:
+        for draw in table.draws:
+            row = counts.setdefault(draw["fn"], [0] * max(draw["slots"], 1))
+            if draw["slots"]:
+                row[draw["position"]] += 1
+    hist = position_distribution(tables)
+    assert {fn: entry["counts"] for fn, entry in hist.items()} == counts
+    assert list(hist) == [fn.name for fn in hman.functions]
 
 
 def test_padding_degrades_liveness_to_k0(hardened):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from retobf import isa
-from retobf._rewrite import signature_offsets
+from retobf._rewrite import BlobItem, Program, signature_offsets
 from retobf.image import (
     CorpusParams,
     FunctionRecord,
@@ -147,6 +147,18 @@ def test_splice_zero_bytes_is_identity(small_corpus):
     image2, manifest2 = splice(image, manifest, image.base + 2, b"")
     assert image2.data == image.data
     assert manifest2 is manifest
+
+
+def test_program_insert_shifts_later_labels():
+    prog = Program(0x40000)
+    for addr in (0x40000, 0x40002, 0x40004):
+        prog.add(BlobItem(b"\x00\xbf", orig_addr=addr))
+    prog.labels["tail"] = 2
+    stub = BlobItem(b"\x00\xbf" * 2)
+    prog.insert(1, stub)
+    assert prog.items[1] is stub
+    assert prog.labels == {0x40000: 0, 0x40002: 2, 0x40004: 3, "tail": 3}
+    assert prog.layout().addr_map[0x40004] == 0x40008
 
 
 def test_splice_rejects_odd(small_corpus):

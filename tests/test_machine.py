@@ -19,9 +19,11 @@ from retobf.isa import (
 )
 from retobf.machine import (
     CALLER_STACK_BYTES,
+    GADGET_STEP_BUDGET,
     FaultKind,
     MachineFault,
     call,
+    check_gadget,
     make_state,
     states_equivalent,
     step,
@@ -103,6 +105,25 @@ def test_trace_line_format():
     img = asm(Nop(), BxLr())
     result = call(img, entry=img.base)
     assert result.trace_lines()[0] == f"step pc=0x{img.base:08x} sp=0x{result.trace[0].sp_before:08x} nop"
+
+
+def test_untraced_call_ends_in_the_traced_state():
+    img = asm(Push(R("r4", "lr")), MovImm(4, 7), AddSpImm(0), Pop(R("r4", "pc")))
+    traced = call(img, entry=img.base, regs={4: 0xAA})
+    untraced = call(img, entry=img.base, regs={4: 0xAA}, keep_trace=False)
+    assert untraced.trace == []
+    assert len(traced.trace) == traced.state.step_count == untraced.state.step_count == 4
+    assert untraced.state.regs == traced.state.regs
+    assert untraced.state.sram == traced.state.sram
+
+
+def test_check_gadget_fails_when_the_budget_runs_out():
+    """A ``bx lr`` gadget behind nops passes while it returns within the
+    gadget budget and fails once the nops alone use it up."""
+    fits = asm(*[Nop()] * (GADGET_STEP_BUDGET - 1), BxLr())
+    too_long = asm(*[Nop()] * GADGET_STEP_BUDGET, BxLr())
+    assert check_gadget(fits, None, fits.base, 0, None)
+    assert not check_gadget(too_long, None, too_long.base, 0, None)
 
 
 def test_step_budget_fault():

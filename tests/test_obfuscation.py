@@ -231,8 +231,10 @@ def test_build_table_raises_only_typed_errors(image):
 
 
 def test_halfword_validity_census():
-    """Exhaustive 16-bit enumeration of what the boot check accepts as a
-    standalone decrypted halfword: 256 pc-pops + 256 lr-pushes + bx lr."""
+    """Exhaustive 16-bit enumeration of the raw halfword classes the
+    plaintext sweep matches: 256 pc-pops + 256 lr-pushes + bx lr, plus the
+    two wide prefixes.  (The boot check decodes decrypted slots with
+    ``isa.decode`` instead.)"""
     from retobf.obfuscation import _classify_halfword
 
     accepted = [hw for hw in range(0x10000) if _classify_halfword(hw) in

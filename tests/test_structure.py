@@ -1,15 +1,18 @@
 """Module-structure rules for the library: imports stay at module top, no
 module reaches into another module's private names, the trampoline
-geometry and the RAM map each have one definition, and each source of
-trampolines (the rewriter, the byte scan) has one trampoline type."""
+geometry and the RAM map each have one definition, each source of
+trampolines (the rewriter, the byte scan) has one trampoline type, and
+every function the benchmark's span tracer wraps exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "retobf").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "retobf").glob("*.py"))
 
 
 def _function_imports(tree):
@@ -91,3 +94,27 @@ def test_one_trampoline_type_per_source():
                 for base in node.bases)
     )
     assert users == ["_rewrite.TrampolineRecord", "obfuscation.RawSighting"]
+
+
+def _span_targets() -> list[str]:
+    """The ``layer.name`` strings of ``TARGETS`` in ``perfbench/spans.py``,
+    read from its source so the tracer is not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    value = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    return [f"{layer}.{name}" for layer, names in ast.literal_eval(value).items()
+            for name in names]
+
+
+@pytest.mark.parametrize("target", _span_targets())
+def test_span_targets_resolve(target):
+    """A renamed function would otherwise only fail a traced benchmark run."""
+    layer, _, dotted = target.partition(".")
+    owner = importlib.import_module(f"retobf.{layer}")
+    for attr in dotted.split("."):
+        owner = getattr(owner, attr, None)
+    assert callable(owner), f"retobf.{target} does not resolve to a function"
