@@ -169,7 +169,9 @@ def _load_attack(prefix) -> AttackResult:
 
 def _equivalence_suite(plain, plain_man, image, manifest, tables, *, runs):
     """Randomized original-vs-transformed call comparisons, cycling through
-    the boot ``tables``; returns (runs, passed)."""
+    the boot ``tables``; returns (runs, passed).  Each failed run prints one
+    stderr line naming the function, the table index and the fault kind (or
+    a state mismatch)."""
     rng = random.Random(0xEC0)
     passed = 0
     total = 0
@@ -178,17 +180,23 @@ def _equivalence_suite(plain, plain_man, image, manifest, tables, *, runs):
         return 0, 0
     for i in range(runs):
         fn_old, fn_new = pairs[rng.randrange(len(pairs))]
-        table = tables[i % len(tables)]
+        table_index = i % len(tables)
         regs = {r: rng.randrange(1 << 32) for r in range(13)}
         total += 1
         try:
             a = call(plain, entry=fn_old.start, regs=regs, keep_trace=False)
-            b = call(image, table, entry=fn_new.start, regs=regs, keep_trace=False)
+            b = call(image, tables[table_index], entry=fn_new.start, regs=regs,
+                     keep_trace=False)
+        except MachineFault as exc:
+            reason = f"{exc.kind.name} ({exc})"
+        else:
             sp_ok = b.state.sp == b.state.stack_top - machine.CALLER_STACK_BYTES
             if states_equivalent(a.state, b.state) and sp_ok:
                 passed += 1
-        except MachineFault:
-            pass
+                continue
+            reason = "state mismatch"
+        print(f"equivalence run {i}: {fn_new.name} under table {table_index}: {reason}",
+              file=sys.stderr)
     return total, passed
 
 

@@ -64,12 +64,21 @@ MALFORMED_INPUT = (KeyError, ValueError, TypeError, EncodingError)
 
 @dataclass
 class FirmwareImage:
+    """Flash contents at ``base`` plus the RAM map they boot into.
+
+    ``data`` is kept as immutable ``bytes``, so ``decoded``, the
+    interpreter's ``pc -> (instruction, length)`` map of the flash
+    addresses it has fetched, never goes stale.
+    """
+
     base: int
     data: bytes
     sram_base: int = DEFAULT_SRAM_BASE
     table_base: int = DEFAULT_TABLE_BASE
+    decoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.data = bytes(self.data)
         if self.base % 4 or self.table_base % 4:
             raise ImageError("base addresses must be word-aligned")
         if len(self.data) % 2:
@@ -119,6 +128,11 @@ class FunctionRecord:
     def validate(self) -> None:
         if self.start >= self.end:
             raise ImageError(f"{self.name}: empty or inverted range")
+        if (self.prologue_site is None) != (self.true_pop is None):
+            raise ImageError(f"{self.name}: prologue_site and true_pop must both be set "
+                             "(non-leaf) or both be null (leaf)")
+        if self.prologue_site is not None and not self.start <= self.prologue_site < self.end:
+            raise ImageError(f"{self.name}: prologue site outside range")
         for site in self.epilogue_sites:
             if not self.start <= site < self.end:
                 raise ImageError(f"{self.name}: epilogue site outside range")

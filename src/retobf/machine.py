@@ -11,12 +11,16 @@ read-write scratch RAM region, laid out by the image's RAM map
 ``image.STACK_RESERVE`` bytes of RAM are the stack; the RAM below them,
 from the table base up to ``stack_limit``, holds the rebuilt instruction
 table.  Execution is allowed from flash and from that table region only.
+
+Flash is read-only, so each flash address is decoded once, into the image's
+``decoded`` map, and reused by every state of that image.  The table region
+is RAM: it is decoded from the state's current bytes on every fetch.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import isa
 from .image import SRAM_SIZE
@@ -32,8 +36,12 @@ DEFAULT_STEP_BUDGET = 100_000
 GADGET_STEP_BUDGET = 2000
 GADGET_FILLER = 0x40404040
 
-#: Bytes of pre-seeded caller stack left above the initial sp.
+#: Bytes of pre-seeded caller stack left above the initial sp, and the
+#: words seeded there.
 CALLER_STACK_BYTES = 64
+_CALLER_STACK = b"".join(
+    (0xCA000000 + i).to_bytes(4, "little") for i in range(CALLER_STACK_BYTES // 4)
+)
 
 MASK32 = 0xFFFFFFFF
 
@@ -77,6 +85,9 @@ class MachineState:
     stack_limit: int
     stack_top: int
     step_count: int = 0
+    #: ``pc -> (instruction, length)`` for fetched flash addresses; shared
+    #: with every state of the same image.
+    flash_decoded: dict = field(default_factory=dict, repr=False)
 
     @property
     def pc(self) -> int:
@@ -126,6 +137,18 @@ class MachineState:
             size, "little"
         )
 
+    def write_table(self, addr: int, data: bytes) -> None:
+        """Write a table image at ``addr`` in one slice; it must lie wholly
+        in the table region, ``[table_base, stack_limit)``."""
+        if not self.table_base <= addr <= addr + len(data) <= self.stack_limit:
+            raise MachineFault(
+                FaultKind.MEMORY,
+                f"table of {len(data)} bytes at 0x{addr:08x} outside the table region "
+                f"0x{self.table_base:08x}..0x{self.stack_limit:08x}",
+            )
+        lo = addr - self.sram_base
+        self.sram[lo : lo + len(data)] = data
+
 
 def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> MachineState:
     """Build a fresh state for ``image`` with ``table`` installed in RAM.
@@ -137,12 +160,13 @@ def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> Mach
     state = MachineState(
         regs=[0] * 16,
         flash_base=image.base,
-        flash=bytes(image.data),
+        flash=image.data,
         sram_base=image.sram_base,
         sram=bytearray(SRAM_SIZE),
         table_base=image.table_base,
         stack_limit=image.stack_limit,
         stack_top=image.stack_top,
+        flash_decoded=image.decoded,
     )
     if table is not None:
         table.install(state)
@@ -152,21 +176,26 @@ def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> Mach
     return state
 
 
-def _fetch(state: MachineState) -> tuple[Instruction, int]:
-    pc = state.pc
+def _fetch(state: MachineState, pc: int) -> tuple[Instruction, int]:
+    hit = state.flash_decoded.get(pc)
+    if hit is not None:
+        return hit
     if pc % 2:
         raise MachineFault(FaultKind.BAD_PC, f"misaligned pc 0x{pc:08x}")
-    in_table = state.table_base <= pc < state.stack_limit
-    if state.in_flash(pc, 2):
+    in_flash = state.in_flash(pc, 2)
+    if in_flash:
         data, off = state.flash, pc - state.flash_base
-    elif in_table and state.in_sram(pc, 2):
+    elif state.table_base <= pc < state.stack_limit and state.in_sram(pc, 2):
         data, off = state.sram, pc - state.sram_base
     else:
         raise MachineFault(FaultKind.BAD_PC, f"pc 0x{pc:08x} not executable")
     try:
-        return decode(data, off, pc)
+        decoded = decode(data, off, pc)
     except isa.TruncatedStreamError as exc:
         raise MachineFault(FaultKind.UNDECODABLE, str(exc)) from exc
+    if in_flash:
+        state.flash_decoded[pc] = decoded
+    return decoded
 
 
 def _check_sp(state: MachineState) -> None:
@@ -176,78 +205,148 @@ def _check_sp(state: MachineState) -> None:
         raise MachineFault(FaultKind.STACK, f"sp 0x{state.sp:08x} outside stack region")
 
 
-def _branch_interwork(state: MachineState, value: int) -> None:
+def _interwork_target(value: int) -> int:
+    """The pc a ``bx``-style branch to ``value`` lands on."""
     if not value & 1:
         raise MachineFault(FaultKind.INTERWORK, f"target 0x{value:08x} lacks thumb bit")
-    state.pc = value & ~1
+    return value & ~1
+
+
+# Instruction handlers: each executes one instruction fetched at ``pc`` and
+# returns the next pc (``next_pc`` unless the instruction branches).
+
+
+def _push(state: MachineState, insn: isa.Push, pc: int, next_pc: int) -> int:
+    if insn.regs.is_empty or insn.regs.has_pc:
+        raise MachineFault(FaultKind.INVALID, f"push {insn.regs}")
+    regs = insn.regs.indices()
+    state.sp = state.sp - 4 * len(regs)
+    _check_sp(state)
+    for i, reg in enumerate(regs):
+        state.write(state.sp + 4 * i, 4, state.regs[reg])
+    return next_pc
+
+
+def _pop(state: MachineState, insn: isa.Pop, pc: int, next_pc: int) -> int:
+    if insn.regs.is_empty:
+        raise MachineFault(FaultKind.INVALID, "pop {}")
+    regs = insn.regs.indices()
+    values = [state.read(state.sp + 4 * i, 4) for i in range(len(regs))]
+    state.sp = state.sp + 4 * len(regs)
+    _check_sp(state)
+    for reg, value in zip(regs, values):
+        if reg == isa.PC:
+            next_pc = _interwork_target(value)
+        else:
+            state.regs[reg] = value
+    return next_pc
+
+
+def _bx_lr(state: MachineState, insn: isa.BxLr, pc: int, next_pc: int) -> int:
+    return _interwork_target(state.lr)
+
+
+def _ldr_lit_r0(state: MachineState, insn: isa.LdrLitR0, pc: int, next_pc: int) -> int:
+    state.regs[0] = state.read(((pc + 4) & ~3) + insn.offset, 4)
+    return next_pc
+
+
+def _adds_imm_r0(state: MachineState, insn: isa.AddsImmR0, pc: int, next_pc: int) -> int:
+    state.regs[0] = (state.regs[0] + insn.imm) & MASK32
+    return next_pc
+
+
+def _mov_pc_r0(state: MachineState, insn: isa.MovPcR0, pc: int, next_pc: int) -> int:
+    # ALU writes to pc branch without interworking; bit 0 is dropped.
+    return state.regs[0] & ~1
+
+
+def _bl(state: MachineState, insn: isa.Bl, pc: int, next_pc: int) -> int:
+    state.lr = (pc + 4) | 1
+    return insn.target & ~1
+
+
+def _branch_w(state: MachineState, insn: isa.BranchW, pc: int, next_pc: int) -> int:
+    return insn.target & ~1
+
+
+def _mov_imm(state: MachineState, insn: isa.MovImm, pc: int, next_pc: int) -> int:
+    state.regs[insn.rd] = insn.imm
+    return next_pc
+
+
+def _mov_reg(state: MachineState, insn: isa.MovReg, pc: int, next_pc: int) -> int:
+    state.regs[insn.rd] = state.regs[insn.rm]
+    return next_pc
+
+
+def _add_reg(state: MachineState, insn: isa.AddReg, pc: int, next_pc: int) -> int:
+    state.regs[insn.rd] = (state.regs[insn.rn] + state.regs[insn.rm]) & MASK32
+    return next_pc
+
+
+def _sub_reg(state: MachineState, insn: isa.SubReg, pc: int, next_pc: int) -> int:
+    state.regs[insn.rd] = (state.regs[insn.rn] - state.regs[insn.rm]) & MASK32
+    return next_pc
+
+
+def _str_sp_rel(state: MachineState, insn: isa.StrSpRel, pc: int, next_pc: int) -> int:
+    state.write(state.sp + insn.offset, 4, state.regs[insn.rt])
+    return next_pc
+
+
+def _ldr_sp_rel(state: MachineState, insn: isa.LdrSpRel, pc: int, next_pc: int) -> int:
+    state.regs[insn.rt] = state.read(state.sp + insn.offset, 4)
+    return next_pc
+
+
+def _add_sp_imm(state: MachineState, insn: isa.AddSpImm, pc: int, next_pc: int) -> int:
+    state.sp = state.sp + insn.imm
+    _check_sp(state)
+    return next_pc
+
+
+def _sub_sp_imm(state: MachineState, insn: isa.SubSpImm, pc: int, next_pc: int) -> int:
+    state.sp = state.sp - insn.imm
+    _check_sp(state)
+    return next_pc
+
+
+def _nop(state: MachineState, insn: isa.Nop, pc: int, next_pc: int) -> int:
+    return next_pc
+
+
+#: The handler of each executable instruction type.  ``Unknown`` (and the
+#: emission-only ``RawWord``) have none: fetching one faults UNDECODABLE.
+HANDLERS = {
+    isa.Push: _push,
+    isa.Pop: _pop,
+    isa.BxLr: _bx_lr,
+    isa.LdrLitR0: _ldr_lit_r0,
+    isa.AddsImmR0: _adds_imm_r0,
+    isa.MovPcR0: _mov_pc_r0,
+    isa.Bl: _bl,
+    isa.BranchW: _branch_w,
+    isa.MovImm: _mov_imm,
+    isa.MovReg: _mov_reg,
+    isa.AddReg: _add_reg,
+    isa.SubReg: _sub_reg,
+    isa.StrSpRel: _str_sp_rel,
+    isa.LdrSpRel: _ldr_sp_rel,
+    isa.AddSpImm: _add_sp_imm,
+    isa.SubSpImm: _sub_sp_imm,
+    isa.Nop: _nop,
+}
 
 
 def step(state: MachineState) -> Instruction:
     """Execute one instruction, mutating ``state``; returns the instruction."""
-    insn, length = _fetch(state)
-    pc = state.pc
-    next_pc = pc + length
-
-    if isinstance(insn, isa.Push):
-        if insn.regs.is_empty or insn.regs.has_pc:
-            raise MachineFault(FaultKind.INVALID, f"push {insn.regs}")
-        count = len(insn.regs)
-        state.sp = state.sp - 4 * count
-        _check_sp(state)
-        for i, reg in enumerate(insn.regs):
-            state.write(state.sp + 4 * i, 4, state.regs[reg])
-    elif isinstance(insn, isa.Pop):
-        if insn.regs.is_empty:
-            raise MachineFault(FaultKind.INVALID, "pop {}")
-        values = [state.read(state.sp + 4 * i, 4) for i in range(len(insn.regs))]
-        state.sp = state.sp + 4 * len(insn.regs)
-        _check_sp(state)
-        for reg, value in zip(insn.regs, values):
-            if reg == isa.PC:
-                _branch_interwork(state, value)
-            else:
-                state.regs[reg] = value
-        if insn.regs.has_pc:
-            next_pc = state.pc
-    elif isinstance(insn, isa.BxLr):
-        _branch_interwork(state, state.lr)
-        next_pc = state.pc
-    elif isinstance(insn, isa.LdrLitR0):
-        state.regs[0] = state.read(((pc + 4) & ~3) + insn.offset, 4)
-    elif isinstance(insn, isa.AddsImmR0):
-        state.regs[0] = (state.regs[0] + insn.imm) & MASK32
-    elif isinstance(insn, isa.MovPcR0):
-        # ALU writes to pc branch without interworking; bit 0 is dropped.
-        next_pc = state.regs[0] & ~1
-    elif isinstance(insn, isa.Bl):
-        state.lr = (pc + 4) | 1
-        next_pc = insn.target & ~1
-    elif isinstance(insn, isa.BranchW):
-        next_pc = insn.target & ~1
-    elif isinstance(insn, isa.MovImm):
-        state.regs[insn.rd] = insn.imm
-    elif isinstance(insn, isa.MovReg):
-        state.regs[insn.rd] = state.regs[insn.rm]
-    elif isinstance(insn, isa.AddReg):
-        state.regs[insn.rd] = (state.regs[insn.rn] + state.regs[insn.rm]) & MASK32
-    elif isinstance(insn, isa.SubReg):
-        state.regs[insn.rd] = (state.regs[insn.rn] - state.regs[insn.rm]) & MASK32
-    elif isinstance(insn, isa.StrSpRel):
-        state.write(state.sp + insn.offset, 4, state.regs[insn.rt])
-    elif isinstance(insn, isa.LdrSpRel):
-        state.regs[insn.rt] = state.read(state.sp + insn.offset, 4)
-    elif isinstance(insn, isa.AddSpImm):
-        state.sp = state.sp + insn.imm
-        _check_sp(state)
-    elif isinstance(insn, isa.SubSpImm):
-        state.sp = state.sp - insn.imm
-        _check_sp(state)
-    elif isinstance(insn, isa.Nop):
-        pass
-    else:  # Unknown / RawWord
+    pc = state.regs[isa.PC]
+    insn, length = _fetch(state, pc)
+    handler = HANDLERS.get(type(insn))
+    if handler is None:
         raise MachineFault(FaultKind.UNDECODABLE, f"at 0x{pc:08x}: {insn.text()}")
-
-    state.pc = next_pc
+    state.regs[isa.PC] = handler(state, insn, pc, pc + length) & MASK32
     state.step_count += 1
     return insn
 
@@ -256,7 +355,8 @@ def _run(state: MachineState, budget: int, trace: list[TraceEvent] | None = None
     """Step ``state`` until control reaches ``SENTINEL``, appending one event
     per step to ``trace`` when given.  Raises ``MachineFault`` on any fault,
     including exhausting the step budget."""
-    while state.pc != SENTINEL:
+    regs = state.regs
+    while regs[isa.PC] != SENTINEL:
         if state.step_count >= budget:
             raise MachineFault(FaultKind.BUDGET, f"after {budget} steps")
         if trace is None:
@@ -293,8 +393,7 @@ def call(
     """
     state = make_state(image, table, regs=regs)
     state.sp = state.stack_top - CALLER_STACK_BYTES
-    for i in range(CALLER_STACK_BYTES // 4):
-        state.write(state.sp + 4 * i, 4, 0xCA000000 + i)
+    state.sram[state.sp - state.sram_base : state.stack_top - state.sram_base] = _CALLER_STACK
     state.lr = SENTINEL | 1
     state.pc = (entry if entry is not None else image.base) & ~1
     trace: list[TraceEvent] = []

@@ -278,12 +278,16 @@ class TableEntry:
 
 @dataclass
 class RamTable:
-    """The rebuilt instruction table: ``room`` bytes of RAM from ``base``."""
+    """The rebuilt instruction table: ``room`` bytes of RAM from ``base``.
+
+    ``image`` holds the table's bytes from ``base`` to the end of the last
+    entry, zero between entries, as the boot pass leaves RAM."""
 
     base: int
     room: int
     entries: list[TableEntry] = field(default_factory=list)
     draws: list[dict] = field(default_factory=list)
+    image: bytearray = field(default_factory=bytearray, repr=False)
 
     def add(self, sighting: RawSighting, seq, capacity: int | None = None) -> None:
         """Place the entry for ``seq`` at the sighting's entry address, after
@@ -308,18 +312,16 @@ class RamTable:
         if offset + len(data) > self.room:
             raise TableCapacityError(f"table size {offset + len(data)} exceeds {self.room}")
         self.entries.append(TableEntry(offset, data, text))
+        self.image += bytes(offset - len(self.image)) + data
 
     @property
     def size(self) -> int:
-        if not self.entries:
-            return 0
-        last = self.entries[-1]
-        return last.offset + len(last.data)
+        return len(self.image)
 
     def install(self, state) -> None:
-        for entry in self.entries:
-            lo = self.base - state.sram_base + entry.offset
-            state.sram[lo : lo + len(entry.data)] = entry.data
+        """Write the table into ``state``'s RAM in one slice; a
+        ``MachineFault`` unless it lies wholly in the table region."""
+        state.write_table(self.base, self.image)
 
     def to_json(self) -> dict:
         return {

@@ -7,7 +7,9 @@ import shutil
 
 import pytest
 
-from retobf.cli import main
+from retobf.cli import _equivalence_suite, main
+from retobf.image import load
+from retobf.obfuscation import build_table
 
 KEY = "0xa5a5"
 
@@ -198,8 +200,11 @@ def _lower_first_epilogue(manifest):
     lambda m: m["transform_log"].append("pass"),
     lambda m: m.update(table_base="0x23f000"),
     lambda m: m.update(table_base="0x24f000"),
+    lambda m: m["functions"][0].update(prologue_site=m["functions"][0]["start"]),
+    lambda m: m["functions"][1].update(prologue_site=m["functions"][2]["start"]),
 ], ids=["epilogue-off-boundary", "null-seed", "scalar-log", "lr-and-pc-pop",
-        "truncated-site", "non-object-log-entry", "table-below-ram", "table-in-stack"])
+        "truncated-site", "non-object-log-entry", "table-below-ram", "table-in-stack",
+        "leaf-with-prologue", "prologue-outside-function"])
 def test_malformed_manifest_is_one_error_line(tmp_path, capsys, edit):
     corpus = _edited_corpus(tmp_path, edit)
     capsys.readouterr()
@@ -207,6 +212,54 @@ def test_malformed_manifest_is_one_error_line(tmp_path, capsys, edit):
                "--key", KEY) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_leaf_without_prologue_fails_every_stage(tmp_path, capsys):
+    """A non-leaf function whose prologue site is null (its true_pop still
+    set) is refused at load by every stage that reads a manifest, rather
+    than crashing inside a pass."""
+    assert run("gen", "--out", str(tmp_path / "c"), "--functions", "20", "--seed", "1") == 0
+    assert run("obfuscate", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+               "--key", KEY) == 0
+    assert run("attack", "--in", str(tmp_path / "o"), "--out", str(tmp_path / "a")) == 0
+    for name in ("c", "o"):
+        path = tmp_path / f"{name}.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["functions"][1]["true_pop"] is not None
+        manifest["functions"][1]["prologue_site"] = None
+        path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    stages = [
+        ("obfuscate", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o2")),
+        ("harden", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "h"),
+         "--rotate", "on"),
+        ("init", "--in", str(tmp_path / "o"), "--out", str(tmp_path / "t.json")),
+        ("eval", "--plain", str(tmp_path / "c"), "--image", str(tmp_path / "o"),
+         "--attack", str(tmp_path / "a"), "--out", str(tmp_path / "e")),
+    ]
+    for argv in stages:
+        assert run(*argv, "--key", KEY) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "fn_001" in err and err.count("\n") == 1
+
+
+def test_equivalence_suite_reports_each_failed_run(workdir, capsys):
+    """With one table entry zeroed, the runs through it fail, each with one
+    stderr line naming its function, table and fault kind."""
+    plain, plain_man = load(workdir / "corpus")
+    image, manifest = load(workdir / "obf")
+    table = build_table(image, int(KEY, 16))
+    entry = table.entries[2]
+    table.image[entry.offset : entry.offset + len(entry.data)] = bytes(len(entry.data))
+    victim = next(rec.fn for rec in manifest.trampoline_records()
+                  if rec.table_offset == entry.offset)
+    capsys.readouterr()
+    runs, passed = _equivalence_suite(plain, plain_man, image, manifest, [table], runs=300)
+    lines = capsys.readouterr().err.splitlines()
+    assert runs == 300 and 0 < len(lines) == runs - passed
+    for line in lines:
+        assert line.startswith("equivalence run ")
+        assert line.split(": ", 1)[1].startswith(f"{victim} under table 0: UNDECODABLE")
 
 
 def test_malformed_manifest_names_the_exception(tmp_path, capsys):

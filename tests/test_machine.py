@@ -1,10 +1,15 @@
-"""Interpreter tests: stack semantics, faults, determinism, equivalence."""
+"""Interpreter tests: stack semantics, faults, determinism, equivalence,
+and the fast path (flash decode map, per-table RAM image, handler table)
+against a reference stepper."""
 
 import pytest
+from conftest import KEY, crafted_images
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_machine import reference_run
 
-from retobf import isa
+from retobf import isa, machine
+from retobf.harden import build_rotated_table
 from retobf.image import STACK_RESERVE, FirmwareImage
 from retobf.isa import (
     AddSpImm,
@@ -27,6 +32,13 @@ from retobf.machine import (
     make_state,
     states_equivalent,
     step,
+)
+from retobf.obfuscation import (
+    ObfuscationError,
+    RamTable,
+    RawSighting,
+    build_table,
+    scan_trampolines,
 )
 
 R = RegisterList.of
@@ -230,3 +242,154 @@ def test_push_pop_duality(mask, values):
     for i in range(13):
         assert state.regs[i] == values[i]
     assert state.sp == state.stack_top - CALLER_STACK_BYTES
+
+
+# -- table install bound -----------------------------------------------------
+
+
+def _table_at(base: int, *insns) -> RamTable:
+    """A hand-built table at ``base`` with one entry at offset 0."""
+    table = RamTable(base, 0x100)
+    table.add(RawSighting(core=0x40000, adds_imm=0, literal_value=base), list(insns))
+    return table
+
+
+def test_install_refuses_a_table_below_ram():
+    img = asm(Nop())
+    table = _table_at(img.sram_base - 16, BxLr(), BxLr())
+    with pytest.raises(MachineFault) as err:
+        make_state(img, table)
+    assert err.value.kind == FaultKind.MEMORY
+
+
+def test_install_refuses_a_table_crossing_the_stack_limit():
+    img = asm(Nop())
+    with pytest.raises(MachineFault) as err:
+        make_state(img, _table_at(img.stack_limit - 2, BxLr(), BxLr()))
+    assert err.value.kind == FaultKind.MEMORY
+    state = make_state(img, _table_at(img.stack_limit - 4, BxLr(), BxLr()))
+    assert state.sram[-STACK_RESERVE - 4 : -STACK_RESERVE] == encode(BxLr()) * 2
+
+
+# -- fast path against the reference stepper ---------------------------------
+
+
+def _fast_run(image, table, entry, regs, budget):
+    """``call`` returning (final state, fault kind or None): the state is
+    caught from ``make_state``, as a tracer would."""
+    states = []
+
+    def spy(*args, **kwargs):
+        states.append(real(*args, **kwargs))
+        return states[-1]
+
+    real, machine.make_state = machine.make_state, spy
+    try:
+        call(image, table, entry, regs, budget=budget, keep_trace=False)
+    except MachineFault as exc:
+        return states[0], exc.kind
+    finally:
+        machine.make_state = real
+    return states[0], None
+
+
+def _assert_same_as_reference(image, table, entry, regs, budget):
+    fast, fast_fault = _fast_run(image, table, entry, regs, budget)
+    ref, ref_fault = reference_run(image, table, entry, regs, budget)
+    assert fast_fault == ref_fault
+    assert fast.step_count == ref.step_count
+    assert fast.regs == ref.regs
+    assert fast.sram == ref.sram
+    return fast_fault
+
+
+def _assert_trace_decodes(image, result):
+    """Every traced instruction is what the flash or the current SRAM holds
+    at its pc (a run never writes the table region, so the final RAM is the
+    RAM each table fetch saw)."""
+    state = result.state
+    for event in result.trace:
+        if state.in_flash(event.pc, 2):
+            want = isa.decode(image.data, event.pc - image.base, event.pc)
+        else:
+            assert state.table_base <= event.pc < state.stack_limit
+            want = isa.decode(state.sram, event.pc - state.sram_base, event.pc)
+        assert event.insn == want[0]
+
+
+_REGS = st.lists(st.integers(0, 0xFFFFFFFF), min_size=13, max_size=13).map(
+    lambda values: dict(enumerate(values))
+)
+
+
+@given(image=crafted_images(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fast_path_matches_reference_on_crafted_images(image, data):
+    try:
+        table = build_table(image, KEY)
+    except ObfuscationError:
+        table = None
+    cores = [s.core for s in scan_trampolines(image.data, image.base)]
+    offsets = st.integers(0, len(image.data) // 2 - 1).map(lambda i: image.base + 2 * i)
+    entry = data.draw(st.sampled_from(cores) if cores and data.draw(st.booleans())
+                      else offsets)
+    regs = data.draw(_REGS)
+    for _ in range(2):  # the second run reads the decode map the first filled
+        fault = _assert_same_as_reference(image, table, entry, regs, budget=300)
+    if fault is None:
+        _assert_trace_decodes(image, call(image, table, entry, regs, budget=300))
+
+
+@given(index=st.integers(0, 23), seed=st.integers(0, 7), regs=_REGS)
+@settings(max_examples=60, deadline=None)
+def test_fast_path_matches_reference_on_a_corpus(corpus, obfuscated, hardened,
+                                                 index, seed, regs):
+    runs = [
+        (corpus[0], None, corpus[1]),
+        (obfuscated[0], build_table(obfuscated[0], KEY), obfuscated[1]),
+        (hardened[0], build_rotated_table(hardened[0], hardened[1], KEY, seed), hardened[1]),
+    ]
+    for image, table, manifest in runs:
+        entry = manifest.functions[index].start
+        assert _assert_same_as_reference(image, table, entry, regs, budget=10_000) is None
+        _assert_trace_decodes(image, call(image, table, entry, regs))
+
+
+def test_each_table_runs_its_own_bytes(hardened):
+    """One image run under two rotated tables, in turn, executes each
+    table's entries: no decode of one table is reused under the other."""
+    image, manifest, _ = hardened
+    tables = [build_rotated_table(image, manifest, KEY, seed) for seed in (0, 1)]
+    differs = [
+        i for i, (a, b) in enumerate(zip(tables[0].draws, tables[1].draws))
+        if a["slots"] and a["position"] != b["position"]
+    ]
+    assert differs
+    entry = manifest.functions[differs[0]].start
+    traces = []
+    for table in (*tables, tables[0]):
+        result = call(image, table, entry)
+        _assert_trace_decodes(image, result)
+        assert _assert_same_as_reference(image, table, entry, {}, budget=10_000) is None
+        traces.append(result.trace_lines())
+    assert traces[0] != traces[1] and traces[0] == traces[2]
+
+
+@given(edits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 255)), min_size=1))
+@settings(max_examples=60, deadline=None)
+def test_image_keeps_its_bytes_when_the_source_buffer_changes(edits):
+    """Editing the buffer an image was built from, before its first run or
+    after one filled its decode map, changes nothing the image runs."""
+    code = asm(Push(R("r4", "lr")), MovImm(4, 3), Nop(), Pop(R("r4", "pc")))
+    want = call(code, regs={4: 9})
+    buffers = [bytearray(code.data), bytearray(code.data)]
+    images = [FirmwareImage(code.base, buffer) for buffer in buffers]
+    call(images[1], regs={4: 9})
+    for buffer in buffers:
+        for off, value in edits:
+            buffer[off] = value
+    for img in images:
+        got = call(img, regs={4: 9})
+        assert isinstance(img.data, bytes) and img.data == code.data
+        assert got.trace_lines() == want.trace_lines()
+        assert got.state.regs == want.state.regs

@@ -1,8 +1,9 @@
 """Module-structure rules for the library: imports stay at module top, no
 module reaches into another module's private names, the trampoline
 geometry and the RAM map each have one definition, each source of
-trampolines (the rewriter, the byte scan) has one trampoline type, and
-every function the benchmark's span tracer wraps exists."""
+trampolines (the rewriter, the byte scan) has one trampoline type, every
+instruction type the interpreter can run has a handler, and every function
+the benchmark's span tracer wraps exists."""
 
 import ast
 import importlib
@@ -10,6 +11,9 @@ import re
 from pathlib import Path
 
 import pytest
+
+from retobf import isa, machine
+from retobf.image import FirmwareImage
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "retobf").glob("*.py"))
@@ -118,3 +122,29 @@ def test_span_targets_resolve(target):
     for attr in dotted.split("."):
         owner = getattr(owner, attr, None)
     assert callable(owner), f"retobf.{target} does not resolve to a function"
+
+
+def _concrete_instructions():
+    pending, found = [isa.Instruction], set()
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            found.add(sub)
+            pending.append(sub)
+    return found
+
+
+def test_every_instruction_type_has_a_handler():
+    """The interpreter dispatches on the exact instruction type, so a new
+    ``isa`` class without a handler would fault instead of running; only
+    ``Unknown`` and the emission-only ``RawWord`` are left without one, and
+    fetching either faults UNDECODABLE."""
+    unhandled = {isa.Unknown, isa.RawWord}
+    assert set(machine.HANDLERS) == _concrete_instructions() - unhandled
+    for insn in (isa.Unknown(0xDEFF), isa.RawWord(0)):
+        img = FirmwareImage(0x40000, bytes(4))
+        img.decoded[img.base] = (insn, insn.byte_length())
+        state = machine.make_state(img)
+        state.pc = img.base
+        with pytest.raises(machine.MachineFault) as err:
+            machine.step(state)
+        assert err.value.kind == machine.FaultKind.UNDECODABLE
