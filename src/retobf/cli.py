@@ -57,6 +57,14 @@ def _hex(value: str) -> int:
     return int(value, 16)
 
 
+def _check_counts(args, *names: str) -> None:
+    """Refuse a negative value for any of the count options ``names``."""
+    for name in names:
+        if getattr(args, name) < 0:
+            raise CliError(f"--{name.replace('_', '-')} must be non-negative, "
+                           f"got {getattr(args, name)}")
+
+
 def _echo(args, **extra) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
     cfg.pop("key", None)  # never echo key material into reports
@@ -134,6 +142,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_harden(args) -> int:
+    _check_counts(args, "kmax")
     key = _parse_key(args.key)
     image, manifest = load(args.input)
     himg, hman, plans = harden_mod.harden(
@@ -200,15 +209,33 @@ def _equivalence_suite(plain, plain_man, image, manifest, tables, *, runs):
     return total, passed
 
 
+def _gadget_check(image, table, catalog) -> dict:
+    """Run a fixed sample of up to 25 ``catalog`` candidates under
+    ``table``.  Each failed sample prints one stderr line with the
+    candidate's start, site and stack delta."""
+    rng = random.Random(0xCA7)
+    sample = rng.sample(catalog, min(25, len(catalog)))
+    passed = 0
+    for c in sample:
+        if check_gadget(image, table, c.start, c.stack_delta, c.pc_slot_index):
+            passed += 1
+        else:
+            print(f"gadget check: candidate 0x{c.start:x} (site 0x{c.site_address:x}, "
+                  f"stack delta {c.stack_delta}) failed", file=sys.stderr)
+    return {"sampled": len(sample), "passed": passed}
+
+
 def cmd_eval(args) -> int:
+    _check_counts(args, "equivalence_runs", "rotation_seeds")
     key = _parse_key(args.key)
     plain, plain_man = load(args.plain)
     image, manifest = load(args.image)
     result = _load_attack(args.attack)
     report = evaluate_recovery(result, manifest, image)
 
+    # One terminator per plaintext return: the candidate with no instructions.
     before = [c for c in baseline_gadget_scan(plain) if not c.instructions]
-    after = baseline_gadget_scan(image)
+    after = [c for c in baseline_gadget_scan(image) if not c.instructions]
     rotated = manifest.boots_rotated
     if rotated:
         seeds = range(max(args.rotation_seeds, 1))
@@ -221,14 +248,7 @@ def cmd_eval(args) -> int:
 
     gadget_check = None
     if result.catalog and not rotated:
-        table = tables[0]
-        rng = random.Random(0xCA7)
-        sample = rng.sample(result.catalog, min(25, len(result.catalog)))
-        ok = sum(
-            check_gadget(image, table, c.start, c.stack_delta, c.pc_slot_index)
-            for c in sample
-        )
-        gadget_check = {"sampled": len(sample), "passed": ok}
+        gadget_check = _gadget_check(image, tables[0], result.catalog)
 
     histogram = None
     if rotated and args.rotation_seeds > 1:

@@ -22,13 +22,14 @@ from ._rewrite import InsnItem, TrampolineRecord, lift
 from .image import FirmwareImage, FunctionRecord, Manifest, commit
 from .isa import Pop, Push, RegisterList
 from .obfuscation import (
+    BootPlan,
     HardenError,
     RamTable,
     boot_scan,
     check_key,
     obfuscate_returns,
     plaintext_site,
-    plan_rotation,
+    plan_rotation,  # noqa: F401  (part of the hardening API)
     seal_sites,
 )
 
@@ -141,23 +142,22 @@ def harden(
     return image, manifest, pad_plans
 
 
-def _boot_plan(image: FirmwareImage, manifest: Manifest, key: int):
-    """The boot scan, the manifest record of each scanned core, and each
-    function's sealed push list without lr (None when its prologue is not
-    sealed), in manifest order.  Raises unless the records and the
+def _site_functions(plan: BootPlan, manifest: Manifest):
+    """The manifest record of each scanned core, and each function's sealed
+    push list without lr (None when its prologue is not sealed), in
+    manifest order.  Raises unless the records and the boot plan's
     sightings cover the same cores."""
     records = {rec.core: rec for rec in manifest.trampoline_records()}
-    scanned = boot_scan(image, key)
-    unmatched = records.keys() ^ {sighting.core for sighting, _ in scanned}
+    unmatched = records.keys() ^ {sighting.core for sighting, _ in plan.sites}
     if unmatched:
         raise HardenError(
             f"trampoline at 0x{min(unmatched):x} is not both recorded and in the image"
         )
     pushes: dict[str, RegisterList | None] = {fn.name: None for fn in manifest.functions}
-    for sighting, insn in scanned:
+    for sighting, insn in plan.sites:
         if isinstance(insn, Push):
             pushes[records[sighting.core].fn] = insn.regs.without_flags()
-    return scanned, records, pushes
+    return records, pushes
 
 
 def _draw_positions(pushes: dict, seed: int) -> list[dict]:
@@ -183,24 +183,19 @@ def build_rotated_table(
 
     Requires a manifest that boots rotated tables (returns and pushes both
     sealed at rotation-capable sites).  The manifest gives only each site's
-    function and reserved capacity."""
+    function and reserved capacity; it is read afresh on every call, while
+    the scan and each encoded entry come from the image's boot plan."""
     if not manifest.boots_rotated:
         raise HardenError("rotation needs sealed pushes and table room for every rotated "
                           "sequence; harden with --rotate on")
-    scanned, records, pushes = _boot_plan(image, manifest, key)
+    plan = boot_scan(image, key)
+    records, pushes = _site_functions(plan, manifest)
     table = RamTable(image.table_base, image.table_room)
     table.draws = _draw_positions(pushes, seed)
-    plans = {
-        d["fn"]: plan_rotation(pushes[d["fn"]], d["position"]) for d in table.draws if d["slots"]
-    }
-    for sighting, insn in scanned:
+    positions = {d["fn"]: d["position"] for d in table.draws}
+    for sighting, insn in plan.sites:
         rec = records[sighting.core]
-        plan = plans.get(rec.fn)
-        if plan is None:
-            seq = [insn]
-        else:
-            seq = plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence
-        table.add(sighting, seq, rec.capacity)
+        table.add(plan.entry(sighting, insn, pushes[rec.fn], positions[rec.fn]), rec.capacity)
     return table
 
 

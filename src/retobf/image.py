@@ -62,13 +62,15 @@ class ImageError(Exception):
 MALFORMED_INPUT = (KeyError, ValueError, TypeError, EncodingError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FirmwareImage:
     """Flash contents at ``base`` plus the RAM map they boot into.
 
-    ``data`` is kept as immutable ``bytes``, so ``decoded``, the
-    interpreter's ``pc -> (instruction, length)`` map of the flash
-    addresses it has fetched, never goes stale.
+    The image is frozen and ``data`` is kept as immutable ``bytes``, so its
+    two memos never go stale: ``decoded``, the interpreter's
+    ``pc -> (instruction, length)`` map of the flash addresses it has
+    fetched, and ``boot_plans``, the boot pass's per-key scan of the image
+    (written only by ``obfuscation.boot_scan``).
     """
 
     base: int
@@ -76,9 +78,10 @@ class FirmwareImage:
     sram_base: int = DEFAULT_SRAM_BASE
     table_base: int = DEFAULT_TABLE_BASE
     decoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    boot_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.data = bytes(self.data)
+        object.__setattr__(self, "data", bytes(self.data))
         if self.base % 4 or self.table_base % 4:
             raise ImageError("base addresses must be word-aligned")
         if len(self.data) % 2:

@@ -7,9 +7,12 @@ flash right behind each trampoline, followed by the word holding the table
 base for that site, which is exactly what the boot pass (and any attacker)
 uses to find them again.
 
-The boot pass is modeled offline: ``boot_scan`` walks the image like the
-in-firmware initialization would, and ``RamTable.add`` places each entry of
-the table to install in RAM, plain (``build_table``) or rotated.
+The boot pass is modeled offline and split in two.  The per-image half,
+``boot_scan``, walks the image like the in-firmware initialization would
+and decrypts every sealed slot; its ``BootPlan`` is memoised on the image
+per key and encodes each table entry the first time a boot needs it.  The
+per-boot half only places those entries with ``RamTable.add``, plain
+(``build_table``) or rotated (``harden.build_rotated_table``).
 
 Rotation planning lives here too: a rotation-capable site reserves table
 room for the longest rotated sequence, so sealing needs the plans.
@@ -269,11 +272,16 @@ def scan_trampolines(data: bytes, base: int) -> list[RawSighting]:
     return sightings
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableEntry:
+    """One encoded entry: ``data`` at ``offset`` bytes into the table, for
+    the trampoline whose core is at ``site``.  Boot plans share entries
+    across tables, hence frozen."""
+
     offset: int
     data: bytes
     text: str
+    site: int
 
 
 @dataclass
@@ -289,30 +297,23 @@ class RamTable:
     draws: list[dict] = field(default_factory=list)
     image: bytearray = field(default_factory=bytearray, repr=False)
 
-    def add(self, sighting: RawSighting, seq, capacity: int | None = None) -> None:
-        """Place the entry for ``seq`` at the sighting's entry address, after
-        the entries already placed; ``capacity`` is the room the site
-        reserved, when known."""
-        offset = sighting.entry_address - self.base
+    def add(self, entry: TableEntry, capacity: int | None = None) -> None:
+        """Place ``entry`` after the entries already placed; ``capacity`` is
+        the room its site reserved, when known."""
+        offset, size = entry.offset, len(entry.data)
         if not 0 <= offset < self.room:
-            raise IntegrityError(f"site 0x{sighting.core:x}: entry outside table")
+            raise IntegrityError(f"site 0x{entry.site:x}: entry outside table")
         if offset % TABLE_STRIDE or offset < self.size:
             raise IntegrityError(
-                f"site 0x{sighting.core:x}: table entry +{offset} is misaligned "
+                f"site 0x{entry.site:x}: table entry +{offset} is misaligned "
                 "or overlaps the previous entry"
             )
-        try:
-            data, text = entry_bytes_for(seq, sighting)
-        except isa.EncodingError as exc:  # the branch back cannot reach the site
-            raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
-        if capacity is not None and len(data) > capacity:
-            raise TableCapacityError(
-                f"entry at +{offset} needs {len(data)} bytes, reserved {capacity}"
-            )
-        if offset + len(data) > self.room:
-            raise TableCapacityError(f"table size {offset + len(data)} exceeds {self.room}")
-        self.entries.append(TableEntry(offset, data, text))
-        self.image += bytes(offset - len(self.image)) + data
+        if capacity is not None and size > capacity:
+            raise TableCapacityError(f"entry at +{offset} needs {size} bytes, reserved {capacity}")
+        if offset + size > self.room:
+            raise TableCapacityError(f"table size {offset + size} exceeds {self.room}")
+        self.entries.append(entry)
+        self.image += bytes(offset - len(self.image)) + entry.data
 
     @property
     def size(self) -> int:
@@ -388,32 +389,82 @@ def decode_sealed(key: int, sighting: RawSighting):
     )
 
 
-def entry_bytes_for(seq, sighting: RawSighting) -> tuple[bytes, str]:
-    """Table entry bytes and text for the instruction sequence ``seq`` at the
-    sighting's entry address.  A sequence ending in a push (a sealed
-    prologue) branches back to the sighting's resume address."""
+def entry_bytes_for(seq, sighting: RawSighting, table_base: int) -> TableEntry:
+    """The entry for the instruction sequence ``seq`` at the sighting's entry
+    address, in a table at ``table_base``.  A sequence ending in a push (a
+    sealed prologue) branches back to the sighting's resume address; an
+    IntegrityError names the site when that branch cannot be encoded."""
     if isinstance(seq[-1], Push):
         seq = [*seq, BranchW(sighting.resume)]
     data = bytearray()
-    for insn in seq:
-        data += encode(insn, address=sighting.entry_address + len(data))
-    return bytes(data), "; ".join(insn.text() for insn in seq)
+    try:
+        for insn in seq:
+            data += encode(insn, address=sighting.entry_address + len(data))
+    except isa.EncodingError as exc:  # the branch back cannot reach the site
+        raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
+    return TableEntry(
+        sighting.entry_address - table_base,
+        bytes(data),
+        "; ".join(insn.text() for insn in seq),
+        sighting.core,
+    )
 
 
-def boot_scan(image: FirmwareImage, key: int) -> list[tuple[RawSighting, isa.Instruction]]:
+@dataclass
+class BootPlan:
+    """The per-image half of the boot pass for one key.
+
+    ``sites`` holds every trampoline in entry-address order with its sealed
+    instruction.  ``entries`` fills as boots ask for entries: it maps
+    (site core, sealed register mask, position) to that site's encoded
+    entry, with mask and position None for the sealed instruction itself.
+    Nothing here depends on a manifest."""
+
+    table_base: int
+    sites: list[tuple[RawSighting, isa.Instruction]]
+    entries: dict = field(default_factory=dict, repr=False)
+
+    def entry(
+        self, sighting: RawSighting, insn, regs: RegisterList | None = None, position: int = 0
+    ) -> TableEntry:
+        """The entry of the site holding the sealed ``insn``: ``insn`` itself
+        or, given ``regs`` (its function's sealed push list without lr), the
+        rotated sequence placing the return address at ``position``."""
+        key = (sighting.core, None, None) if regs is None else (sighting.core, regs.mask, position)
+        entry = self.entries.get(key)
+        if entry is None:
+            if regs is None:
+                seq = [insn]
+            else:
+                plan = plan_rotation(regs, position)
+                seq = plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence
+            entry = self.entries[key] = entry_bytes_for(seq, sighting, self.table_base)
+        return entry
+
+
+def boot_scan(image: FirmwareImage, key: int) -> BootPlan:
     """The boot pass's walk: every trampoline in entry-address order, paired
-    with its sealed instruction, each slot decrypted once."""
+    with its sealed instruction, each slot decrypted once per image and key.
+    The plan is memoised on the image only after every slot has decrypted,
+    so a wrong key raises IntegrityError on every call."""
     check_key(key)
-    sightings = sorted(scan_trampolines(image.data, image.base), key=lambda s: s.entry_address)
-    return [(sighting, decode_sealed(key, sighting)) for sighting in sightings]
+    plan = image.boot_plans.get(key)
+    if plan is None:
+        sightings = sorted(
+            scan_trampolines(image.data, image.base), key=lambda s: s.entry_address
+        )
+        sites = [(sighting, decode_sealed(key, sighting)) for sighting in sightings]
+        plan = image.boot_plans[key] = BootPlan(image.table_base, sites)
+    return plan
 
 
 def build_table(image: FirmwareImage, key: int) -> RamTable:
     """Reconstruct the RAM table exactly as the boot pass would: place each
     decrypted instruction at its site's table offset."""
+    plan = boot_scan(image, key)
     table = RamTable(image.table_base, image.table_room)
-    for sighting, insn in boot_scan(image, key):
-        table.add(sighting, [insn])
+    for sighting, insn in plan.sites:
+        table.add(plan.entry(sighting, insn))
     return table
 
 

@@ -7,7 +7,8 @@ import shutil
 
 import pytest
 
-from retobf.cli import _equivalence_suite, main
+from retobf.attack import run_attack
+from retobf.cli import _equivalence_suite, _gadget_check, main
 from retobf.image import load
 from retobf.obfuscation import build_table
 
@@ -152,6 +153,37 @@ def test_eval_deterministic(workdir, tmp_path):
     assert a == b
 
 
+def test_eval_plain_against_itself_counts_each_return_once(workdir, tmp_path):
+    """Before and after count gadget terminators, one per plaintext return,
+    so an image evaluated against itself reports the same number twice."""
+    assert run("attack", "--in", str(workdir / "corpus"), "--out", str(tmp_path / "a")) == 0
+    assert run("eval", "--plain", str(workdir / "corpus"), "--image", str(workdir / "corpus"),
+               "--attack", str(tmp_path / "a"), "--out", str(tmp_path / "e"),
+               "--key", KEY) == 0
+    terminators = json.loads((tmp_path / "e.eval.json").read_text())["gadget_terminators"]
+    plain = json.loads((workdir / "corpus.json").read_text())
+    returns = sum(len(fn["epilogue_sites"]) for fn in plain["functions"])
+    assert terminators == {"before": returns, "after": returns}
+
+
+@pytest.mark.parametrize("stage, option, value", [
+    ("eval", "--equivalence-runs", "-5"),
+    ("eval", "--rotation-seeds", "-3"),
+    ("harden", "--kmax", "-1"),
+])
+def test_negative_counts_are_one_error_line(workdir, tmp_path, capsys, stage, option, value):
+    if stage == "eval":
+        argv = ["eval", "--plain", str(workdir / "corpus"), "--image", str(workdir / "obf"),
+                "--attack", str(workdir / "atk")]
+    else:
+        argv = ["harden", "--in", str(workdir / "corpus")]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path / "o"), "--key", KEY, option, value) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {option} must be non-negative, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_lineage_mismatch(workdir, tmp_path):
     assert run("attack", "--in", str(workdir / "corpus"),
                "--out", str(tmp_path / "stale")) == 0
@@ -260,6 +292,31 @@ def test_equivalence_suite_reports_each_failed_run(workdir, capsys):
     for line in lines:
         assert line.startswith("equivalence run ")
         assert line.split(": ", 1)[1].startswith(f"{victim} under table 0: UNDECODABLE")
+
+
+def test_gadget_check_reports_each_failed_sample(workdir, capsys):
+    """With one site's table entry zeroed, the sampled gadgets ending at that
+    site fail, each with one stderr line naming its start, site and stack
+    delta; the gadgets of an intact site still pass."""
+    image, _ = load(workdir / "obf")
+    table = build_table(image, int(KEY, 16))
+    victim, intact = table.entries[2], table.entries[3]
+    table.image[victim.offset : victim.offset + len(victim.data)] = bytes(len(victim.data))
+    catalog = [c for c in run_attack(image).catalog
+               if c.site_address in (victim.site, intact.site)]
+    failing = {c.start for c in catalog if c.site_address == victim.site}
+    assert 0 < len(failing) < len(catalog) <= 25
+    capsys.readouterr()
+    check = _gadget_check(image, table, catalog)
+    lines = capsys.readouterr().err.splitlines()
+    assert check == {"sampled": len(catalog), "passed": len(catalog) - len(failing)}
+    assert len(lines) == len(failing)
+    for line in lines:
+        start = int(line.split("candidate ")[1].split()[0], 16)
+        cand = next(c for c in catalog if c.start == start)
+        assert start in failing
+        assert line == (f"gadget check: candidate 0x{start:x} (site 0x{victim.site:x}, "
+                        f"stack delta {cand.stack_delta}) failed")
 
 
 def test_malformed_manifest_names_the_exception(tmp_path, capsys):

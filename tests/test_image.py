@@ -1,5 +1,6 @@
 """Corpus generator, manifest I/O, and splice tests."""
 
+import dataclasses
 import json
 import random
 
@@ -9,6 +10,7 @@ from retobf import isa
 from retobf._rewrite import BlobItem, Program, signature_offsets
 from retobf.image import (
     CorpusParams,
+    FirmwareImage,
     FunctionRecord,
     ImageError,
     generate_corpus,
@@ -25,6 +27,15 @@ R = RegisterList.of
 @pytest.fixture(scope="module")
 def small_corpus():
     return generate_corpus(CorpusParams(function_count=24, seed=7))
+
+
+@pytest.mark.parametrize("name", ["base", "data", "sram_base", "table_base"])
+def test_image_fields_cannot_be_reassigned(name):
+    """The image's memos (flash decodes, boot plans) are keyed on these
+    fields never changing."""
+    image = FirmwareImage(0x40000, bytes(8))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(image, name, getattr(image, name))
 
 
 def test_empty_corpus():

@@ -38,6 +38,7 @@ from retobf.obfuscation import (
     RamTable,
     RawSighting,
     build_table,
+    entry_bytes_for,
     scan_trampolines,
 )
 
@@ -250,7 +251,8 @@ def test_push_pop_duality(mask, values):
 def _table_at(base: int, *insns) -> RamTable:
     """A hand-built table at ``base`` with one entry at offset 0."""
     table = RamTable(base, 0x100)
-    table.add(RawSighting(core=0x40000, adds_imm=0, literal_value=base), list(insns))
+    sighting = RawSighting(core=0x40000, adds_imm=0, literal_value=base)
+    table.add(entry_bytes_for(list(insns), sighting, base))
     return table
 
 

@@ -24,6 +24,7 @@ from retobf.machine import CALLER_STACK_BYTES, call, states_equivalent
 from retobf.obfuscation import (
     IntegrityError,
     ObfuscationError,
+    RamTable,
     RawSighting,
     TableCapacityError,
     build_table,
@@ -31,6 +32,7 @@ from retobf.obfuscation import (
     decrypt_halfword,
     encrypt_bytes,
     encrypt_halfword,
+    entry_bytes_for,
     obfuscate_returns,
     scan_trampolines,
     sweep_plaintext,
@@ -228,6 +230,34 @@ def test_build_table_raises_only_typed_errors(image):
         build_table(image, KEY)
     except (IntegrityError, TableCapacityError):
         pass
+
+
+def test_table_add_checks_every_entry():
+    """``RamTable.add`` refuses an entry outside the table, misaligned,
+    overlapping the previous one, larger than its reservation, or running
+    past the table's room."""
+    base = DEFAULT_SRAM_BASE
+
+    def entry(offset, *insns):
+        sighting = RawSighting(core=DEFAULT_BASE, adds_imm=offset, literal_value=base)
+        return entry_bytes_for(list(insns), sighting, base)
+
+    wide_pop = Pop(R("r4", "r8", "pc"))
+    table = RamTable(base, 16)
+    table.add(entry(0, wide_pop))
+    for bad, error in [
+        (entry(2, BxLr()), IntegrityError),  # misaligned
+        (entry(0, BxLr()), IntegrityError),  # overlaps the previous entry
+        (entry(16, BxLr()), IntegrityError),  # outside the table
+        (entry(12, Push(R("r4", "lr"))), TableCapacityError),  # push + b.w: past the room
+    ]:
+        with pytest.raises(error):
+            table.add(bad)
+    with pytest.raises(TableCapacityError):
+        table.add(entry(4, wide_pop), capacity=2)
+    table.add(entry(8, BxLr()), capacity=2)
+    assert [e.offset for e in table.entries] == [0, 8]
+    assert bytes(table.image) == isa.encode(wide_pop) + bytes(4) + isa.encode(BxLr())
 
 
 def test_halfword_validity_census():

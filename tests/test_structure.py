@@ -2,8 +2,9 @@
 module reaches into another module's private names, the trampoline
 geometry and the RAM map each have one definition, each source of
 trampolines (the rewriter, the byte scan) has one trampoline type, every
-instruction type the interpreter can run has a handler, and every function
-the benchmark's span tracer wraps exists."""
+instruction type the interpreter can run has a handler, every function
+the benchmark's span tracer wraps exists, and only the boot pass touches
+the image's boot-plan memo."""
 
 import ast
 import importlib
@@ -148,3 +149,17 @@ def test_every_instruction_type_has_a_handler():
         with pytest.raises(machine.MachineFault) as err:
             machine.step(state)
         assert err.value.kind == machine.FaultKind.UNDECODABLE
+
+
+def test_only_obfuscation_touches_the_boot_plans():
+    """The image's boot-plan memo has one reader and writer,
+    ``obfuscation.boot_scan``; any other module would bypass its key and
+    integrity checks."""
+    users = [
+        path.name
+        for path in SOURCES
+        if path.name != "obfuscation.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "boot_plans"
+    ]
+    assert users == []
