@@ -119,10 +119,10 @@ class ImageView:
             lo, hi = self.segments[idx]
             out = []
             addr = lo
-            data = self.image.data
+            base, data = self.image.base, self.image.data
             while addr < hi:
                 try:
-                    insn, length = decode(data, addr - self.image.base, addr)
+                    insn, length = decode(data, addr - base, addr)
                 except isa.TruncatedStreamError:
                     insn, length = isa.Unknown(0), hi - addr
                 if addr + length > hi:

@@ -8,6 +8,7 @@ command reads the raw image only: it never opens a manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -345,9 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one argparse tree, built on the first ``main`` call.
+
+    Parsing keeps no state in the tree (each call fills a fresh namespace),
+    so in-process callers that run many commands build it only once.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ImageError, RewriteError, ObfuscationError, AttackError, OSError) as exc:

@@ -86,6 +86,14 @@ class FirmwareImage:
             raise ImageError("base addresses must be word-aligned")
         if len(self.data) % 2:
             raise ImageError("image length must be even")
+        if self.base < 0:
+            raise ImageError(f"flash base {self.base:#x} is negative")
+        if self.end > 1 << 32:
+            raise ImageError(f"flash 0x{self.base:x}..0x{self.end:x} runs past the "
+                             "32-bit address space")
+        if self.data and self.base < self.stack_top and self.sram_base < self.end:
+            raise ImageError(f"flash 0x{self.base:x}..0x{self.end:x} overlaps RAM "
+                             f"0x{self.sram_base:x}..0x{self.stack_top:x}")
         if not self.sram_base <= self.table_base < self.stack_limit:
             raise ImageError(
                 f"table base 0x{self.table_base:x} outside the RAM below the stack "

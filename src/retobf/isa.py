@@ -468,8 +468,46 @@ def _pack(hw: int) -> bytes:
     return hw.to_bytes(2, "little")
 
 
-def _is_wide_prefix(hw: int) -> bool:
-    return (hw >> 11) in (0b11101, 0b11110, 0b11111)
+def _mov_reg(hw: int) -> Instruction:
+    if hw == 0x4687:
+        return MovPcR0()
+    rd = (hw & 7) | ((hw >> 4) & 8)
+    rm = (hw >> 3) & 0xF
+    return MovReg(rd, rm) if rd <= 12 and rm <= 12 else Unknown(hw)
+
+
+def _push(hw: int) -> Instruction:
+    mask = (hw & 0xFF) | ((hw >> 8) & 1) << LR
+    return Push(RegisterList(mask)) if mask else Unknown(hw)
+
+
+def _pop(hw: int) -> Instruction:
+    mask = (hw & 0xFF) | ((hw >> 8) & 1) << PC
+    return Pop(RegisterList(mask)) if mask else Unknown(hw)
+
+
+#: Narrow decode dispatch: the halfword's high byte (below the wide prefixes
+#: at 0xE8) -> handler(halfword) returning the instruction.  ``None`` marks a
+#: high byte no encoding in the subset starts with: the halfword is Unknown.
+_NARROW: list = [None] * 0xE8
+for _highs, _handler in (
+    ((0x18, 0x19), lambda hw: AddReg(hw & 7, (hw >> 3) & 7, (hw >> 6) & 7)),
+    ((0x1A, 0x1B), lambda hw: SubReg(hw & 7, (hw >> 3) & 7, (hw >> 6) & 7)),
+    (range(0x20, 0x28), lambda hw: MovImm((hw >> 8) & 7, hw & 0xFF)),
+    ((0x30,), lambda hw: AddsImmR0(hw & 0xFF)),
+    ((0x46,), _mov_reg),
+    ((0x47,), lambda hw: BxLr() if hw == 0x4770 else Unknown(hw)),
+    ((0x48,), lambda hw: LdrLitR0((hw & 0xFF) * 4)),
+    (range(0x90, 0x98), lambda hw: StrSpRel((hw >> 8) & 7, (hw & 0xFF) * 4)),
+    (range(0x98, 0xA0), lambda hw: LdrSpRel((hw >> 8) & 7, (hw & 0xFF) * 4)),
+    ((0xB0,), lambda hw: (SubSpImm if hw & 0x80 else AddSpImm)((hw & 0x7F) * 4)),
+    ((0xB4, 0xB5), _push),
+    ((0xBC, 0xBD), _pop),
+    ((0xBF,), lambda hw: Nop() if hw == 0xBF00 else Unknown(hw)),
+):
+    for _high in _highs:
+        _NARROW[_high] = _handler
+del _highs, _handler, _high
 
 
 def decode(data: bytes, offset: int = 0, address: int = 0) -> tuple[Instruction, int]:
@@ -481,70 +519,34 @@ def decode(data: bytes, offset: int = 0, address: int = 0) -> tuple[Instruction,
     """
     if offset + 2 > len(data):
         raise TruncatedStreamError(f"need 2 bytes at offset {offset}")
-    hw = int.from_bytes(data[offset : offset + 2], "little")
+    high = data[offset + 1]
+    hw = data[offset] | high << 8
+    if high < 0xE8:
+        handler = _NARROW[high]
+        if handler is None:
+            return Unknown(hw), 2
+        return handler(hw), 2
 
-    if _is_wide_prefix(hw):
-        if offset + 4 > len(data):
-            raise TruncatedStreamError(f"need 4 bytes at offset {offset}")
-        hw2 = int.from_bytes(data[offset + 2 : offset + 4], "little")
-        if hw == 0xE92D:  # push.w
-            mask = (hw2 & 0x1FFF) | ((hw2 >> 14) & 1) << LR
-            if not hw2 & 0xA000 and mask and (mask >> 8) & 0x1F:
-                return Push(RegisterList(mask)), 4
-        elif hw == 0xE8BD:  # pop.w
-            pc_bit = (hw2 >> 15) & 1
-            lr_bit = (hw2 >> 14) & 1
-            mask = (hw2 & 0x1FFF) | lr_bit << LR | pc_bit << PC
-            wide_needed = ((hw2 >> 8) & 0x1F) or lr_bit
-            if not hw2 & 0x2000 and not (pc_bit and lr_bit) and mask and wide_needed:
-                return Pop(RegisterList(mask)), 4
-        elif (hw & 0xF800) == 0xF000:
-            if (hw2 & 0xD000) == 0xD000:
-                return Bl(_branch_target(hw, hw2, address)), 4
-            if (hw2 & 0xD000) == 0x9000:
-                return BranchW(_branch_target(hw, hw2, address)), 4
-        return Unknown(hw), 2
-
-    if (hw & 0xF800) == 0x2000:
-        return MovImm((hw >> 8) & 7, hw & 0xFF), 2
-    if (hw & 0xFF00) == 0x3000:
-        return AddsImmR0(hw & 0xFF), 2
-    if (hw & 0xFE00) == 0x1800:
-        return AddReg(hw & 7, (hw >> 3) & 7, (hw >> 6) & 7), 2
-    if (hw & 0xFE00) == 0x1A00:
-        return SubReg(hw & 7, (hw >> 3) & 7, (hw >> 6) & 7), 2
-    if hw == 0x4687:
-        return MovPcR0(), 2
-    if (hw & 0xFF00) == 0x4600:
-        rd = (hw & 7) | ((hw >> 4) & 8)
-        rm = (hw >> 3) & 0xF
-        if rd <= 12 and rm <= 12:
-            return MovReg(rd, rm), 2
-        return Unknown(hw), 2
-    if hw == 0x4770:
-        return BxLr(), 2
-    if (hw & 0xFF00) == 0x4800:
-        return LdrLitR0((hw & 0xFF) * 4), 2
-    if (hw & 0xF800) == 0x9000:
-        return StrSpRel((hw >> 8) & 7, (hw & 0xFF) * 4), 2
-    if (hw & 0xF800) == 0x9800:
-        return LdrSpRel((hw >> 8) & 7, (hw & 0xFF) * 4), 2
-    if (hw & 0xFF80) == 0xB000:
-        return AddSpImm((hw & 0x7F) * 4), 2
-    if (hw & 0xFF80) == 0xB080:
-        return SubSpImm((hw & 0x7F) * 4), 2
-    if (hw & 0xFE00) == 0xB400:
-        mask = (hw & 0xFF) | ((hw >> 8) & 1) << LR
-        if mask:
-            return Push(RegisterList(mask)), 2
-        return Unknown(hw), 2
-    if (hw & 0xFE00) == 0xBC00:
-        mask = (hw & 0xFF) | ((hw >> 8) & 1) << PC
-        if mask:
-            return Pop(RegisterList(mask)), 2
-        return Unknown(hw), 2
-    if hw == 0xBF00:
-        return Nop(), 2
+    # Wide prefix: hw >> 11 is 0b11101, 0b11110 or 0b11111.
+    if offset + 4 > len(data):
+        raise TruncatedStreamError(f"need 4 bytes at offset {offset}")
+    hw2 = data[offset + 2] | data[offset + 3] << 8
+    if hw == 0xE92D:  # push.w
+        mask = (hw2 & 0x1FFF) | ((hw2 >> 14) & 1) << LR
+        if not hw2 & 0xA000 and mask and (mask >> 8) & 0x1F:
+            return Push(RegisterList(mask)), 4
+    elif hw == 0xE8BD:  # pop.w
+        pc_bit = (hw2 >> 15) & 1
+        lr_bit = (hw2 >> 14) & 1
+        mask = (hw2 & 0x1FFF) | lr_bit << LR | pc_bit << PC
+        wide_needed = ((hw2 >> 8) & 0x1F) or lr_bit
+        if not hw2 & 0x2000 and not (pc_bit and lr_bit) and mask and wide_needed:
+            return Pop(RegisterList(mask)), 4
+    elif (hw & 0xF800) == 0xF000:
+        if (hw2 & 0xD000) == 0xD000:
+            return Bl(_branch_target(hw, hw2, address)), 4
+        if (hw2 & 0xD000) == 0x9000:
+            return BranchW(_branch_target(hw, hw2, address)), 4
     return Unknown(hw), 2
 
 

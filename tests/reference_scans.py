@@ -3,11 +3,12 @@
 Each function here is the straightforward form of a scan the library runs
 with bisect, a dict or a byte mask: ``any()`` over every exclude range for
 each halfword, a walk over every segment for each lookup, the full filter
-over a segment for the instructions before a hit, and ``any()`` over every
-function for each lifted address.  The oracle tests require the library to
-give equal results.
+over a segment for the instructions before a hit, ``any()`` over every
+function for each lifted address, and a segment sweep with the previous
+decoder.  The oracle tests require the library to give equal results.
 """
 
+import reference_decode
 from retobf import isa
 from retobf._rewrite import TRAMPOLINE_FOOTPRINT, BlobItem, InsnItem, Program, TrampolineItem
 from retobf.attack import ImageView, _candidates_for
@@ -55,6 +56,29 @@ def segment_before(view, addr):
 def segment_at(view, addr):
     """Index of the first segment holding ``addr``, or None."""
     return next((i for i, (lo, hi) in enumerate(view.segments) if lo <= addr < hi), None)
+
+
+def segment_sweep(image, lo, hi):
+    """[(address, instruction)] over flash [lo, hi), decoded one by one with
+    the previous decoder.  A wide prefix in the image's last halfword and an
+    instruction that runs past ``hi`` each end the sweep as one
+    ``Unknown(0)`` covering the rest; an unrecognised wide prefix is an
+    ``Unknown(hw)`` of two bytes and the sweep goes on."""
+    out = []
+    addr = lo
+    while addr < hi:
+        off = addr - image.base
+        hw = int.from_bytes(image.data[off : off + 2], "little")
+        if hw >= 0xE800 and off + 4 > len(image.data):
+            out.append((addr, isa.Unknown(0)))
+            break
+        insn, length = reference_decode.decode(image.data, off, addr)
+        if addr + length > hi:
+            out.append((addr, isa.Unknown(0)))
+            break
+        out.append((addr, insn))
+        addr += length
+    return out
 
 
 def baseline_gadget_scan(image):

@@ -3,10 +3,16 @@ isolation of the attack command, report golden behavior."""
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import retobf
+from retobf import cli
 from retobf.attack import run_attack
 from retobf.cli import _equivalence_suite, _gadget_check, main
 from retobf.image import load
@@ -126,6 +132,96 @@ def test_attack_outputs_deterministic(workdir, tmp_path):
     a = (workdir / "atk.gadgets.jsonl").read_bytes()
     b = (tmp_path / "atk2.gadgets.jsonl").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("base, message", [
+    ("0x100000000", "flash 0x100000000..0x10000"),
+    ("0x240000", "flash 0x240000..0x24"),
+])
+def test_attack_rejects_a_base_outside_the_address_map(workdir, tmp_path, capsys, base,
+                                                        message):
+    """Flash past the 32-bit space or over the RAM table is one error line,
+    not a report with out-of-range site addresses."""
+    capsys.readouterr()
+    assert run("attack", "--in", str(workdir / "obf"), "--out", str(tmp_path / "atk"),
+               "--base", base) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _solo(argv):
+    """(exit code, stdout, stderr) of ``argv`` run in a process of its own."""
+    src = str(Path(retobf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "retobf.cli", *argv], capture_output=True,
+                          text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _artifacts(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_one_parser_serves_many_commands_in_a_process(workdir, tmp_path, capsys):
+    """Commands run one after another through one process's parser exit,
+    print and write exactly what each does in a process of its own: no
+    option value carries over from one call to the next."""
+    image = tmp_path / "in" / "obf"
+    image.parent.mkdir()
+    shutil.copy(workdir / "obf.bin", image.with_suffix(".bin"))
+    out = tmp_path / "out"
+    commands = [
+        ["attack", "--in", str(image), "--out", str(out / "json"), "--format", "json"],
+        ["attack", "--in", str(image), "--out", str(out / "text")],
+        ["attack", "--in", str(image), "--out", str(out / "bad"), "--base", "0x40001"],
+        ["attack", "--in", str(image), "--out", str(out / "usage"), "--format", "xml"],
+        ["gen", "--out", str(out / "gen"), "--functions", "3"],
+        ["attack", "--in", str(image), "--out", str(out / "again")],
+    ]
+    capsys.readouterr()
+    together = [_in_process(argv, capsys) for argv in commands]
+    written = _artifacts(out)
+    shutil.rmtree(out)
+    alone = [_solo(argv) for argv in commands]
+    assert [code for code, _, _ in together] == [0, 0, 1, 2, 0, 0]
+    assert together[2][2] == "error: base addresses must be word-aligned\n"
+    assert together == alone
+    assert written == _artifacts(out)
+    assert written[Path("again.attack.txt")] == written[Path("text.attack.txt")]
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    """N calls to ``main`` in one process build the argparse tree once."""
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for i in range(5):
+            assert run("gen", "--out", str(tmp_path / f"g{i}"), "--functions", "0") == 0
+        with pytest.raises(SystemExit):
+            run("gen", "--functions", "0")  # --out is required
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_eval_report(workdir):

@@ -38,6 +38,32 @@ def test_image_fields_cannot_be_reassigned(name):
         setattr(image, name, getattr(image, name))
 
 
+@pytest.mark.parametrize("base, size, message", [
+    (-4, 8, "flash base -0x4 is negative"),
+    (0xFFFFFFFC, 8, "flash 0xfffffffc..0x100000004 runs past the 32-bit address space"),
+    (0x100000000, 2, "flash 0x100000000..0x100000002 runs past the 32-bit address space"),
+    (0x240000, 8, "flash 0x240000..0x240008 overlaps RAM 0x240000..0x250000"),
+    (0x23FFFC, 8, "flash 0x23fffc..0x240004 overlaps RAM 0x240000..0x250000"),
+    (0x24FFFC, 8, "flash 0x24fffc..0x250004 overlaps RAM 0x240000..0x250000"),
+    (0x200000, 0x60000, "flash 0x200000..0x260000 overlaps RAM 0x240000..0x250000"),
+])
+def test_flash_outside_the_address_map_is_one_error(base, size, message):
+    """Flash [base, end) must lie in the 32-bit space and clear of the RAM
+    [sram_base, stack_top)."""
+    with pytest.raises(ImageError) as info:
+        FirmwareImage(base, bytes(size))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("base, size", [
+    (0, 8), (0x40000, 8), (0x08000000, 8), (0xFFFFFFF8, 8), (0x23FFF8, 8), (0x250000, 8),
+    (0x244000, 0), (0x100000000, 0),
+])
+def test_flash_inside_the_address_map_is_accepted(base, size):
+    """Ranges that touch the edges, and empty ranges, which overlap nothing."""
+    assert FirmwareImage(base, bytes(size)).end == base + size
+
+
 def test_empty_corpus():
     image, manifest = generate_corpus(CorpusParams(function_count=0, seed=1))
     assert image.data == b""

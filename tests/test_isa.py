@@ -1,5 +1,8 @@
 """Codec tests: frozen vectors, exhaustive cross-checks against the
-independent reference disassembler, and round-trip properties."""
+independent reference disassembler and the previous decoder, and round-trip
+properties."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from retobf.isa import (
     is_return,
 )
 
+import reference_decode
 import reference_disasm as ref
 
 R = RegisterList.of
@@ -118,9 +122,61 @@ def test_exhaustive_cross_check_16bit():
             assert expected == insn.text(), f"{hw:#06x}"
 
 
-def test_wide_cross_check_samples():
-    import random
+def _outcome(decoder, data, offset=0, address=0):
+    """What one decode gives: (type, instruction, length), or the error."""
+    try:
+        insn, length = decoder(data, offset, address)
+    except TruncatedStreamError as exc:
+        return ("truncated", str(exc))
+    return (type(insn), insn, length)
 
+
+def _agree(data, offset=0, address=0):
+    want = _outcome(reference_decode.decode, data, offset, address)
+    got = _outcome(decode, data, offset, address)
+    assert got == want, (data.hex(), offset)
+
+
+def test_every_first_halfword_matches_the_previous_decoder():
+    """All 65,536 first halfwords, alone and followed by a second one: the
+    table dispatch gives the if-chain's type, fields and length, and the
+    same truncation error."""
+    rng = random.Random(0xDEC0)
+    for hw in range(0x10000):
+        first = hw.to_bytes(2, "little")
+        _agree(first)
+        _agree(first + rng.randbytes(2), address=0x40000 + 2 * rng.randrange(1 << 20))
+    _agree(b"")
+    _agree(b"\x2d")
+
+
+#: Wide first halfwords: the recognised prefixes and their neighbours.
+WIDE_PREFIXES = (0xE800, 0xE8BC, 0xE8BD, 0xE8BE, 0xE92C, 0xE92D, 0xE92E, 0xEFFF,
+                 0xF000, 0xF3FF, 0xF400, 0xF7FF, 0xF800, 0xFFFF)
+#: Second halfwords: every top nibble (the push.w 0xA000, pop.w 0x2000 and
+#: bl/b.w 0xD000 masks) over the register-list edges (empty, low only, r8,
+#: r12, all).
+SECOND_HALFWORDS = tuple(top << 12 | low for top in range(16)
+                         for low in (0x000, 0x001, 0x0FF, 0x100, 0x800, 0xFFF))
+
+
+@pytest.mark.parametrize("prefix", WIDE_PREFIXES, ids=hex)
+def test_wide_prefixes_match_the_previous_decoder(prefix):
+    for hw2 in SECOND_HALFWORDS:
+        data = prefix.to_bytes(2, "little") + hw2.to_bytes(2, "little")
+        for address in (0, 0x40000, 0xFFFFFFFC):
+            _agree(data, address=address)
+        _agree(b"\x00\x00" + data, offset=2, address=0x08000000)
+
+
+@given(st.binary(max_size=12), st.integers(0, 0xFFFFFFFF))
+@settings(max_examples=400)
+def test_decode_matches_the_previous_decoder_at_every_offset(data, address):
+    for offset in range(0, len(data) + 2, 2):
+        _agree(data, offset, address + offset)
+
+
+def test_wide_cross_check_samples():
     rng = random.Random(20240501)
     samples = []
     for _ in range(2000):

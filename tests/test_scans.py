@@ -16,10 +16,11 @@ from retobf.attack import (
     baseline_gadget_scan,
     run_attack,
 )
-from retobf.image import CorpusParams, generate_corpus
+from retobf.image import DEFAULT_BASE, CorpusParams, FirmwareImage, generate_corpus
+from retobf.isa import Nop, Push, RegisterList, Unknown
 from retobf.obfuscation import obfuscate_returns, sweep_plaintext, trampoline_data_ranges
 
-from conftest import KEY, crafted_images
+from conftest import KEY, crafted_images, plant_signature
 
 
 @pytest.fixture(scope="module", params=["plain", "obfuscated", "hardened"])
@@ -65,6 +66,62 @@ def test_scans_match_references_on_crafted_images(image, data):
     _check_sweeps(image.data, exclude)
     _check_lookups(image)
     assert baseline_gadget_scan(image) == ref.baseline_gadget_scan(image)
+
+
+def _check_decoded(image):
+    view = ImageView(image)
+    for idx, (lo, hi) in enumerate(view.segments):
+        assert view.decoded(idx) == ref.segment_sweep(image, lo, hi), (lo, hi)
+
+
+#: Wide first halfwords: push.w, pop.w, bl/b.w and two unrecognised ones.
+WIDE = st.sampled_from([0xE92D, 0xE8BD, 0xF000, 0xF7FF, 0xE800, 0xFFFF])
+
+
+@st.composite
+def odd_tail_images(draw):
+    """Random halfwords, many of them wide prefixes.  Each planted signature
+    follows a wide prefix, so that instruction runs into the site's core,
+    and the image's last halfword may be a wide prefix with nothing after."""
+    base = draw(st.sampled_from([DEFAULT_BASE, 0x08000000]))
+    words = draw(st.lists(st.one_of(st.integers(0, 0xFFFF), WIDE), min_size=16, max_size=96))
+    data = bytearray(b"".join(w.to_bytes(2, "little") for w in words))
+    for _ in range(draw(st.integers(0, 3))):
+        off = 2 * draw(st.integers(1, len(words) - 1))
+        if plant_signature(data, base, off, draw(st.integers(0, 255)),
+                           draw(st.integers(0, 0xFFFFFFFF))):
+            data[off - 2 : off] = draw(WIDE).to_bytes(2, "little")
+    if draw(st.booleans()):
+        data[-2:] = draw(WIDE).to_bytes(2, "little")
+    return FirmwareImage(base, bytes(data))
+
+
+@given(st.one_of(crafted_images(), odd_tail_images()))
+@settings(max_examples=200, deadline=None)
+def test_decoded_segments_match_a_linear_sweep(image):
+    _check_decoded(image)
+
+
+def test_decoded_junk_rules():
+    """The three junk rules, each on a hand-built segment tail."""
+    push_w = (0xE92D).to_bytes(2, "little") + (0x4100).to_bytes(2, "little")
+    nop = (0xBF00).to_bytes(2, "little")
+    # An unrecognised wide prefix is two bytes of junk; the sweep goes on.
+    view = ImageView(FirmwareImage(DEFAULT_BASE, (0xE800).to_bytes(2, "little") + nop))
+    assert view.decoded(0) == [(DEFAULT_BASE, Unknown(0xE800)), (DEFAULT_BASE + 2, Nop())]
+    # A wide prefix in the last halfword is Unknown(0) to the end.
+    view = ImageView(FirmwareImage(DEFAULT_BASE, nop + push_w[:2]))
+    assert view.decoded(0) == [(DEFAULT_BASE, Nop()), (DEFAULT_BASE + 2, Unknown(0))]
+    # A push.w that runs into a site's core is Unknown(0) to the core.
+    data = bytearray(nop * 4 + push_w + nop * 16)
+    assert plant_signature(data, DEFAULT_BASE, 10, 0, 0)
+    image = FirmwareImage(DEFAULT_BASE, bytes(data))
+    view = ImageView(image)
+    assert view.segments[0] == (DEFAULT_BASE, DEFAULT_BASE + 10)
+    assert view.decoded(0)[-1] == (DEFAULT_BASE + 8, Unknown(0))
+    _check_decoded(image)
+    assert ImageView(FirmwareImage(DEFAULT_BASE, bytes(push_w))).decoded(0) == [
+        (DEFAULT_BASE, Push(RegisterList.of("r8", "lr")))]
 
 
 @given(st.integers(0, 12), st.integers(0, 2**16), st.booleans(), st.data())
