@@ -9,7 +9,8 @@ Three independent measures:
   analysis recovers them.
 * ``build_rotated_table`` replaces each decrypted pair in the table with a
   split sequence that moves the return address to a random stack slot,
-  redrawn from the boot seed on every reset.
+  redrawn from the boot seed on every reset; the manifest only names the
+  draws.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from ._rewrite import InsnItem, TrampolineRecord, lift
 from .image import FirmwareImage, FunctionRecord, Manifest, commit
 from .isa import Pop, Push, RegisterList
 from .obfuscation import (
-    BootPlan,
     HardenError,
     RamTable,
     boot_scan,
     check_key,
     obfuscate_returns,
     plaintext_site,
-    plan_rotation,  # noqa: F401  (part of the hardening API)
     seal_sites,
 )
 
@@ -142,60 +141,18 @@ def harden(
     return image, manifest, pad_plans
 
 
-def _site_functions(plan: BootPlan, manifest: Manifest):
-    """The manifest record of each scanned core, and each function's sealed
-    push list without lr (None when its prologue is not sealed), in
-    manifest order.  Raises unless the records and the boot plan's
-    sightings cover the same cores."""
-    records = {rec.core: rec for rec in manifest.trampoline_records()}
-    unmatched = records.keys() ^ {sighting.core for sighting, _ in plan.sites}
-    if unmatched:
-        raise HardenError(
-            f"trampoline at 0x{min(unmatched):x} is not both recorded and in the image"
-        )
-    pushes: dict[str, RegisterList | None] = {fn.name: None for fn in manifest.functions}
-    for sighting, insn in plan.sites:
-        if isinstance(insn, Push):
-            pushes[records[sighting.core].fn] = insn.regs.without_flags()
-    return records, pushes
-
-
-def _draw_positions(pushes: dict, seed: int) -> list[dict]:
-    """Per-function rotation draws for one boot.  The draw order is the
-    function order, making the sequence reproducible for any seed."""
-    rng = random.Random(seed)
-    draws = []
-    for fn, regs in pushes.items():
-        if regs is None:
-            draws.append({"fn": fn, "slots": 0, "position": 0})
-            continue
-        position = rng.randint(0, len(regs))
-        draws.append(
-            {"fn": fn, "slots": len(regs) + 1, "position": position, "regs": list(regs.names())}
-        )
-    return draws
-
-
-def build_rotated_table(
-    image: FirmwareImage, manifest: Manifest, key: int, seed: int
-) -> RamTable:
-    """Build one boot's table with per-function rotated pair sequences.
-
-    Requires a manifest that boots rotated tables (returns and pushes both
-    sealed at rotation-capable sites).  The manifest gives only each site's
-    function and reserved capacity; it is read afresh on every call, while
-    the scan and each encoded entry come from the image's boot plan."""
-    if not manifest.boots_rotated:
-        raise HardenError("rotation needs sealed pushes and table room for every rotated "
-                          "sequence; harden with --rotate on")
-    plan = boot_scan(image, key)
-    records, pushes = _site_functions(plan, manifest)
-    table = RamTable(image.table_base, image.table_room)
-    table.draws = _draw_positions(pushes, seed)
-    positions = {d["fn"]: d["position"] for d in table.draws}
-    for sighting, insn in plan.sites:
-        rec = records[sighting.core]
-        table.add(plan.entry(sighting, insn, pushes[rec.fn], positions[rec.fn]), rec.capacity)
+def build_rotated_table(image: FirmwareImage, manifest: Manifest, key: int, seed: int) -> RamTable:
+    """One boot's table with per-function rotated pair sequences, drawn and
+    placed by the image's boot plan from the bytes and the key.  The manifest
+    only names the draws, in order; a leaf function draws nothing."""
+    table = boot_scan(image, key).rotated_table(seed)
+    non_leaf = sum(not fn.is_leaf for fn in manifest.functions)
+    if non_leaf != len(table.draws):
+        raise HardenError(f"{len(table.draws)} sealed push group(s) in the image for "
+                          f"{non_leaf} non-leaf function(s) in the manifest")
+    draws = iter(table.draws)
+    table.draws = [{"fn": fn.name, **({"slots": 0, "position": 0} if fn.is_leaf else next(draws))}
+                   for fn in manifest.functions]
     return table
 
 

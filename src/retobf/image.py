@@ -51,6 +51,7 @@ DEFAULT_TABLE_BASE = DEFAULT_SRAM_BASE
 SRAM_SIZE = 0x10000
 STACK_RESERVE = 0x4000
 
+#: Largest flash image in bytes; ``FirmwareImage`` refuses a larger one.
 MAX_IMAGE_SIZE = 0x40000
 
 
@@ -99,6 +100,8 @@ class FirmwareImage:
                 f"table base 0x{self.table_base:x} outside the RAM below the stack "
                 f"(0x{self.sram_base:x}..0x{self.stack_limit:x})"
             )
+        if len(self.data) > MAX_IMAGE_SIZE:
+            raise ImageError(f"image is {len(self.data)} bytes, limit {MAX_IMAGE_SIZE}")
 
     @property
     def end(self) -> int:
@@ -442,8 +445,6 @@ def generate_corpus(params: CorpusParams) -> tuple[FirmwareImage, Manifest]:
             )
         )
 
-    if len(layout.data) > MAX_IMAGE_SIZE:
-        raise ImageError("generated image exceeds configured size")
     image = FirmwareImage(DEFAULT_BASE, layout.data)
     if signature_offsets(image.data):
         # The generator's instruction vocabulary cannot emit the trampoline

@@ -12,15 +12,17 @@ The boot pass is modeled offline and split in two.  The per-image half,
 and decrypts every sealed slot; its ``BootPlan`` is memoised on the image
 per key and encodes each table entry the first time a boot needs it.  The
 per-boot half only places those entries with ``RamTable.add``, plain
-(``build_table``) or rotated (``harden.build_rotated_table``).
+(``build_table``) or rotated (``BootPlan.rotated_table``); neither reads a manifest.
 
 Rotation planning lives here too: a rotation-capable site reserves table
-room for the longest rotated sequence, so sealing needs the plans.
+room for the longest rotated sequence, and the rotated boot checks it.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import isa
 from ._rewrite import (
@@ -146,16 +148,20 @@ def plan_rotation(regs: RegisterList, position: int) -> RotationPlan:
     return RotationPlan(regs, position, pop_seq, push_seq)
 
 
-def _entry_capacity(insn, rotation_capable: bool) -> int:
-    """Table bytes a sealed return or push reserves: its own entry or, when
-    ``rotation_capable``, the longest entry any rotation draw can produce.
-    A push's entry ends in a 4-byte branch back to the function."""
-    size = insn.byte_length()
-    if rotation_capable and isinstance(insn, (Pop, Push)):
-        regs = insn.regs.without_flags()
-        plans = [plan_rotation(regs, position) for position in range(len(regs) + 1)]
-        sequences = [p.pop_sequence if isinstance(insn, Pop) else p.push_sequence for p in plans]
-        size = max(sum(i.byte_length() for i in seq) for seq in sequences)
+def rotation_plans(insn) -> list[RotationPlan]:
+    """Every rotation plan of the sealed pop or push ``insn``; none for ``bx lr``."""
+    if not isinstance(insn, (Pop, Push)):
+        return []
+    regs = insn.regs.without_flags()
+    return [plan_rotation(regs, position) for position in range(len(regs) + 1)]
+
+
+def _entry_capacity(insn, plans: list[RotationPlan]) -> int:
+    """Table bytes a sealed return or push reserves: its own entry or, given
+    its ``rotation_plans``, the longest entry any of them produces.  A push's
+    entry ends in a 4-byte branch back to the function."""
+    sequences = [p.push_sequence if isinstance(insn, Push) else p.pop_sequence for p in plans]
+    size = max(sum(i.byte_length() for i in seq) for seq in sequences or [[insn]])
     return size if is_return(insn) else size + 4
 
 
@@ -190,7 +196,8 @@ def seal_sites(
         insn = prog.items[idx].insn
         plain = encode(insn)
         offset = next_offset
-        size = -(-_entry_capacity(insn, rotation_capable) // TABLE_STRIDE) * TABLE_STRIDE
+        plans = rotation_plans(insn) if rotation_capable else []
+        size = -(-_entry_capacity(insn, plans) // TABLE_STRIDE) * TABLE_STRIDE
         next_offset += size
         if next_offset > image.table_room:
             raise TableCapacityError(
@@ -297,9 +304,8 @@ class RamTable:
     draws: list[dict] = field(default_factory=list)
     image: bytearray = field(default_factory=bytearray, repr=False)
 
-    def add(self, entry: TableEntry, capacity: int | None = None) -> None:
-        """Place ``entry`` after the entries already placed; ``capacity`` is
-        the room its site reserved, when known."""
+    def add(self, entry: TableEntry) -> None:
+        """Place ``entry`` after the entries already placed."""
         offset, size = entry.offset, len(entry.data)
         if not 0 <= offset < self.room:
             raise IntegrityError(f"site 0x{entry.site:x}: entry outside table")
@@ -308,8 +314,6 @@ class RamTable:
                 f"site 0x{entry.site:x}: table entry +{offset} is misaligned "
                 "or overlaps the previous entry"
             )
-        if capacity is not None and size > capacity:
-            raise TableCapacityError(f"entry at +{offset} needs {size} bytes, reserved {capacity}")
         if offset + size > self.room:
             raise TableCapacityError(f"table size {offset + size} exceeds {self.room}")
         self.entries.append(entry)
@@ -415,31 +419,68 @@ class BootPlan:
     """The per-image half of the boot pass for one key.
 
     ``sites`` holds every trampoline in entry-address order with its sealed
-    instruction.  ``entries`` fills as boots ask for entries: it maps
-    (site core, sealed register mask, position) to that site's encoded
-    entry, with mask and position None for the sealed instruction itself.
-    Nothing here depends on a manifest."""
+    instruction.  ``entries`` fills as boots ask for entries: it maps (site
+    core, position) to that site's encoded entry, with position None for the
+    sealed instruction itself.  Nothing here depends on a manifest."""
 
     table_base: int
+    table_room: int
     sites: list[tuple[RawSighting, isa.Instruction]]
     entries: dict = field(default_factory=dict, repr=False)
 
-    def entry(
-        self, sighting: RawSighting, insn, regs: RegisterList | None = None, position: int = 0
-    ) -> TableEntry:
+    def entry(self, sighting: RawSighting, insn, plan: RotationPlan | None = None) -> TableEntry:
         """The entry of the site holding the sealed ``insn``: ``insn`` itself
-        or, given ``regs`` (its function's sealed push list without lr), the
-        rotated sequence placing the return address at ``position``."""
-        key = (sighting.core, None, None) if regs is None else (sighting.core, regs.mask, position)
+        or, given a rotation ``plan`` of its registers, the plan's sequence."""
+        key = (sighting.core, None if plan is None else plan.position)
         entry = self.entries.get(key)
         if entry is None:
-            if regs is None:
-                seq = [insn]
-            else:
-                plan = plan_rotation(regs, position)
-                seq = plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence
+            seq = [insn] if plan is None else (
+                plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence)
             entry = self.entries[key] = entry_bytes_for(seq, sighting, self.table_base)
         return entry
+
+    @cached_property
+    def push_groups(self) -> tuple[list[tuple[tuple[str, ...], list[RotationPlan]]], list]:
+        """Each push group's register names and rotation plans, and each
+        site's group index (None: an unrotated ``bx lr``).  In core order a
+        sealed push opens a group and a sealed pop joins it.  Each site's
+        room, up to the next entry, must hold its longest rotated sequence."""
+        groups, group_of, pushes = [], {}, {}
+        for sighting, insn in sorted(self.sites, key=lambda site: site[0].core):
+            if isinstance(insn, Push):
+                if insn not in pushes:
+                    pushes[insn] = insn.regs.without_flags().names(), rotation_plans(insn)
+                groups.append(pushes[insn])
+            elif not isinstance(insn, Pop):
+                continue
+            elif not groups:
+                raise HardenError(f"site 0x{sighting.core:x}: no sealed push before this "
+                                  "return; harden with --rotate on")
+            elif insn.regs.without_flags() != groups[-1][1][0].regs:
+                raise IntegrityError(f"site 0x{sighting.core:x}: {insn.text()} does not "
+                                     "restore the registers of the sealed push before it")
+            group_of[sighting.core] = len(groups) - 1
+        site_groups = [group_of.get(s.core) for s, _ in self.sites]
+        ends = [s.entry_address for s, _ in self.sites[1:]] + [self.table_base + self.table_room]
+        for (sighting, insn), group, end in zip(self.sites, site_groups, ends):
+            need = _entry_capacity(insn, [] if group is None else groups[group][1])
+            if need > end - sighting.entry_address:
+                raise HardenError(f"site 0x{sighting.core:x}: no table room for its "
+                                  f"{need}-byte rotated sequence; harden with --rotate on")
+        return groups, site_groups
+
+    def rotated_table(self, seed: int) -> RamTable:
+        """One rotated boot: a ``random.Random(seed)`` draw per push group in
+        core order; ``draws`` lists each group's slots, position and names."""
+        groups, site_groups = self.push_groups
+        rng = random.Random(seed)
+        table = RamTable(self.table_base, self.table_room)
+        table.draws = [{"slots": len(plans), "position": rng.randint(0, len(plans) - 1),
+                        "regs": list(names)} for names, plans in groups]
+        for (sighting, insn), group in zip(self.sites, site_groups):
+            plan = None if group is None else groups[group][1][table.draws[group]["position"]]
+            table.add(self.entry(sighting, insn, plan))
+        return table
 
 
 def boot_scan(image: FirmwareImage, key: int) -> BootPlan:
@@ -454,7 +495,7 @@ def boot_scan(image: FirmwareImage, key: int) -> BootPlan:
             scan_trampolines(image.data, image.base), key=lambda s: s.entry_address
         )
         sites = [(sighting, decode_sealed(key, sighting)) for sighting in sightings]
-        plan = image.boot_plans[key] = BootPlan(image.table_base, sites)
+        plan = image.boot_plans[key] = BootPlan(image.table_base, image.table_room, sites)
     return plan
 
 

@@ -18,11 +18,11 @@ from retobf.attack import (
     recover_by_symmetry,
     run_attack,
 )
-from retobf.harden import build_rotated_table, harden, plan_rotation, position_distribution
+from retobf.harden import build_rotated_table, harden, position_distribution
 from retobf.image import CorpusParams, FirmwareImage, generate_corpus, splice
 from retobf.isa import Pop, Push, RegisterList, decode, encode
 from retobf.machine import CALLER_STACK_BYTES, call, check_gadget, states_equivalent
-from retobf.obfuscation import IntegrityError, build_table, obfuscate_returns
+from retobf.obfuscation import IntegrityError, build_table, obfuscate_returns, plan_rotation
 
 from test_attack import symmetric_pair_fixture
 

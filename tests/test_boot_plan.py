@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from retobf import obfuscation
 from retobf.harden import HardenError, build_rotated_table, harden
-from retobf.image import CorpusParams, FirmwareImage, generate_corpus
-from retobf.obfuscation import IntegrityError, TableCapacityError, build_table
+from retobf.image import CorpusParams, FirmwareImage, Manifest, generate_corpus
+from retobf.isa import Pop, Push, RegisterList, encode
+from retobf.obfuscation import IntegrityError, TableCapacityError, build_table, encrypt_bytes
 
 from conftest import KEY, crafted_images
 from reference_boot import reference_rotated_table, reference_table
@@ -30,13 +31,20 @@ def _same_table(table, ref) -> bool:
     functions=st.integers(1, 8),
     corpus_seed=st.integers(0, 1000),
     kmax=st.integers(0, 3),
+    multi_epilogue_prob=st.floats(0.0, 1.0),
+    high_reg_prob=st.floats(0.0, 1.0),
     order=st.lists(st.one_of(st.none(), st.integers(0, 10_000)), min_size=1, max_size=6),
 )
 @settings(max_examples=25, deadline=None)
-def test_tables_equal_the_uncached_reference(functions, corpus_seed, kmax, order):
+def test_tables_equal_the_uncached_reference(
+    functions, corpus_seed, kmax, multi_epilogue_prob, high_reg_prob, order
+):
     """Plain (None) and rotated (a seed) tables built in any order, with the
     first one built again at the end, equal the reference boot pass."""
-    image, manifest = generate_corpus(CorpusParams(function_count=functions, seed=corpus_seed))
+    image, manifest = generate_corpus(CorpusParams(
+        function_count=functions, seed=corpus_seed,
+        multi_epilogue_prob=multi_epilogue_prob, high_reg_prob=high_reg_prob,
+    ))
     himg, hman, _ = harden(image, manifest, KEY, kmax=kmax, rotate=True, seed=corpus_seed)
     for seed in [*order, order[0]]:
         if seed is None:
@@ -59,6 +67,20 @@ def test_crafted_images_boot_like_the_reference(image):
             build_table(image, KEY)
     else:
         assert _same_table(build_table(image, KEY), ref)
+
+
+@given(crafted_images(), st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_crafted_images_boot_rotated_or_raise_a_typed_error(image, seed):
+    """On arbitrary bytes the rotated boot places an entry for every site or
+    raises a typed integrity, capacity or hardening error."""
+    try:
+        plan = obfuscation.boot_scan(image, KEY)
+        table = plan.rotated_table(seed)
+    except (IntegrityError, TableCapacityError, HardenError):
+        return
+    assert [e.site for e in table.entries] == [sighting.core for sighting, _ in plan.sites]
+    assert len(table.draws) == sum(isinstance(insn, Push) for _, insn in plan.sites)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -101,46 +123,51 @@ def _reference_fails(image, key) -> bool:
     return False
 
 
-def test_a_memoised_plan_still_checks_each_manifest(hardened):
-    """The plan holds nothing from a manifest: an edited manifest that drops
-    one site record is refused after the good one booted the same image."""
+def test_the_manifest_only_names_the_draws(hardened, monkeypatch):
+    """The rotated boot reads nothing of the manifest but its functions: a
+    manifest with no site records, one whose return sites name the wrong
+    functions, and the honest one with its site records unreadable all boot
+    the honest table."""
     himg, hman, _ = hardened
-    image = _fresh(himg)
-    build_rotated_table(image, hman, KEY, seed=1)
-    man = copy.deepcopy(hman)
-    snapshot = next(entry for entry in reversed(man.transform_log) if "sites" in entry)
-    snapshot["sites"] = snapshot["sites"][1:]
-    with pytest.raises(HardenError, match="not both recorded"):
-        build_rotated_table(image, man, KEY, seed=1)
-    assert _same_table(
-        build_rotated_table(image, hman, KEY, 2), reference_rotated_table(image, hman, KEY, 2)
-    )
-
-
-def test_a_memoised_plan_follows_each_manifests_site_functions(hardened):
-    """Entries are keyed by the sealed register mask, not by the manifest's
-    function name: a manifest that swaps two functions' return sites (same
-    register count, different registers) pops each through the other
-    function's registers, as the reference does."""
-    himg, hman, _ = hardened
-    image = _fresh(himg)
-    by_count = {}
-    for fn in hman.functions:
-        regs = None if fn.true_pop is None else fn.true_pop.without_flags()
-        if regs is not None and max(regs.indices(), default=0) <= 7:
-            by_count.setdefault(len(regs), []).append((fn.name, regs))
-    a, b = next(
-        (x[0], y[0]) for group in by_count.values() for x in group for y in group if x[1] != y[1]
-    )
-    man = copy.deepcopy(hman)
-    snapshot = next(entry for entry in reversed(man.transform_log) if "sites" in entry)
+    refs = [reference_rotated_table(himg, hman, KEY, seed) for seed in range(4)]
+    no_sites = copy.deepcopy(hman)
+    for entry in no_sites.transform_log:
+        entry.pop("sites", None)
+    swapped = copy.deepcopy(hman)
+    names = [fn.name for fn in hman.functions]
+    snapshot = next(entry for entry in reversed(swapped.transform_log) if "sites" in entry)
     for site in snapshot["sites"]:
         if site["kind"] == "return":
-            site["fn"] = {a: b, b: a}.get(site["fn"], site["fn"])
-    for seed in range(4):
-        build_rotated_table(image, hman, KEY, seed)
-        table = build_rotated_table(image, man, KEY, seed)
-        assert _same_table(table, reference_rotated_table(image, man, KEY, seed))
+            site["fn"] = names[names.index(site["fn"]) - 1]
+
+    def unreadable(self):
+        raise AssertionError("the rotated boot read the site records")
+
+    monkeypatch.setattr(Manifest, "trampoline_records", unreadable)
+    for man in (no_sites, swapped, hman):
+        image = _fresh(himg)
+        for seed, ref in enumerate(refs):
+            assert _same_table(build_rotated_table(image, man, KEY, seed), ref)
+
+
+def test_a_pop_unlike_its_push_fails_every_rotated_boot(hardened):
+    """A sealed pop re-encrypted with another register list is an integrity
+    fault naming its site for every seed; the plain boot has no push to
+    compare it with."""
+    himg, hman, _ = hardened
+    sighting, pop = next(
+        (s, insn) for s, insn in obfuscation.boot_scan(himg, KEY).sites
+        if isinstance(insn, Pop) and insn.byte_length() == 2
+        and not insn.regs.without_flags().is_empty
+    )
+    data = bytearray(himg.data)
+    slot = sighting.enc_slot - himg.base
+    data[slot : slot + 2] = encrypt_bytes(encode(Pop(RegisterList(pop.regs.mask | 1))), KEY)
+    image = FirmwareImage(himg.base, bytes(data), himg.sram_base, himg.table_base)
+    for seed in range(8):
+        with pytest.raises(IntegrityError, match=f"site 0x{sighting.core:x}: pop "):
+            build_rotated_table(image, hman, KEY, seed)
+    build_table(image, KEY)
 
 
 def test_fifty_boots_scan_once_and_encode_each_entry_once(hardened, monkeypatch):

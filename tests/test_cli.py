@@ -15,7 +15,7 @@ import retobf
 from retobf import cli
 from retobf.attack import run_attack
 from retobf.cli import _equivalence_suite, _gadget_check, main
-from retobf.image import load
+from retobf.image import MAX_IMAGE_SIZE, load
 from retobf.obfuscation import build_table
 
 KEY = "0xa5a5"
@@ -150,6 +150,15 @@ def test_attack_rejects_a_base_outside_the_address_map(workdir, tmp_path, capsys
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_attack_rejects_an_oversized_image(tmp_path, capsys):
+    (tmp_path / "big.bin").write_bytes(bytes(MAX_IMAGE_SIZE + 2))
+    assert run("attack", "--in", str(tmp_path / "big"), "--out", str(tmp_path / "atk")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: image is {MAX_IMAGE_SIZE + 2} bytes, limit {MAX_IMAGE_SIZE}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["big.bin"]
 
 
 def _solo(argv):

@@ -1,7 +1,6 @@
 """Hardening tests: rotation planning and semantics, register padding,
 push sealing, per-boot table randomization."""
 
-import copy
 import itertools
 import random
 
@@ -18,7 +17,6 @@ from retobf.harden import (
     harden,
     pad_corpus,
     pad_registers,
-    plan_rotation,
     position_distribution,
 )
 from retobf.image import CorpusParams, FirmwareImage, FunctionRecord, generate_corpus
@@ -27,6 +25,7 @@ from retobf.machine import call, check_gadget, states_equivalent
 from retobf.obfuscation import (
     build_table,
     obfuscate_returns,
+    plan_rotation,
     sweep_plaintext,
     trampoline_data_ranges,
 )
@@ -300,10 +299,13 @@ def test_rotation_requires_sealed_pushes(corpus):
 
 
 def test_rotation_requires_rotation_room(corpus):
+    """The room check runs once per image, so it fails for every seed, not
+    only for draws whose sequence happens not to fit."""
     image, manifest = corpus
     img, man, _ = harden(image, manifest, KEY, kmax=0, encrypt_push=True)
-    with pytest.raises(HardenError, match="rotated sequence"):
-        build_rotated_table(img, man, KEY, seed=1)
+    for seed in range(21):
+        with pytest.raises(HardenError, match="rotated sequence"):
+            build_rotated_table(img, man, KEY, seed)
 
 
 def test_rotation_fits_a_1000_function_corpus():
@@ -321,17 +323,6 @@ def test_rotation_fits_a_1000_function_corpus():
         a = call(image, entry=fn_old.start, regs=regs)
         b = call(himg, table, entry=fn_new.start, regs=regs)
         assert states_equivalent(a.state, b.state), fn_old.name
-
-
-def test_rotation_needs_a_record_for_every_scanned_site(hardened):
-    """The manifest names each site's function; a site the boot scan finds
-    but the manifest does not record cannot be placed."""
-    himg, hman, _ = hardened
-    man = copy.deepcopy(hman)
-    snapshot = next(entry for entry in reversed(man.transform_log) if "sites" in entry)
-    snapshot["sites"] = snapshot["sites"][1:]
-    with pytest.raises(HardenError, match="not both recorded"):
-        build_rotated_table(himg, man, KEY, seed=1)
 
 
 def test_position_distribution(hardened):

@@ -9,6 +9,7 @@ import pytest
 from retobf import isa
 from retobf._rewrite import BlobItem, Program, signature_offsets
 from retobf.image import (
+    MAX_IMAGE_SIZE,
     CorpusParams,
     FirmwareImage,
     FunctionRecord,
@@ -62,6 +63,14 @@ def test_flash_outside_the_address_map_is_one_error(base, size, message):
 def test_flash_inside_the_address_map_is_accepted(base, size):
     """Ranges that touch the edges, and empty ranges, which overlap nothing."""
     assert FirmwareImage(base, bytes(size)).end == base + size
+
+
+def test_image_size_limit_is_one_error():
+    """Every image, loaded, generated or attacked, is checked against one limit."""
+    assert len(FirmwareImage(0x40000, bytes(MAX_IMAGE_SIZE)).data) == MAX_IMAGE_SIZE
+    with pytest.raises(ImageError) as info:
+        FirmwareImage(0x40000, bytes(MAX_IMAGE_SIZE + 2))
+    assert str(info.value) == f"image is {MAX_IMAGE_SIZE + 2} bytes, limit {MAX_IMAGE_SIZE}"
 
 
 def test_empty_corpus():

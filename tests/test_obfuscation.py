@@ -234,8 +234,7 @@ def test_build_table_raises_only_typed_errors(image):
 
 def test_table_add_checks_every_entry():
     """``RamTable.add`` refuses an entry outside the table, misaligned,
-    overlapping the previous one, larger than its reservation, or running
-    past the table's room."""
+    overlapping the previous one, or running past the table's room."""
     base = DEFAULT_SRAM_BASE
 
     def entry(offset, *insns):
@@ -253,9 +252,7 @@ def test_table_add_checks_every_entry():
     ]:
         with pytest.raises(error):
             table.add(bad)
-    with pytest.raises(TableCapacityError):
-        table.add(entry(4, wide_pop), capacity=2)
-    table.add(entry(8, BxLr()), capacity=2)
+    table.add(entry(8, BxLr()))
     assert [e.offset for e in table.entries] == [0, 8]
     assert bytes(table.image) == isa.encode(wide_pop) + bytes(4) + isa.encode(BxLr())
 
