@@ -4,20 +4,25 @@ The locator replays the boot pass's own signature scan; the two recovery
 methods then reconstruct each hidden return's register list from prologue
 symmetry and from callee-saved register usage, and the catalog builder
 turns predictions into usable gadget entries (stack delta plus the slot the
-next chain address goes in).  Ground truth enters only in
-``evaluate_recovery``, which is the evaluator's tool, not the attacker's.
+next chain address goes in).  Both methods and the catalog read one
+``SegmentSummary`` per code segment, made in a single sweep over its bytes.
+Ground truth enters only in ``evaluate_recovery``, which is the evaluator's
+tool, not the attacker's.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import isa
 from .image import FirmwareImage, Manifest
 from .isa import (
+    PC,
     AddReg,
     AddSpImm,
     Bl,
@@ -51,6 +56,16 @@ CONF_FLOOR = 0.05
 #: The verdict lists every attack result carries, in report order.
 METHODS = ("symmetry", "liveness", "combined")
 
+#: Effect-code bits (see ``_effect``); bits 4-11 are the callee-saved
+#: registers an instruction writes.
+_REAL, _PUSH_LR, _CALL = 1, 2, 4
+_CALLEE_SAVED = 0x0FF0
+
+#: Effect code of every narrow halfword (high byte below the wide prefixes
+#: at 0xE8), filled from ``decode`` the first time the halfword is swept;
+#: -1 marks one not seen yet.
+_NARROW_EFFECTS = array("h", [-1]) * 0xE800
+
 
 class AttackError(Exception):
     pass
@@ -58,6 +73,42 @@ class AttackError(Exception):
 
 class LineageError(AttackError):
     """Attack output and manifest belong to different image builds."""
+
+
+def _effect(insn) -> int:
+    """What the recovery methods need of one instruction: the callee-saved
+    registers it writes, and whether it is code (not nop or junk), a
+    push-with-lr or a call."""
+    if isinstance(insn, (MovImm, MovReg, AddReg, SubReg)):
+        code = 1 << insn.rd & _CALLEE_SAVED
+    elif isinstance(insn, LdrSpRel):
+        code = 1 << insn.rt & _CALLEE_SAVED
+    elif isinstance(insn, Pop):
+        code = insn.regs.mask & _CALLEE_SAVED
+    elif isinstance(insn, Push) and insn.regs.has_lr:
+        code = _PUSH_LR
+    elif isinstance(insn, Bl):
+        code = _CALL
+    else:
+        code = 0
+    if not isinstance(insn, (Nop, isa.Unknown)):
+        code |= _REAL
+    return code
+
+
+class SegmentSummary(NamedTuple):
+    """One sweep of a code segment: its push-with-lr addresses (ascending);
+    the callee-saved registers written in all of it, and after its last
+    push-with-lr (all of it when it has none), as masks; whether it calls
+    out, and whether it holds anything but nops and junk; and the addresses
+    of its last ``GADGET_WINDOW`` instructions."""
+
+    pushes: list[int]
+    written: int
+    written_since_push: int
+    has_call: bool
+    real_code: bool
+    tail: list[int]
 
 
 def find_trampolines(image: FirmwareImage) -> list[RawSighting]:
@@ -93,6 +144,7 @@ class ImageView:
         self._starts = [lo for lo, _ in self.segments]
         self._ending_at = {hi: idx for idx, (_, hi) in enumerate(self.segments)}
         self._decoded: dict[int, list] = {}
+        self._summaries: dict[int, SegmentSummary] = {}
 
     def overlap_failure(self, site: RawSighting, method: str) -> Prediction | None:
         """The ``ok=False`` verdict for a site inside another site's core."""
@@ -113,24 +165,69 @@ class ImageView:
         idx = bisect_right(self._starts, addr) - 1
         return idx if idx >= 0 and addr < self.segments[idx][1] else None
 
+    def decode_at(self, addr: int, hi: int) -> tuple[isa.Instruction, int]:
+        """(instruction, length) at ``addr`` in a segment ending at ``hi``.
+        A wide prefix in the image's last halfword and an instruction that
+        runs past ``hi`` are each ``Unknown(0)`` covering the rest."""
+        try:
+            insn, length = decode(self.image.data, addr - self.image.base, addr)
+        except isa.TruncatedStreamError:
+            return isa.Unknown(0), hi - addr
+        if addr + length > hi:
+            return isa.Unknown(0), hi - addr
+        return insn, length
+
     def decoded(self, idx: int) -> list:
         """[(address, instruction)] for one segment; tolerant of junk."""
         if idx not in self._decoded:
             lo, hi = self.segments[idx]
             out = []
             addr = lo
-            base, data = self.image.base, self.image.data
             while addr < hi:
-                try:
-                    insn, length = decode(data, addr - base, addr)
-                except isa.TruncatedStreamError:
-                    insn, length = isa.Unknown(0), hi - addr
-                if addr + length > hi:
-                    insn, length = isa.Unknown(0), hi - addr
+                insn, length = self.decode_at(addr, hi)
                 out.append((addr, insn))
                 addr += length
             self._decoded[idx] = out
         return self._decoded[idx]
+
+    def summary(self, idx: int) -> SegmentSummary:
+        """The segment's summary, swept once: narrow halfwords through the
+        effect table, wide ones through ``decode_at``."""
+        if idx in self._summaries:
+            return self._summaries[idx]
+        lo, hi = self.segments[idx]
+        base, data, effects = self.image.base, self.image.data, _NARROW_EFFECTS
+        pushes, starts = [], []
+        seen = since_push = 0
+        addr = lo
+        while addr < hi:
+            off = addr - base
+            high = data[off + 1]
+            if high < 0xE8:
+                hw = data[off] | high << 8
+                code = effects[hw]
+                if code < 0:
+                    code = effects[hw] = _effect(decode(data, off, addr)[0])
+                length = 2
+            else:
+                insn, length = self.decode_at(addr, hi)
+                code = _effect(insn)
+            if code & _PUSH_LR:
+                pushes.append(addr)
+                since_push = 0
+            seen |= code
+            since_push |= code
+            starts.append(addr)
+            addr += length
+        self._summaries[idx] = SegmentSummary(
+            pushes=pushes,
+            written=seen & _CALLEE_SAVED,
+            written_since_push=since_push & _CALLEE_SAVED,
+            has_call=bool(seen & _CALL),
+            real_code=bool(seen & _REAL),
+            tail=starts[-GADGET_WINDOW:],
+        )
+        return self._summaries[idx]
 
 
 @dataclass
@@ -186,29 +283,6 @@ class Prediction:
         )
 
 
-def _written_callee_saved(insns) -> RegisterList:
-    mask = 0
-    for _, insn in insns:
-        dest = None
-        if isinstance(insn, (MovImm, MovReg, AddReg, SubReg)):
-            dest = insn.rd
-        elif isinstance(insn, LdrSpRel):
-            dest = insn.rt
-        elif isinstance(insn, Pop):
-            mask |= insn.regs.mask & 0x0FF0
-        if dest is not None and 4 <= dest <= 11:
-            mask |= 1 << dest
-    return RegisterList(mask & 0x0FF0)
-
-
-def _has_call(insns) -> bool:
-    return any(isinstance(insn, Bl) for _, insn in insns)
-
-
-def _real_code(insns) -> bool:
-    return any(not isinstance(insn, (Nop, isa.Unknown)) for _, insn in insns)
-
-
 def recover_by_symmetry(view: ImageView, site: RawSighting) -> Prediction:
     """Predict the hidden pop from the nearest preceding push-with-lr.
 
@@ -221,38 +295,28 @@ def recover_by_symmetry(view: ImageView, site: RawSighting) -> Prediction:
     if failure is not None:
         return failure
     seg = view.segment_before(site.core)
+    floor = site.core - SYMMETRY_WINDOW
     found = None
-    distance = 0
-    crossed = 0
-    extra_pushes = 0
+    in_range = 0
     for idx in range(seg, -1, -1):
-        for addr, insn in reversed(view.decoded(idx)):
-            distance = site.core - addr
-            if distance > SYMMETRY_WINDOW:
-                break
-            if isinstance(insn, Push) and insn.regs.has_lr:
-                if found is None:
-                    found = (addr, insn, distance, crossed)
-                else:
-                    extra_pushes += 1
-        if distance > SYMMETRY_WINDOW or idx == 0:
+        if view.segments[idx][1] <= floor:
             break
-        crossed += 1
+        pushes = view.summary(idx).pushes
+        near = len(pushes) - bisect_left(pushes, floor)
+        if near and found is None:
+            found = (pushes[-1], seg - idx)
+        in_range += near
     if found is None:
         return Prediction(site, "symmetry", ok=False, reason="no push-with-lr within window")
-    addr, push, dist, crossed_at = found
+    addr, crossed = found
+    push, _ = decode(view.image.data, addr - view.image.base, addr)
+    extra_pushes = in_range - 1
     confidence = max(
         CONF_FLOOR,
-        1.0 - 0.5 * dist / SYMMETRY_WINDOW - 0.1 * crossed_at - 0.05 * extra_pushes,
+        1.0 - 0.5 * (site.core - addr) / SYMMETRY_WINDOW - 0.1 * crossed - 0.05 * extra_pushes,
     )
-    return Prediction(
-        site,
-        "symmetry",
-        ok=True,
-        kind="pop",
-        reglist=push.regs.with_pc_for_lr(),
-        confidence=confidence,
-    )
+    return Prediction(site, "symmetry", ok=True, kind="pop",
+                      reglist=push.regs.with_pc_for_lr(), confidence=confidence)
 
 
 def recover_by_liveness(view: ImageView, site: RawSighting) -> Prediction:
@@ -268,60 +332,36 @@ def recover_by_liveness(view: ImageView, site: RawSighting) -> Prediction:
     failure = view.overlap_failure(site, "liveness")
     if failure is not None:
         return failure
+
+    def pops(written: int, confidence: float) -> Prediction:
+        return Prediction(site, "liveness", ok=True, kind="pop",
+                          reglist=RegisterList(written | 1 << PC), confidence=confidence)
+
     seg = view.segment_before(site.core)
-    w0 = view.decoded(seg)
-    anchor = None
-    for addr, insn in reversed(w0):
-        if isinstance(insn, Push) and insn.regs.has_lr:
-            anchor = addr
-            break
-    if anchor is not None:
-        tail = [(a, i) for a, i in w0 if a > anchor]
-        return Prediction(
-            site,
-            "liveness",
-            ok=True,
-            kind="pop",
-            reglist=_written_callee_saved(tail).union(RegisterList.of("pc")),
-            confidence=CONF_PROLOGUE,
-        )
-    if not _real_code(w0):
+    w0 = view.summary(seg)
+    if w0.pushes:
+        return pops(w0.written_since_push, CONF_PROLOGUE)
+    if not w0.real_code:
         return Prediction(
             site, "liveness", ok=False, reason="no function body precedes site"
         )
-    if not _has_call(w0) and _written_callee_saved(w0).is_empty:
+    if not w0.has_call and not w0.written:
         return Prediction(site, "liveness", ok=True, kind="bx_lr", confidence=CONF_LEAF)
     # The body continues past an intervening trampoline: walk back looking
     # for the prologue, accumulating writes from every code run crossed.
-    collected = list(w0)
+    written = w0.written
     for idx in range(seg - 1, -1, -1):
-        insns = view.decoded(idx)
-        if insns and site.core - insns[0][0] > LIVENESS_WINDOW:
+        lo, hi = view.segments[idx]
+        if lo < hi and site.core - lo > LIVENESS_WINDOW:
             break
-        pushes = [a for a, i in insns if isinstance(i, Push) and i.regs.has_lr]
-        if pushes:
-            anchor = max(pushes)
-            collected = [(a, i) for a, i in insns if a > anchor] + collected
-            return Prediction(
-                site,
-                "liveness",
-                ok=True,
-                kind="pop",
-                reglist=_written_callee_saved(collected).union(RegisterList.of("pc")),
-                confidence=CONF_EXTENDED,
-            )
-        collected = insns + collected
+        summary = view.summary(idx)
+        if summary.pushes:
+            return pops(written | summary.written_since_push, CONF_EXTENDED)
+        written |= summary.written
     # No plaintext prologue in range (sealed pushes): the code run between
     # the preceding trampoline and the site is the best function-body
     # estimate.
-    return Prediction(
-        site,
-        "liveness",
-        ok=True,
-        kind="pop",
-        reglist=_written_callee_saved(w0).union(RegisterList.of("pc")),
-        confidence=CONF_REGION,
-    )
+    return pops(w0.written, CONF_REGION)
 
 
 def combine_predictions(sym: Prediction | None, live: Prediction | None) -> Prediction:
@@ -452,9 +492,10 @@ def build_gadget_catalog(view: ImageView, predictions: list[Prediction]) -> list
     for pred in predictions:
         if not pred.ok or pred.kind not in ("pop", "bx_lr"):
             continue
-        seg = view.segment_before(pred.site.core)
-        terminator = (pred.kind, pred.reglist)
-        catalog.extend(_candidates_for(view.decoded(seg), terminator, pred.site.core))
+        core = pred.site.core
+        tail = [(a, view.decode_at(a, core)[0])
+                for a in view.summary(view.segment_before(core)).tail]
+        catalog.extend(_candidates_for(tail, (pred.kind, pred.reglist), core))
     return catalog
 
 

@@ -63,6 +63,40 @@ class ImageError(Exception):
 MALFORMED_INPUT = (KeyError, ValueError, TypeError, EncodingError)
 
 
+class FieldError(ValueError):
+    """A manifest value that does not parse, named by its path from the
+    manifest's root, such as ``functions[12].epilogue_sites``."""
+
+    def __init__(self, path: str, cause: Exception):
+        super().__init__(f"{path.lstrip('.')}: {cause!r}")
+        self.path, self.cause = path, cause
+
+
+def _field(obj, key: str | int, parse=lambda value: value):
+    """``parse(obj[key])``; a failure is a FieldError whose path starts at
+    ``key``, a field name or a list index."""
+    try:
+        return parse(obj[key])
+    except MALFORMED_INPUT as exc:
+        step = f"[{key}]" if isinstance(key, int) else f".{key}"
+        if isinstance(exc, FieldError):
+            raise FieldError(step + exc.path, exc.cause) from exc.cause
+        raise FieldError(step, exc) from exc
+
+
+def _items(parse):
+    """A parser for a JSON list whose failures name the item's index."""
+    return lambda items: [_field(items, i, parse) for i in range(len(items))]
+
+
+def _hex(text: str) -> int:
+    return int(text, 16)
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
 @dataclass(frozen=True)
 class FirmwareImage:
     """Flash contents at ``base`` plus the RAM map they boot into.
@@ -171,16 +205,14 @@ class FunctionRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "FunctionRecord":
         return cls(
-            name=obj["name"],
-            start=int(obj["start"], 16),
-            end=int(obj["end"], 16),
-            prologue_site=None
-            if obj["prologue_site"] is None
-            else int(obj["prologue_site"], 16),
-            epilogue_sites=[int(s, 16) for s in obj["epilogue_sites"]],
-            true_pop=None if obj["true_pop"] is None else RegisterList.from_names(obj["true_pop"]),
-            used_callee_saved=RegisterList.from_names(obj["used_callee_saved"]),
-            pad_registers=RegisterList.from_names(obj["pad_registers"]),
+            name=_field(obj, "name"),
+            start=_field(obj, "start", _hex),
+            end=_field(obj, "end", _hex),
+            prologue_site=_field(obj, "prologue_site", _optional(_hex)),
+            epilogue_sites=_field(obj, "epilogue_sites", _items(_hex)),
+            true_pop=_field(obj, "true_pop", _optional(RegisterList.from_names)),
+            used_callee_saved=_field(obj, "used_callee_saved", RegisterList.from_names),
+            pad_registers=_field(obj, "pad_registers", RegisterList.from_names),
         )
 
 
@@ -229,9 +261,13 @@ class Manifest:
 
     def trampoline_records(self) -> list[TrampolineRecord]:
         """The newest ``sites`` snapshot in the transform log."""
-        for entry in reversed(self.transform_log):
-            if "sites" in entry:
-                return [TrampolineRecord.from_json(obj) for obj in entry["sites"]]
+        log = self.transform_log
+        for k in range(len(log) - 1, -1, -1):
+            if "sites" in log[k]:
+                try:
+                    return _field(log[k], "sites", _items(TrampolineRecord.from_json))
+                except FieldError as exc:
+                    raise FieldError(f"transform_log[{k}]{exc.path}", exc.cause) from exc.cause
         return []
 
     def has_pass(self, name: str) -> bool:
@@ -262,12 +298,12 @@ class Manifest:
     @classmethod
     def from_json(cls, obj: dict) -> "Manifest":
         return cls(
-            base=int(obj["base"], 16),
-            sram_base=int(obj["sram_base"], 16),
-            table_base=int(obj["table_base"], 16),
-            seed=int(obj["seed"]),
-            functions=[FunctionRecord.from_json(o) for o in obj["functions"]],
-            transform_log=[dict(entry) for entry in obj["transform_log"]],
+            base=_field(obj, "base", _hex),
+            sram_base=_field(obj, "sram_base", _hex),
+            table_base=_field(obj, "table_base", _hex),
+            seed=_field(obj, "seed", int),
+            functions=_field(obj, "functions", _items(FunctionRecord.from_json)),
+            transform_log=_field(obj, "transform_log", _items(dict)),
         )
 
 
@@ -481,6 +517,8 @@ def load(prefix) -> tuple[FirmwareImage, Manifest]:
     try:
         manifest = Manifest.from_json(json.loads(json_path.read_text()))
         manifest.trampoline_records()  # fail here, not later inside a pass
+    except FieldError as exc:
+        raise ImageError(f"malformed manifest {json_path}: {exc}") from exc
     except MALFORMED_INPUT as exc:
         raise ImageError(f"malformed manifest {json_path}: {exc!r}") from exc
     image = FirmwareImage(

@@ -1,18 +1,47 @@
 """Linear-search reference versions of the library's image scans.
 
 Each function here is the straightforward form of a scan the library runs
-with bisect, a dict or a byte mask: ``any()`` over every exclude range for
-each halfword, a walk over every segment for each lookup, the full filter
-over a segment for the instructions before a hit, ``any()`` over every
-function for each lifted address, and a segment sweep with the previous
-decoder.  The oracle tests require the library to give equal results.
+with bisect, a dict, a byte mask or a per-segment summary: ``any()`` over
+every exclude range for each halfword, a walk over every segment for each
+lookup, the full filter over a segment for the instructions before a hit,
+``any()`` over every function for each lifted address, a segment sweep with
+the previous decoder, and the two recovery methods and the gadget catalog
+walking each segment's instruction objects.  The oracle tests require the
+library to give equal results.
 """
 
 import reference_decode
 from retobf import isa
 from retobf._rewrite import TRAMPOLINE_FOOTPRINT, BlobItem, InsnItem, Program, TrampolineItem
-from retobf.attack import ImageView, _candidates_for
-from retobf.isa import Bl, BranchW, Pop, decode, is_return
+from retobf.attack import (
+    CONF_EXTENDED,
+    CONF_FLOOR,
+    CONF_LEAF,
+    CONF_PROLOGUE,
+    CONF_REGION,
+    GADGET_WINDOW,
+    LIVENESS_WINDOW,
+    SYMMETRY_WINDOW,
+    ImageView,
+    Prediction,
+    SegmentSummary,
+    _candidates_for,
+)
+from retobf.isa import (
+    AddReg,
+    Bl,
+    BranchW,
+    LdrSpRel,
+    MovImm,
+    MovReg,
+    Nop,
+    Pop,
+    Push,
+    RegisterList,
+    SubReg,
+    decode,
+    is_return,
+)
 from retobf.obfuscation import (
     _WIDE_POP,
     _WIDE_PUSH,
@@ -145,3 +174,126 @@ def program_items(prog):
         else:
             out.append(("trampoline", item.orig_addr, item.record))
     return out
+
+
+def _written_callee_saved(insns):
+    mask = 0
+    for _, insn in insns:
+        dest = None
+        if isinstance(insn, (MovImm, MovReg, AddReg, SubReg)):
+            dest = insn.rd
+        elif isinstance(insn, LdrSpRel):
+            dest = insn.rt
+        elif isinstance(insn, Pop):
+            mask |= insn.regs.mask & 0x0FF0
+        if dest is not None and 4 <= dest <= 11:
+            mask |= 1 << dest
+    return RegisterList(mask & 0x0FF0)
+
+
+def _has_call(insns):
+    return any(isinstance(insn, Bl) for _, insn in insns)
+
+
+def _real_code(insns):
+    return any(not isinstance(insn, (Nop, isa.Unknown)) for _, insn in insns)
+
+
+def segment_summary(image, lo, hi):
+    """A segment's summary, read off its object sweep."""
+    insns = segment_sweep(image, lo, hi)
+    pushes = [a for a, i in insns if isinstance(i, Push) and i.regs.has_lr]
+    since_push = [(a, i) for a, i in insns if not pushes or a > pushes[-1]]
+    return SegmentSummary(
+        pushes=pushes,
+        written=_written_callee_saved(insns).mask,
+        written_since_push=_written_callee_saved(since_push).mask,
+        has_call=_has_call(insns),
+        real_code=_real_code(insns),
+        tail=[a for a, _ in insns[-GADGET_WINDOW:]],
+    )
+
+
+def recover_by_symmetry(view, site):
+    """Walk back instruction by instruction from the site's segment."""
+    failure = view.overlap_failure(site, "symmetry")
+    if failure is not None:
+        return failure
+    seg = view.segment_before(site.core)
+    found = None
+    distance = 0
+    crossed = 0
+    extra_pushes = 0
+    for idx in range(seg, -1, -1):
+        for addr, insn in reversed(view.decoded(idx)):
+            distance = site.core - addr
+            if distance > SYMMETRY_WINDOW:
+                break
+            if isinstance(insn, Push) and insn.regs.has_lr:
+                if found is None:
+                    found = (addr, insn, distance, crossed)
+                else:
+                    extra_pushes += 1
+        if distance > SYMMETRY_WINDOW or idx == 0:
+            break
+        crossed += 1
+    if found is None:
+        return Prediction(site, "symmetry", ok=False, reason="no push-with-lr within window")
+    addr, push, dist, crossed_at = found
+    confidence = max(
+        CONF_FLOOR,
+        1.0 - 0.5 * dist / SYMMETRY_WINDOW - 0.1 * crossed_at - 0.05 * extra_pushes,
+    )
+    return Prediction(site, "symmetry", ok=True, kind="pop",
+                      reglist=push.regs.with_pc_for_lr(), confidence=confidence)
+
+
+def recover_by_liveness(view, site):
+    """Filter and re-walk the decoded segments for every verdict."""
+    failure = view.overlap_failure(site, "liveness")
+    if failure is not None:
+        return failure
+    seg = view.segment_before(site.core)
+    w0 = view.decoded(seg)
+    pc = RegisterList.of("pc")
+    anchor = None
+    for addr, insn in reversed(w0):
+        if isinstance(insn, Push) and insn.regs.has_lr:
+            anchor = addr
+            break
+    if anchor is not None:
+        tail = [(a, i) for a, i in w0 if a > anchor]
+        return Prediction(site, "liveness", ok=True, kind="pop",
+                          reglist=_written_callee_saved(tail).union(pc),
+                          confidence=CONF_PROLOGUE)
+    if not _real_code(w0):
+        return Prediction(site, "liveness", ok=False, reason="no function body precedes site")
+    if not _has_call(w0) and _written_callee_saved(w0).is_empty:
+        return Prediction(site, "liveness", ok=True, kind="bx_lr", confidence=CONF_LEAF)
+    collected = list(w0)
+    for idx in range(seg - 1, -1, -1):
+        insns = view.decoded(idx)
+        if insns and site.core - insns[0][0] > LIVENESS_WINDOW:
+            break
+        pushes = [a for a, i in insns if isinstance(i, Push) and i.regs.has_lr]
+        if pushes:
+            anchor = max(pushes)
+            collected = [(a, i) for a, i in insns if a > anchor] + collected
+            return Prediction(site, "liveness", ok=True, kind="pop",
+                              reglist=_written_callee_saved(collected).union(pc),
+                              confidence=CONF_EXTENDED)
+        collected = insns + collected
+    return Prediction(site, "liveness", ok=True, kind="pop",
+                      reglist=_written_callee_saved(w0).union(pc), confidence=CONF_REGION)
+
+
+def build_gadget_catalog(view, predictions):
+    """Windows over each site's whole decoded segment."""
+    catalog = []
+    for pred in predictions:
+        if not pred.ok or pred.kind not in ("pop", "bx_lr"):
+            continue
+        seg = view.segment_before(pred.site.core)
+        terminator = (pred.kind, pred.reglist)
+        catalog.extend(_candidates_for(view.decoded(seg), terminator, pred.site.core))
+    return catalog

@@ -434,6 +434,25 @@ def test_malformed_manifest_names_the_exception(tmp_path, capsys):
     assert "KeyError('fn')" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, path", [
+    (lambda m: m["functions"][12].update(epilogue_sites=["0x40000", "0xzz"]),
+     "functions[12].epilogue_sites[1]: ValueError(\"invalid literal for int() with base 16: "
+     "'0xzz'\")"),
+    (lambda m: m["functions"][12].update(true_pop=["r4", "pc", "fp"]),
+     "functions[12].true_pop: KeyError('fp')"),
+    (lambda m: m["transform_log"][0].update(sites=[{"kind": "return"}]),
+     "transform_log[0].sites[0]: KeyError('fn')"),
+], ids=["epilogue-site", "register-name", "site-record"])
+def test_malformed_manifest_names_the_field(tmp_path, capsys, edit, path):
+    corpus = _edited_corpus(tmp_path, edit)
+    capsys.readouterr()
+    assert run("init", "--in", str(corpus), "--key", KEY,
+               "--out", str(tmp_path / "t.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed manifest ") and err.endswith(f": {path}\n")
+    assert err.count("\n") == 1
+
+
 def test_init_rejects_odd_epilogue_site(tmp_path, capsys):
     corpus = _edited_corpus(tmp_path, _lower_first_epilogue)
     capsys.readouterr()

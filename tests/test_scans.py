@@ -1,6 +1,7 @@
 """The image scans against their linear-search references, and a guard that
 each scan's time grows linearly with the image."""
 
+import random
 import time
 from dataclasses import replace
 
@@ -11,13 +12,23 @@ from hypothesis import strategies as st
 import reference_scans as ref
 from retobf._rewrite import lift
 from retobf.attack import (
+    _NARROW_EFFECTS,
+    CONF_EXTENDED,
+    CONF_REGION,
+    LIVENESS_WINDOW,
+    METHODS,
+    SYMMETRY_WINDOW,
     AttackError,
     ImageView,
+    _effect,
     baseline_gadget_scan,
+    combine_predictions,
+    find_trampolines,
     run_attack,
 )
+from retobf.harden import encrypt_pushes
 from retobf.image import DEFAULT_BASE, CorpusParams, FirmwareImage, generate_corpus
-from retobf.isa import Nop, Push, RegisterList, Unknown
+from retobf.isa import MovImm, Nop, Push, RegisterList, Unknown, decode, encode
 from retobf.obfuscation import obfuscate_returns, sweep_plaintext, trampoline_data_ranges
 
 from conftest import KEY, crafted_images, plant_signature
@@ -96,10 +107,17 @@ def odd_tail_images(draw):
     return FirmwareImage(base, bytes(data))
 
 
+def _check_summaries(image):
+    view = ImageView(image)
+    for idx, (lo, hi) in enumerate(view.segments):
+        assert view.summary(idx) == ref.segment_summary(image, lo, hi), (lo, hi)
+
+
 @given(st.one_of(crafted_images(), odd_tail_images()))
 @settings(max_examples=200, deadline=None)
 def test_decoded_segments_match_a_linear_sweep(image):
     _check_decoded(image)
+    _check_summaries(image)
 
 
 def test_decoded_junk_rules():
@@ -124,6 +142,152 @@ def test_decoded_junk_rules():
         (DEFAULT_BASE, Push(RegisterList.of("r8", "lr")))]
 
 
+# ---------------------------------------------------------------------------
+# The attack over segment summaries against the object-walking references.
+
+
+def _check_attack(image):
+    """run_attack's verdicts and catalog equal the reference forms'."""
+    result = run_attack(image)
+    view = ImageView(image)
+    sym = [ref.recover_by_symmetry(view, s) for s in view.sites]
+    live = [ref.recover_by_liveness(view, s) for s in view.sites]
+    combined = [combine_predictions(a, b) for a, b in zip(sym, live)]
+    for method, want in zip(METHODS, (sym, live, combined)):
+        got = [p.to_json() for p in result.predictions[method]]
+        assert got == [p.to_json() for p in want], method
+    assert result.catalog == ref.build_gadget_catalog(view, combined)
+    return result
+
+
+@given(crafted_images())
+@settings(max_examples=150, deadline=None)
+def test_attack_matches_references_on_crafted_images(image):
+    _check_attack(image)
+
+
+@pytest.mark.parametrize("stage", ["plain", "obfuscated", "hardened", "push-sealed",
+                                   "multi-epilogue"])
+def test_attack_matches_references_on_corpora(stage, corpus, obfuscated, hardened,
+                                              multi_epilogue_corpus):
+    image = {
+        "plain": lambda: corpus[0],
+        "obfuscated": lambda: obfuscated[0],
+        "hardened": lambda: hardened[0],
+        "push-sealed": lambda: encrypt_pushes(*obfuscated[:2], KEY)[0],
+        "multi-epilogue": lambda: obfuscate_returns(*multi_epilogue_corpus, KEY)[0],
+    }[stage]()
+    result = _check_attack(image)
+    assert (len(result.sites) == 0) == (stage == "plain")
+
+
+R = RegisterList.of
+
+
+def _code(*insns):
+    return b"".join(encode(insn) for insn in insns)
+
+
+def test_adjacent_sites_leave_an_empty_segment():
+    """The second site's symmetry crosses the empty segment between the two
+    regions; its liveness finds no body in it."""
+    data = bytearray(_code(Push(R("r4", "lr")), MovImm(4, 1)) + bytes(60))
+    assert plant_signature(data, DEFAULT_BASE, 4, 0, 0)
+    first = find_trampolines(FirmwareImage(DEFAULT_BASE, bytes(data)))[0]
+    assert plant_signature(data, DEFAULT_BASE, first.resume - DEFAULT_BASE, 0, 0)
+    image = FirmwareImage(DEFAULT_BASE, bytes(data))
+    assert ImageView(image).segments[1] == (first.resume, first.resume)
+    result = _check_attack(image)
+    second = result.sites[1].core
+    sym = result.predictions_at("symmetry")[second]
+    assert sym.reglist == R("r4", "pc")
+    assert sym.confidence == pytest.approx(
+        1 - 0.5 * (second - DEFAULT_BASE) / SYMMETRY_WINDOW - 0.1)
+    live = result.predictions_at("liveness")[second]
+    assert not live.ok and live.reason == "no function body precedes site"
+
+
+def test_site_at_the_image_base():
+    data = bytearray(64)
+    assert plant_signature(data, DEFAULT_BASE, 0, 0, 0)
+    image = FirmwareImage(DEFAULT_BASE, bytes(data))
+    assert ImageView(image).segments[0] == (DEFAULT_BASE, DEFAULT_BASE)
+    result = _check_attack(image)
+    reasons = [result.predictions[m][0].reason for m in ("symmetry", "liveness")]
+    assert reasons == ["no push-with-lr within window", "no function body precedes site"]
+
+
+def test_wide_instruction_straddling_a_site_core():
+    """A push.w prefix just before a core would read the signature's first
+    halfword as its register list; clipped at the core, it is junk."""
+    data = bytearray(_code(MovImm(4, 1), MovImm(5, 2)) + (0xE92D).to_bytes(2, "little")
+                     + bytes(40))
+    assert plant_signature(data, DEFAULT_BASE, 6, 0, 0)
+    image = FirmwareImage(DEFAULT_BASE, bytes(data))
+    assert decode(image.data, 4, DEFAULT_BASE + 4)[0] == Push(R("r0", "r1", "r11", "lr"))
+    view = ImageView(image)
+    assert view.decode_at(DEFAULT_BASE + 4, DEFAULT_BASE + 6) == (Unknown(0), 2)
+    assert view.summary(0).tail[-1] == DEFAULT_BASE + 4
+    result = _check_attack(image)
+    assert not result.predictions["symmetry"][0].ok
+    live = result.predictions["liveness"][0]
+    assert (live.reglist, live.confidence) == (R("r4", "r5", "pc"), CONF_REGION)
+
+
+@pytest.mark.parametrize("crossing", [False, True], ids=["same-segment", "crossing"])
+@pytest.mark.parametrize("back", [SYMMETRY_WINDOW, SYMMETRY_WINDOW + 2])
+def test_symmetry_window_edge(back, crossing):
+    """A push-with-lr exactly SYMMETRY_WINDOW bytes back counts; 2 bytes
+    further it does not, in the site's own segment or across a region."""
+    core = 4 + back
+    data = bytearray(_code(MovImm(0, 1)) * ((core + 40) // 2))
+    data[4:6] = encode(Push(R("r4", "lr")))
+    if crossing:
+        assert plant_signature(data, DEFAULT_BASE, 200, 0, 0)
+    assert plant_signature(data, DEFAULT_BASE, core, 0, 0)
+    result = _check_attack(FirmwareImage(DEFAULT_BASE, bytes(data)))
+    pred = result.predictions_at("symmetry")[DEFAULT_BASE + core]
+    if back > SYMMETRY_WINDOW:
+        assert not pred.ok
+    else:
+        assert pred.reglist == R("r4", "pc")
+        assert pred.confidence == pytest.approx(0.5 - 0.1 * crossing)
+
+
+@pytest.mark.parametrize("back", [LIVENESS_WINDOW, LIVENESS_WINDOW + 2])
+def test_liveness_walk_window_edge(back):
+    """The walk enters a crossed segment that starts exactly LIVENESS_WINDOW
+    before the site, and stops at one that starts 2 bytes further."""
+    data = bytearray(_code(MovImm(6, 1)) * ((back + 40) // 2))
+    data[0:2] = encode(Push(R("r6", "lr")))
+    assert plant_signature(data, DEFAULT_BASE, 1000, 0, 0)
+    resume = find_trampolines(FirmwareImage(DEFAULT_BASE, bytes(data)))[0].resume - DEFAULT_BASE
+    data[resume:back] = _code(MovImm(4, 1)) * ((back - resume) // 2)
+    assert plant_signature(data, DEFAULT_BASE, back, 0, 0)
+    result = _check_attack(FirmwareImage(DEFAULT_BASE, bytes(data)))
+    pred = result.predictions_at("liveness")[DEFAULT_BASE + back]
+    if back > LIVENESS_WINDOW:
+        assert (pred.reglist, pred.confidence) == (R("r4", "pc"), CONF_REGION)
+    else:
+        assert (pred.reglist, pred.confidence) == (R("r4", "r6", "pc"), CONF_EXTENDED)
+
+
+def test_summary_of_a_trailing_wide_prefix():
+    image = FirmwareImage(DEFAULT_BASE, _code(MovImm(4, 1)) + (0xE92D).to_bytes(2, "little"))
+    summary = ImageView(image).summary(0)
+    assert summary == ref.segment_summary(image, image.base, image.end)
+    assert (summary.pushes, summary.written, summary.tail) == (
+        [], R("r4").mask, [DEFAULT_BASE, DEFAULT_BASE + 2])
+
+
+def test_effect_table_matches_the_decoder():
+    """Sweeping every narrow halfword once fills the whole table."""
+    image = FirmwareImage(DEFAULT_BASE, b"".join(hw.to_bytes(2, "little") for hw in range(0xE800)))
+    ImageView(image).summary(0)
+    for hw in range(0xE800):
+        assert _NARROW_EFFECTS[hw] == _effect(decode(hw.to_bytes(2, "little"))[0]), hex(hw)
+
+
 @given(st.integers(0, 12), st.integers(0, 2**16), st.booleans(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_lift_matches_reference_and_lays_out_the_image(count, seed, obfuscate, data):
@@ -146,21 +310,33 @@ SMALL, LARGE = 200, 2000
 MAX_GROWTH = 30
 
 
+def _junk_image(size, seed):
+    """Random bytes of ``size`` with a signature planted about every 400."""
+    rng = random.Random(seed)
+    data = bytearray(rng.randbytes(size))
+    for off in range(0, size - 400, 400):
+        plant_signature(data, DEFAULT_BASE, off + 2 * rng.randrange(100), rng.randrange(256),
+                        rng.getrandbits(32))
+    return FirmwareImage(DEFAULT_BASE, bytes(data))
+
+
 @pytest.fixture(scope="module")
 def sized_images():
+    """(plain image, manifest, obfuscated image, junk of the obfuscated size)."""
     out = {}
     for count in (SMALL, LARGE):
         image, manifest = generate_corpus(CorpusParams(function_count=count, seed=1))
         obf, _, _ = obfuscate_returns(image, manifest, KEY)
-        out[count] = (image, manifest, obf)
+        out[count] = (image, manifest, obf, _junk_image(len(obf.data), count))
     return out
 
 
 STAGES = {
-    "lift": lambda image, manifest, obf: lift(image, manifest),
-    "baseline_plain": lambda image, manifest, obf: baseline_gadget_scan(image),
-    "baseline_obfuscated": lambda image, manifest, obf: baseline_gadget_scan(obf),
-    "run_attack": lambda image, manifest, obf: run_attack(obf),
+    "lift": lambda image, manifest, obf, junk: lift(image, manifest),
+    "baseline_plain": lambda image, manifest, obf, junk: baseline_gadget_scan(image),
+    "baseline_obfuscated": lambda image, manifest, obf, junk: baseline_gadget_scan(obf),
+    "run_attack": lambda image, manifest, obf, junk: run_attack(obf),
+    "run_attack_junk": lambda image, manifest, obf, junk: run_attack(junk),
 }
 
 
