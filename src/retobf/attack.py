@@ -425,12 +425,19 @@ class GadgetCandidate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GadgetCandidate":
+        """Raises ValueError unless ``stack_delta`` is a non-negative
+        multiple of 4 and ``pc_slot_index`` is None or one of its words."""
+        delta, slot = obj["stack_delta"], obj["pc_slot_index"]
+        if type(delta) is not int or delta < 0 or delta % 4:
+            raise ValueError(f"stack_delta {delta!r} is not a non-negative multiple of 4")
+        if slot is not None and (type(slot) is not int or not 0 <= slot < delta // 4):
+            raise ValueError(f"pc_slot_index {slot!r} is not one of {delta // 4} stack words")
         return cls(
             start=int(obj["start"], 16),
             site_address=int(obj["site"], 16),
             instructions=obj["instructions"],
-            stack_delta=obj["stack_delta"],
-            pc_slot_index=obj["pc_slot_index"],
+            stack_delta=delta,
+            pc_slot_index=slot,
         )
 
 

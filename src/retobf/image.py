@@ -102,9 +102,11 @@ class FirmwareImage:
     """Flash contents at ``base`` plus the RAM map they boot into.
 
     The image is frozen and ``data`` is kept as immutable ``bytes``, so its
-    two memos never go stale: ``decoded``, the interpreter's
-    ``pc -> (instruction, length)`` map of the flash addresses it has
-    fetched, and ``boot_plans``, the boot pass's per-key scan of the image
+    three memos never go stale.  The interpreter's two (touched only by
+    ``machine``) are ``decoded``, its ``pc -> (instruction, length)`` map of
+    the flash addresses it has fetched, and ``blocks``, its
+    ``pc -> (ops, end)`` map of the straight runs of flash code it has
+    compiled.  ``boot_plans`` is the boot pass's per-key scan of the image
     (written only by ``obfuscation.boot_scan``).
     """
 
@@ -113,6 +115,7 @@ class FirmwareImage:
     sram_base: int = DEFAULT_SRAM_BASE
     table_base: int = DEFAULT_TABLE_BASE
     decoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     boot_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -55,6 +55,12 @@ class TruncatedStreamError(IsaError):
     """Fewer bytes remain than the encoding at this position requires."""
 
 
+#: The set bits of each byte value, as register indices of a mask's low
+#: byte (r0-r7) and high byte (r8-pc).
+_LOW_INDICES = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+_HIGH_INDICES = tuple(tuple(i + 8 for i in low) for low in _LOW_INDICES)
+
+
 @dataclass(frozen=True, order=True)
 class RegisterList:
     """Ordered register set for push/pop, kept as a 16-bit mask.
@@ -109,7 +115,7 @@ class RegisterList:
         return self.mask == 0
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(16) if self.mask & (1 << i))
+        return _LOW_INDICES[self.mask & 0xFF] + _HIGH_INDICES[self.mask >> 8]
 
     def names(self) -> tuple[str, ...]:
         return tuple(REG_NAMES[i] for i in self.indices())

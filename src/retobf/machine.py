@@ -12,14 +12,20 @@ read-write scratch RAM region, laid out by the image's RAM map
 from the table base up to ``stack_limit``, holds the rebuilt instruction
 table.  Execution is allowed from flash and from that table region only.
 
-Flash is read-only, so each flash address is decoded once, into the image's
-``decoded`` map, and reused by every state of that image.  The table region
-is RAM: it is decoded from the state's current bytes on every fetch.
+Flash is read-only, so the interpreter keeps two memos on the image, shared
+by every state of that image and never stale: ``decoded``, each fetched
+flash address's ``(instruction, length)``, and ``blocks``, each straight run
+of flash code compiled to ops (``pc -> (ops, end)``).  An untraced run
+executes a block at a time; traced runs, blocks that would overrun the step
+budget and fetches that fault or decode to ``Unknown`` are stepped.  The
+table region is RAM: it is stepped, decoded from the state's current bytes
+on every fetch.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 
 from . import isa
@@ -88,6 +94,8 @@ class MachineState:
     #: ``pc -> (instruction, length)`` for fetched flash addresses; shared
     #: with every state of the same image.
     flash_decoded: dict = field(default_factory=dict, repr=False)
+    #: ``pc -> (ops, end)`` for flash blocks run; shared likewise.
+    flash_blocks: dict = field(default_factory=dict, repr=False)
 
     @property
     def pc(self) -> int:
@@ -167,6 +175,7 @@ def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> Mach
         stack_limit=image.stack_limit,
         stack_top=image.stack_top,
         flash_decoded=image.decoded,
+        flash_blocks=image.blocks,
     )
     if table is not None:
         table.install(state)
@@ -212,158 +221,231 @@ def _interwork_target(value: int) -> int:
     return value & ~1
 
 
-# Instruction handlers: each executes one instruction fetched at ``pc`` and
-# returns the next pc (``next_pc`` unless the instruction branches).
+#: ``struct`` layouts of 0..16 little-endian words, for push and pop.
+_WORDS = tuple(struct.Struct(f"<{n}I") for n in range(17))
 
 
-def _push(state: MachineState, insn: isa.Push, pc: int, next_pc: int) -> int:
+# Handlers: the instructions that touch memory or may fault.  Each takes the
+# state and the argument its op carries; one that branches returns the next
+# pc.  The caller has set pc to the instruction's address, so a fault leaves
+# pc there.
+
+
+def _invalid(state: MachineState, detail: str) -> None:
+    raise MachineFault(FaultKind.INVALID, detail)
+
+
+def _push(state: MachineState, regs_pushed: tuple[int, ...]) -> None:
+    regs, n = state.regs, len(regs_pushed)
+    sp = regs[isa.SP] = (regs[isa.SP] - 4 * n) & MASK32
+    _check_sp(state)
+    lo = sp - state.sram_base
+    if lo + 4 * n <= len(state.sram):
+        _WORDS[n].pack_into(state.sram, lo, *[regs[r] for r in regs_pushed])
+    else:  # the words run past RAM: write them in order up to the fault
+        for i, reg in enumerate(regs_pushed):
+            state.write(sp + 4 * i, 4, regs[reg])
+
+
+def _pop(state: MachineState, arg: tuple[tuple[int, ...], bool]) -> int | None:
+    regs_popped, to_pc = arg
+    regs, n = state.regs, len(regs_popped) + to_pc
+    sp = regs[isa.SP]
+    lo = sp - state.sram_base
+    if 0 <= lo and lo + 4 * n <= len(state.sram):
+        values = _WORDS[n].unpack_from(state.sram, lo)
+    else:
+        values = [state.read(sp + 4 * i, 4) for i in range(n)]
+    regs[isa.SP] = (sp + 4 * n) & MASK32
+    _check_sp(state)
+    for reg, value in zip(regs_popped, values):
+        regs[reg] = value
+    return _interwork_target(values[-1]) if to_pc else None
+
+
+def _bx_lr(state: MachineState, arg: None) -> int:
+    return _interwork_target(state.regs[isa.LR])
+
+
+def _ldr_literal(state: MachineState, addr: int) -> None:
+    state.regs[0] = state.read(addr, 4)
+
+
+def _str_sp_rel(state: MachineState, arg: tuple[int, int]) -> None:
+    rt, offset = arg
+    state.write(state.regs[isa.SP] + offset, 4, state.regs[rt])
+
+
+def _ldr_sp_rel(state: MachineState, arg: tuple[int, int]) -> None:
+    rt, offset = arg
+    state.regs[rt] = state.read(state.regs[isa.SP] + offset, 4)
+
+
+def _move_sp(state: MachineState, delta: int) -> None:
+    state.regs[isa.SP] = (state.regs[isa.SP] + delta) & MASK32
+    _check_sp(state)
+
+
+# Op kinds.  Register ops run inline in ``_execute`` (a ``_NOP`` matches
+# none of its tests); ``_CALL`` and ``_JUMP`` ops, ``(kind, pc, handler,
+# arg, index)``, run a handler, and a ``_JUMP`` handler branches.  ``index``
+# is the op's place in its block.
+_SET, _SUB, _ADD, _MOV, _CALL, _JUMP, _ADDI, _MOV_PC, _BL, _B, _NOP = range(11)
+#: The kinds that branch, and so end a block.
+_BRANCHES = frozenset((_BL, _B, _MOV_PC, _JUMP))
+
+
+def _ldr_literal_op(state: MachineState, insn: isa.LdrLitR0, pc: int, index: int) -> tuple:
+    addr = ((pc + 4) & ~3) + insn.offset
+    if not state.in_flash(addr, 4):
+        return (_CALL, pc, _ldr_literal, addr, index)
+    return (_SET, 0, state.read(addr, 4))  # flash is read-only: a constant
+
+
+def _push_op(state: MachineState, insn: isa.Push, pc: int, index: int) -> tuple:
     if insn.regs.is_empty or insn.regs.has_pc:
-        raise MachineFault(FaultKind.INVALID, f"push {insn.regs}")
-    regs = insn.regs.indices()
-    state.sp = state.sp - 4 * len(regs)
-    _check_sp(state)
-    for i, reg in enumerate(regs):
-        state.write(state.sp + 4 * i, 4, state.regs[reg])
-    return next_pc
+        return (_CALL, pc, _invalid, f"push {insn.regs}", index)
+    return (_CALL, pc, _push, insn.regs.indices(), index)
 
 
-def _pop(state: MachineState, insn: isa.Pop, pc: int, next_pc: int) -> int:
+def _pop_op(state: MachineState, insn: isa.Pop, pc: int, index: int) -> tuple:
     if insn.regs.is_empty:
-        raise MachineFault(FaultKind.INVALID, "pop {}")
-    regs = insn.regs.indices()
-    values = [state.read(state.sp + 4 * i, 4) for i in range(len(regs))]
-    state.sp = state.sp + 4 * len(regs)
-    _check_sp(state)
-    for reg, value in zip(regs, values):
-        if reg == isa.PC:
-            next_pc = _interwork_target(value)
-        else:
-            state.regs[reg] = value
-    return next_pc
+        return (_CALL, pc, _invalid, "pop {}", index)
+    popped, to_pc = insn.regs.indices(), insn.regs.has_pc
+    if to_pc:
+        popped = popped[:-1]  # pc, the highest register, is popped last
+    return (_JUMP if to_pc else _CALL, pc, _pop, (popped, to_pc), index)
 
 
-def _bx_lr(state: MachineState, insn: isa.BxLr, pc: int, next_pc: int) -> int:
-    return _interwork_target(state.lr)
-
-
-def _ldr_lit_r0(state: MachineState, insn: isa.LdrLitR0, pc: int, next_pc: int) -> int:
-    state.regs[0] = state.read(((pc + 4) & ~3) + insn.offset, 4)
-    return next_pc
-
-
-def _adds_imm_r0(state: MachineState, insn: isa.AddsImmR0, pc: int, next_pc: int) -> int:
-    state.regs[0] = (state.regs[0] + insn.imm) & MASK32
-    return next_pc
-
-
-def _mov_pc_r0(state: MachineState, insn: isa.MovPcR0, pc: int, next_pc: int) -> int:
-    # ALU writes to pc branch without interworking; bit 0 is dropped.
-    return state.regs[0] & ~1
-
-
-def _bl(state: MachineState, insn: isa.Bl, pc: int, next_pc: int) -> int:
-    state.lr = (pc + 4) | 1
-    return insn.target & ~1
-
-
-def _branch_w(state: MachineState, insn: isa.BranchW, pc: int, next_pc: int) -> int:
-    return insn.target & ~1
-
-
-def _mov_imm(state: MachineState, insn: isa.MovImm, pc: int, next_pc: int) -> int:
-    state.regs[insn.rd] = insn.imm
-    return next_pc
-
-
-def _mov_reg(state: MachineState, insn: isa.MovReg, pc: int, next_pc: int) -> int:
-    state.regs[insn.rd] = state.regs[insn.rm]
-    return next_pc
-
-
-def _add_reg(state: MachineState, insn: isa.AddReg, pc: int, next_pc: int) -> int:
-    state.regs[insn.rd] = (state.regs[insn.rn] + state.regs[insn.rm]) & MASK32
-    return next_pc
-
-
-def _sub_reg(state: MachineState, insn: isa.SubReg, pc: int, next_pc: int) -> int:
-    state.regs[insn.rd] = (state.regs[insn.rn] - state.regs[insn.rm]) & MASK32
-    return next_pc
-
-
-def _str_sp_rel(state: MachineState, insn: isa.StrSpRel, pc: int, next_pc: int) -> int:
-    state.write(state.sp + insn.offset, 4, state.regs[insn.rt])
-    return next_pc
-
-
-def _ldr_sp_rel(state: MachineState, insn: isa.LdrSpRel, pc: int, next_pc: int) -> int:
-    state.regs[insn.rt] = state.read(state.sp + insn.offset, 4)
-    return next_pc
-
-
-def _add_sp_imm(state: MachineState, insn: isa.AddSpImm, pc: int, next_pc: int) -> int:
-    state.sp = state.sp + insn.imm
-    _check_sp(state)
-    return next_pc
-
-
-def _sub_sp_imm(state: MachineState, insn: isa.SubSpImm, pc: int, next_pc: int) -> int:
-    state.sp = state.sp - insn.imm
-    _check_sp(state)
-    return next_pc
-
-
-def _nop(state: MachineState, insn: isa.Nop, pc: int, next_pc: int) -> int:
-    return next_pc
-
-
-#: The handler of each executable instruction type.  ``Unknown`` (and the
-#: emission-only ``RawWord``) have none: fetching one faults UNDECODABLE.
-HANDLERS = {
-    isa.Push: _push,
-    isa.Pop: _pop,
-    isa.BxLr: _bx_lr,
-    isa.LdrLitR0: _ldr_lit_r0,
-    isa.AddsImmR0: _adds_imm_r0,
-    isa.MovPcR0: _mov_pc_r0,
-    isa.Bl: _bl,
-    isa.BranchW: _branch_w,
-    isa.MovImm: _mov_imm,
-    isa.MovReg: _mov_reg,
-    isa.AddReg: _add_reg,
-    isa.SubReg: _sub_reg,
-    isa.StrSpRel: _str_sp_rel,
-    isa.LdrSpRel: _ldr_sp_rel,
-    isa.AddSpImm: _add_sp_imm,
-    isa.SubSpImm: _sub_sp_imm,
-    isa.Nop: _nop,
+#: The op builder of each executable instruction type:
+#: ``(state, insn, pc, index) -> op``.  ``Unknown`` (and the emission-only
+#: ``RawWord``) have none: fetching one faults UNDECODABLE.  The decoder
+#: keeps ``mov`` operands within r0-r12, so a ``_MOV`` never reads pc.
+OPS = {
+    isa.MovImm: lambda state, insn, pc, index: (_SET, insn.rd, insn.imm),
+    isa.MovReg: lambda state, insn, pc, index: (_MOV, insn.rd, insn.rm),
+    isa.AddReg: lambda state, insn, pc, index: (_ADD, insn.rd, insn.rn, insn.rm),
+    isa.SubReg: lambda state, insn, pc, index: (_SUB, insn.rd, insn.rn, insn.rm),
+    isa.AddsImmR0: lambda state, insn, pc, index: (_ADDI, 0, insn.imm),
+    isa.Nop: lambda state, insn, pc, index: (_NOP,),
+    isa.LdrLitR0: _ldr_literal_op,
+    isa.Bl: lambda state, insn, pc, index: (_BL, (pc + 4) | 1, insn.target & ~1),
+    isa.BranchW: lambda state, insn, pc, index: (_B, insn.target & ~1),
+    isa.MovPcR0: lambda state, insn, pc, index: (_MOV_PC,),
+    isa.Push: _push_op,
+    isa.Pop: _pop_op,
+    isa.BxLr: lambda state, insn, pc, index: (_JUMP, pc, _bx_lr, None, index),
+    isa.StrSpRel: lambda state, insn, pc, index: (
+        _CALL, pc, _str_sp_rel, (insn.rt, insn.offset), index),
+    isa.LdrSpRel: lambda state, insn, pc, index: (
+        _CALL, pc, _ldr_sp_rel, (insn.rt, insn.offset), index),
+    isa.AddSpImm: lambda state, insn, pc, index: (_CALL, pc, _move_sp, insn.imm, index),
+    isa.SubSpImm: lambda state, insn, pc, index: (_CALL, pc, _move_sp, -insn.imm, index),
 }
+
+
+def _execute(state: MachineState, ops: tuple, end: int) -> None:
+    """Run ``ops`` in order, then set pc to ``end`` or to the target of the
+    branch that ends them, counting one step per op.  On a fault, pc is at
+    the faulting instruction and ``step_count`` counts the ops before it."""
+    regs = state.regs
+    try:
+        for op in ops:
+            kind = op[0]
+            if kind == _SET:
+                regs[op[1]] = op[2]
+            elif kind == _SUB:
+                regs[op[1]] = (regs[op[2]] - regs[op[3]]) & MASK32
+            elif kind == _ADD:
+                regs[op[1]] = (regs[op[2]] + regs[op[3]]) & MASK32
+            elif kind == _MOV:
+                regs[op[1]] = regs[op[2]]
+            elif kind == _CALL:
+                regs[isa.PC] = op[1]
+                op[2](state, op[3])
+            elif kind == _JUMP:
+                regs[isa.PC] = op[1]
+                end = op[2](state, op[3])
+            elif kind == _ADDI:
+                regs[op[1]] = (regs[op[1]] + op[2]) & MASK32
+            elif kind == _MOV_PC:
+                # ALU writes to pc branch without interworking; bit 0 is dropped.
+                end = regs[0] & ~1
+            elif kind == _BL:
+                regs[isa.LR] = op[1]
+                end = op[2]
+            elif kind == _B:
+                end = op[1]
+    except MachineFault:
+        state.step_count += op[4]
+        raise
+    regs[isa.PC] = end & MASK32
+    state.step_count += len(ops)
 
 
 def step(state: MachineState) -> Instruction:
     """Execute one instruction, mutating ``state``; returns the instruction."""
     pc = state.regs[isa.PC]
     insn, length = _fetch(state, pc)
-    handler = HANDLERS.get(type(insn))
-    if handler is None:
+    build = OPS.get(type(insn))
+    if build is None:
         raise MachineFault(FaultKind.UNDECODABLE, f"at 0x{pc:08x}: {insn.text()}")
-    state.regs[isa.PC] = handler(state, insn, pc, pc + length) & MASK32
-    state.step_count += 1
+    _execute(state, (build(state, insn, pc, 0),), pc + length)
     return insn
 
 
+#: The block of a pc that is not flash code: step it.
+_STEP = ((), 0)
+
+
+def _block_at(state: MachineState, pc: int) -> tuple[tuple, int]:
+    """The ops of the straight run of flash code from ``pc`` up to and
+    including its first branch, and the address after the run.  The run
+    stops early before an instruction that ends flash, faults on fetch or
+    has no op, and before ``SENTINEL``.  Flash blocks go into the image's
+    block memo; a pc outside flash gets ``_STEP``."""
+    if pc % 2 or not state.in_flash(pc, 2):
+        return _STEP
+    ops: list = []
+    addr = pc
+    while state.in_flash(addr, 2):
+        try:
+            insn, length = _fetch(state, addr)
+        except MachineFault:
+            break
+        build = OPS.get(type(insn))
+        if build is None:
+            break
+        ops.append(build(state, insn, addr, len(ops)))
+        addr += length
+        if ops[-1][0] in _BRANCHES or addr == SENTINEL:
+            break
+    block = state.flash_blocks[pc] = (tuple(ops), addr)
+    return block
+
+
 def _run(state: MachineState, budget: int, trace: list[TraceEvent] | None = None) -> None:
-    """Step ``state`` until control reaches ``SENTINEL``, appending one event
+    """Run ``state`` until control reaches ``SENTINEL``, appending one event
     per step to ``trace`` when given.  Raises ``MachineFault`` on any fault,
-    including exhausting the step budget."""
+    including exhausting the step budget.
+
+    An untraced run executes a flash block at a time while the whole block
+    fits the budget; it steps table code, blocks that would overrun the
+    budget, and instructions that fault on fetch or have no op."""
     regs = state.regs
-    while regs[isa.PC] != SENTINEL:
+    blocks = state.flash_blocks
+    while (pc := regs[isa.PC]) != SENTINEL:
+        if trace is None:
+            ops, end = blocks.get(pc) or _block_at(state, pc)
+            if ops and state.step_count + len(ops) <= budget:
+                _execute(state, ops, end)
+                continue
         if state.step_count >= budget:
             raise MachineFault(FaultKind.BUDGET, f"after {budget} steps")
-        if trace is None:
-            step(state)
-        else:
-            pc, sp = state.pc, state.sp
-            trace.append(TraceEvent(pc, step(state), sp))
+        sp = regs[isa.SP]
+        insn = step(state)
+        if trace is not None:
+            trace.append(TraceEvent(pc, insn, sp))
 
 
 @dataclass
@@ -408,8 +490,11 @@ def check_gadget(image, table, start: int, stack_delta: int, pc_slot_index: int 
     the designated slot (or lr, for bx-lr gadgets) receives the sentinel,
     and the candidate passes when control reaches the sentinel with sp
     advanced by exactly ``stack_delta`` within ``GADGET_STEP_BUDGET`` steps.
+    It fails when the seeded words do not fit the stack.
     """
     state = make_state(image, table)
+    if not 0 <= stack_delta <= state.stack_top - state.stack_limit:
+        return False
     words = stack_delta // 4
     state.sp = state.stack_top - stack_delta
     for i in range(words):

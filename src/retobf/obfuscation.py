@@ -118,6 +118,9 @@ class RotationPlan:
         return len(self.regs) + 1
 
 
+_LR_BIT, _PC_BIT = 1 << isa.LR, 1 << isa.PC
+
+
 def plan_rotation(regs: RegisterList, position: int) -> RotationPlan:
     """Build the split pop/push sequences placing the return address at
     ``position``.
@@ -126,26 +129,19 @@ def plan_rotation(regs: RegisterList, position: int) -> RotationPlan:
     split keeps every emitted register list ascending, hence encodable.
     """
     regs = regs.without_flags()
-    n = len(regs)
+    indices = regs.indices()
+    n = len(indices)
     if not 0 <= position <= n:
         raise HardenError(f"position {position} out of range for {n} registers")
-    lr = RegisterList.of("lr")
-    pc = RegisterList.of("pc")
     if position == n:
-        return RotationPlan(regs, position, [Pop(regs.union(pc))], [Push(regs.union(lr))])
-    names = regs.indices()
-    split = n - position
-    head = RegisterList.of(*names[:split])
-    tail = RegisterList.of(*names[split:])
-    pop_seq: list = [Pop(tail.union(lr))]
-    if not head.is_empty:
-        pop_seq.append(Pop(head))
-    pop_seq.append(BxLr())
-    push_seq = []
-    if not head.is_empty:
-        push_seq.append(Push(head))
-    push_seq.append(Push(tail.union(lr)))
-    return RotationPlan(regs, position, pop_seq, push_seq)
+        return RotationPlan(regs, position, [Pop(RegisterList(regs.mask | _PC_BIT))],
+                            [Push(RegisterList(regs.mask | _LR_BIT))])
+    # The head, never empty here, is the n - position lowest registers.
+    head_mask = regs.mask & ((1 << indices[n - position]) - 1) if position else regs.mask
+    head = RegisterList(head_mask)
+    tail_lr = RegisterList(regs.mask & ~head_mask | _LR_BIT)
+    return RotationPlan(regs, position, [Pop(tail_lr), Pop(head), BxLr()],
+                        [Push(head), Push(tail_lr)])
 
 
 def rotation_plans(insn) -> list[RotationPlan]:

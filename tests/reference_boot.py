@@ -8,15 +8,15 @@ the same tables, in JSON and in RAM bytes, whatever order they run in.
 
 import random
 
-from retobf.isa import BranchW, EncodingError, Push, encode
+from retobf.isa import BranchW, BxLr, EncodingError, Pop, Push, RegisterList, encode
 from retobf.obfuscation import (
     TABLE_STRIDE,
     HardenError,
     IntegrityError,
+    RotationPlan,
     TableCapacityError,
     check_key,
     decode_sealed,
-    plan_rotation,
     scan_trampolines,
 )
 
@@ -64,6 +64,31 @@ class ReferenceTable:
         }
 
 
+def reference_plan_rotation(regs: RegisterList, position: int) -> RotationPlan:
+    """``plan_rotation`` built from register names, list by list."""
+    regs = regs.without_flags()
+    n = len(regs)
+    if not 0 <= position <= n:
+        raise HardenError(f"position {position} out of range for {n} registers")
+    lr = RegisterList.of("lr")
+    pc = RegisterList.of("pc")
+    if position == n:
+        return RotationPlan(regs, position, [Pop(regs.union(pc))], [Push(regs.union(lr))])
+    names = regs.indices()
+    split = n - position
+    head = RegisterList.of(*names[:split])
+    tail = RegisterList.of(*names[split:])
+    pop_seq: list = [Pop(tail.union(lr))]
+    if not head.is_empty:
+        pop_seq.append(Pop(head))
+    pop_seq.append(BxLr())
+    push_seq = []
+    if not head.is_empty:
+        push_seq.append(Push(head))
+    push_seq.append(Push(tail.union(lr)))
+    return RotationPlan(regs, position, pop_seq, push_seq)
+
+
 def _scan(image, key):
     check_key(key)
     sightings = sorted(scan_trampolines(image.data, image.base), key=lambda s: s.entry_address)
@@ -102,7 +127,8 @@ def reference_rotated_table(image, manifest, key, seed) -> ReferenceTable:
             {"fn": fn, "slots": len(regs) + 1, "position": position, "regs": list(regs.names())}
         )
     plans = {
-        d["fn"]: plan_rotation(pushes[d["fn"]], d["position"]) for d in table.draws if d["slots"]
+        d["fn"]: reference_plan_rotation(pushes[d["fn"]], d["position"])
+        for d in table.draws if d["slots"]
     }
     for sighting, insn in scanned:
         rec = records[sighting.core]

@@ -3,9 +3,10 @@
 It decodes every fetch afresh from the state's bytes, dispatches through an
 ``isinstance`` chain, installs a table entry by entry and seeds the caller
 stack word by word, as the interpreter did before it kept a flash decode
-map, a per-table RAM image and a handler table.  ``reference_run`` drives it
-exactly like ``machine.call``, but returns the final state and the fault
-kind instead of raising, so faulting runs can be compared too.
+map, a per-table RAM image, flash blocks and an op table.  ``reference_run``
+drives it exactly like ``machine.call``, but returns the final state and the
+fault kind instead of raising, so faulting runs can be compared too;
+``reference_check_gadget`` drives it like ``machine.check_gadget``.
 """
 
 from retobf import isa
@@ -13,6 +14,8 @@ from retobf.image import SRAM_SIZE
 from retobf.isa import decode
 from retobf.machine import (
     CALLER_STACK_BYTES,
+    GADGET_FILLER,
+    GADGET_STEP_BUDGET,
     MASK32,
     SENTINEL,
     FaultKind,
@@ -139,6 +142,18 @@ def reference_step(state: MachineState):
     return insn
 
 
+def _reference_loop(state: MachineState, budget: int):
+    """Step until pc reaches ``SENTINEL``; returns the fault kind or None."""
+    try:
+        while state.pc != SENTINEL:
+            if state.step_count >= budget:
+                raise MachineFault(FaultKind.BUDGET, f"after {budget} steps")
+            reference_step(state)
+    except MachineFault as exc:
+        return exc.kind
+    return None
+
+
 def reference_run(image, table, entry: int, regs: dict[int, int], budget: int):
     """Run like ``machine.call``; returns (final state, fault kind or None)."""
     state = reference_state(image, table, regs)
@@ -147,11 +162,22 @@ def reference_run(image, table, entry: int, regs: dict[int, int], budget: int):
         state.write(state.sp + 4 * i, 4, 0xCA000000 + i)
     state.lr = SENTINEL | 1
     state.pc = entry & ~1
-    try:
-        while state.pc != SENTINEL:
-            if state.step_count >= budget:
-                raise MachineFault(FaultKind.BUDGET, f"after {budget} steps")
-            reference_step(state)
-    except MachineFault as exc:
-        return state, exc.kind
-    return state, None
+    return state, _reference_loop(state, budget)
+
+
+def reference_check_gadget(image, table, start: int, stack_delta: int,
+                           pc_slot_index: int | None):
+    """Run like ``machine.check_gadget``; returns (final state, passed)."""
+    state = reference_state(image, table)
+    if not 0 <= stack_delta <= state.stack_top - state.stack_limit:
+        return state, False
+    state.sp = state.stack_top - stack_delta
+    for i in range(stack_delta // 4):
+        value = (SENTINEL | 1) if i == pc_slot_index else (GADGET_FILLER + i)
+        state.write(state.sp + 4 * i, 4, value)
+    if pc_slot_index is None:
+        state.lr = SENTINEL | 1
+    sp0 = state.sp
+    state.pc = start & ~1
+    fault = _reference_loop(state, GADGET_STEP_BUDGET)
+    return state, fault is None and state.sp == sp0 + stack_delta

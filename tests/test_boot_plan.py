@@ -12,10 +12,16 @@ from retobf import obfuscation
 from retobf.harden import HardenError, build_rotated_table, harden
 from retobf.image import CorpusParams, FirmwareImage, Manifest, generate_corpus
 from retobf.isa import Pop, Push, RegisterList, encode
-from retobf.obfuscation import IntegrityError, TableCapacityError, build_table, encrypt_bytes
+from retobf.obfuscation import (
+    IntegrityError,
+    TableCapacityError,
+    build_table,
+    encrypt_bytes,
+    plan_rotation,
+)
 
 from conftest import KEY, crafted_images
-from reference_boot import reference_rotated_table, reference_table
+from reference_boot import reference_plan_rotation, reference_rotated_table, reference_table
 
 
 def _fresh(image: FirmwareImage) -> FirmwareImage:
@@ -182,3 +188,16 @@ def test_fifty_boots_scan_once_and_encode_each_entry_once(hardened, monkeypatch)
     ]
     assert len(encoded) == len(set(encoded))
     assert len(encoded) < sum(len(t.entries) for t in tables)
+
+
+def test_rotation_plans_equal_the_reference_for_every_register_set():
+    """Every r4-r11 register set, with or without lr, at every position:
+    the mask-built plan equals the one built list by list."""
+    for mask in range(1 << 8):
+        for flags in (0, RegisterList.of("lr").mask):
+            regs = RegisterList(mask << 4 | flags)
+            for position in range(len(regs.without_flags()) + 1):
+                assert plan_rotation(regs, position) == reference_plan_rotation(regs, position)
+            for position in (-1, len(regs.without_flags()) + 1):
+                with pytest.raises(HardenError):
+                    plan_rotation(regs, position)

@@ -13,7 +13,7 @@ import pytest
 
 import retobf
 from retobf import cli
-from retobf.attack import run_attack
+from retobf.attack import GadgetCandidate, run_attack
 from retobf.cli import _equivalence_suite, _gadget_check, main
 from retobf.image import MAX_IMAGE_SIZE, load
 from retobf.obfuscation import build_table
@@ -312,6 +312,52 @@ def test_eval_rejects_malformed_attack_report(workdir, tmp_path, capsys):
                    "--out", str(tmp_path / "ev4"), "--key", KEY) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed attack report") and err.count("\n") == 1
+
+
+
+@pytest.mark.parametrize("edit", [
+    {"stack_delta": "8"}, {"stack_delta": -4},
+    {"stack_delta": 6}, {"stack_delta": True}, {"stack_delta": 4.0},
+    {"stack_delta": 8, "pc_slot_index": 2}, {"stack_delta": 8, "pc_slot_index": -1},
+    {"stack_delta": 8, "pc_slot_index": "1"}, {"stack_delta": 0, "pc_slot_index": 0},
+], ids=lambda edit: "-".join(f"{k}={v!r}" for k, v in edit.items()))
+def test_eval_rejects_a_tampered_gadget_line(workdir, tmp_path, capsys, edit):
+    """A gadget line whose stack delta is not a non-negative multiple of 4,
+    or whose pc slot is not one of its words, ends in one error line; the
+    gadget check never runs on it."""
+    shutil.copy(workdir / "atk.attack.json", tmp_path / "bad.attack.json")
+    lines = (workdir / "atk.gadgets.jsonl").read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **edit})
+    (tmp_path / "bad.gadgets.jsonl").write_text("\n".join(lines) + "\n")
+    assert run("eval", "--plain", str(workdir / "corpus"),
+               "--image", str(workdir / "obf"), "--attack", str(tmp_path / "bad"),
+               "--out", str(tmp_path / "ev"), "--key", KEY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed attack report") and err.count("\n") == 1
+
+
+def test_eval_fails_gadgets_too_deep_for_the_stack(workdir, tmp_path, capsys):
+    """Gadget lines asking for more stack words than the stack holds are
+    well formed: each sampled one fails its check instead of faulting."""
+    shutil.copy(workdir / "atk.attack.json", tmp_path / "deep.attack.json")
+    lines = [json.dumps({**json.loads(line), "stack_delta": 100000})
+             for line in (workdir / "atk.gadgets.jsonl").read_text().splitlines()]
+    (tmp_path / "deep.gadgets.jsonl").write_text("\n".join(lines) + "\n")
+    assert run("eval", "--plain", str(workdir / "corpus"),
+               "--image", str(workdir / "obf"), "--attack", str(tmp_path / "deep"),
+               "--out", str(tmp_path / "ev"), "--key", KEY, "--format", "json") == 0
+    check = json.loads((tmp_path / "ev.eval.json").read_text())["gadget_check"]
+    assert check == {"sampled": min(25, len(lines)), "passed": 0}
+    assert capsys.readouterr().err.count("stack delta 100000) failed") == check["sampled"]
+
+
+def test_every_emitted_gadget_line_reads_back(workdir):
+    """The attack's own candidates meet the rules a gadget line is read
+    under, so a report the attack wrote always loads."""
+    lines = (workdir / "atk.gadgets.jsonl").read_text().splitlines()
+    assert lines
+    for line in lines:
+        assert GadgetCandidate.from_json(json.loads(line)).to_json() == json.loads(line)
 
 
 def _edited_corpus(tmp_path, edit, functions=20):

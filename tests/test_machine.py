@@ -1,30 +1,38 @@
 """Interpreter tests: stack semantics, faults, determinism, equivalence,
-and the fast path (flash decode map, per-table RAM image, handler table)
-against a reference stepper."""
+and the fast path (flash decode map, flash blocks, per-table RAM image, op
+table) against a reference stepper."""
 
 import pytest
 from conftest import KEY, crafted_images
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_machine import reference_run
+from reference_machine import reference_check_gadget, reference_run, reference_step
 
 from retobf import isa, machine
+from retobf.attack import run_attack
 from retobf.harden import build_rotated_table
 from retobf.image import STACK_RESERVE, FirmwareImage
 from retobf.isa import (
+    AddReg,
     AddSpImm,
     Bl,
     BxLr,
+    LdrLitR0,
+    LdrSpRel,
     MovImm,
+    MovReg,
     Nop,
     Pop,
     Push,
     RegisterList,
+    StrSpRel,
+    SubSpImm,
     encode,
 )
 from retobf.machine import (
     CALLER_STACK_BYTES,
     GADGET_STEP_BUDGET,
+    SENTINEL,
     FaultKind,
     MachineFault,
     call,
@@ -276,9 +284,9 @@ def test_install_refuses_a_table_crossing_the_stack_limit():
 # -- fast path against the reference stepper ---------------------------------
 
 
-def _fast_run(image, table, entry, regs, budget):
-    """``call`` returning (final state, fault kind or None): the state is
-    caught from ``make_state``, as a tracer would."""
+def _caught(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` returning (final state, fault kind or None,
+    result): the state is caught from ``make_state``, as a tracer would."""
     states = []
 
     def spy(*args, **kwargs):
@@ -287,12 +295,18 @@ def _fast_run(image, table, entry, regs, budget):
 
     real, machine.make_state = machine.make_state, spy
     try:
-        call(image, table, entry, regs, budget=budget, keep_trace=False)
+        result = run(*args, **kwargs)
     except MachineFault as exc:
-        return states[0], exc.kind
+        return states[0], exc.kind, None
     finally:
         machine.make_state = real
-    return states[0], None
+    return states[0], None, result
+
+
+def _fast_run(image, table, entry, regs, budget):
+    """``call`` returning (final state, fault kind or None)."""
+    state, fault, _ = _caught(call, image, table, entry, regs, budget=budget, keep_trace=False)
+    return state, fault
 
 
 def _assert_same_as_reference(image, table, entry, regs, budget):
@@ -395,3 +409,157 @@ def test_image_keeps_its_bytes_when_the_source_buffer_changes(edits):
         assert isinstance(img.data, bytes) and img.data == code.data
         assert got.trace_lines() == want.trace_lines()
         assert got.state.regs == want.state.regs
+
+
+def _steps_to_finish(image, table, entry, regs) -> int:
+    state, _ = reference_run(image, table, entry, regs, budget=10_000)
+    return state.step_count
+
+
+def _assert_same_at_every_budget(image, table, entry, regs):
+    """Budgets from 0 to one past the reference run's length cut the run
+    before, inside and after every block; a large one lets every block run
+    whole."""
+    for budget in [*range(_steps_to_finish(image, table, entry, regs) + 2), 10_000]:
+        _assert_same_as_reference(image, table, entry, regs, budget)
+
+
+@pytest.mark.parametrize("which", ["plain", "obfuscated", "hardened"])
+def test_every_budget_matches_reference(corpus, obfuscated, hardened, which):
+    image, table, manifest = {
+        "plain": lambda: (corpus[0], None, corpus[1]),
+        "obfuscated": lambda: (obfuscated[0], build_table(obfuscated[0], KEY), obfuscated[1]),
+        "hardened": lambda: (hardened[0], build_rotated_table(hardened[0], hardened[1], KEY, 3),
+                             hardened[1]),
+    }[which]()
+    regs = {i: 0x01010101 * (i + 1) for i in range(13)}
+    for fn in manifest.functions[::5]:
+        _assert_same_at_every_budget(image, table, fn.start, regs)
+
+
+R07 = R(*range(8))
+#: ``sub sp`` steps from the caller's sp down to exactly ``stack_limit``.
+_DOWN_TO_STACK_LIMIT = [SubSpImm(508)] * 32 + [
+    SubSpImm(STACK_RESERVE - CALLER_STACK_BYTES - 32 * 508)]
+
+#: Straight runs that fault part-way, or end otherwise than by a branch,
+#: and the fault each ends in.
+MID_BLOCK = {
+    "str past RAM": (
+        [MovImm(0, 5), MovImm(1, 7), StrSpRel(0, 1020), MovImm(2, 1), BxLr()], FaultKind.MEMORY),
+    "ldr past RAM": (
+        [MovImm(0, 5), AddReg(1, 0, 0), LdrSpRel(3, 1020), BxLr()], FaultKind.MEMORY),
+    "push below the stack limit": (
+        [MovImm(4, 9), *_DOWN_TO_STACK_LIMIT, Push(R("r4", "lr")), BxLr()], FaultKind.STACK),
+    "pop {pc} of an even word": (
+        [MovImm(4, 2), Push(R("r4")), Nop(), Pop(R("pc")), BxLr()], FaultKind.INTERWORK),
+    "pop {r5, r6, pc} of an even word": (
+        [MovImm(0, 3), MovImm(1, 4), MovImm(2, 6), Push(R("r0", "r1", "r2")),
+         Pop(R("r5", "r6", "pc"))], FaultKind.INTERWORK),
+    "pop past the stack top": (
+        [Pop(R07), Pop(R07), MovImm(0, 1), Pop(R("r0")), BxLr()], FaultKind.MEMORY),
+    "literal past the flash end": (
+        [MovImm(1, 3), MovReg(9, 1), LdrLitR0(1020), BxLr()], FaultKind.MEMORY),
+    "falls off the flash end": ([MovImm(1, 3), Nop(), Nop()], FaultKind.BAD_PC),
+    "runs into an unknown halfword": (
+        [MovImm(1, 3), Nop(), isa.Unknown(0xDEFF)], FaultKind.UNDECODABLE),
+    "runs into a truncated wide prefix": (
+        [MovImm(1, 3), Nop(), isa.Unknown(0xF000)], FaultKind.UNDECODABLE),
+    "pushes and pops a full frame": (
+        [Push(R(*range(13), "lr")), MovImm(4, 1), Pop(R(*range(13), "pc"))], None),
+}
+
+
+@pytest.mark.parametrize("name", MID_BLOCK)
+def test_fast_path_matches_reference_on_mid_block_faults(name):
+    insns, want = MID_BLOCK[name]
+    image = asm(*insns)
+    regs = {i: 0x10 * i + 1 for i in range(13)}
+    for _ in range(2):  # cold, then with the image's memos filled
+        _assert_same_at_every_budget(image, None, image.base, regs)
+    assert _assert_same_as_reference(image, None, image.base, regs, budget=10_000) == want
+
+
+def test_a_straight_run_stops_at_the_sentinel():
+    """Flash that runs on through ``SENTINEL`` ends the call there, as the
+    stepper does, and not at the block's end."""
+    base = SENTINEL - 8
+    image = FirmwareImage(base, b"".join(encode(Nop()) for _ in range(8)))
+    _assert_same_at_every_budget(image, None, base, {})
+    assert call(image, entry=base).state.step_count == 4
+
+
+@pytest.mark.parametrize("insn,sp_above_top,want", [
+    (Push(R("r4", "r5", "r6")), 4, FaultKind.MEMORY),  # writes the words that fit
+    (Pop(R("r4", "r5", "pc")), -CALLER_STACK_BYTES - 2, FaultKind.STACK),  # misaligned sp
+], ids=["push past RAM", "pop from a misaligned sp"])
+def test_step_matches_reference_from_a_hand_set_sp(insn, sp_above_top, want):
+    """A run keeps sp inside the stack; ``step`` from an sp set by hand
+    faults as the reference stepper does, with the same partial effects."""
+    img = asm(insn)
+    states = []
+    for run in (step, reference_step):
+        state = make_state(img)
+        state.regs[4:7] = [0xA4, 0xA5, 0xA6]
+        state.sram[-CALLER_STACK_BYTES:] = bytes(range(CALLER_STACK_BYTES))
+        state.sp = state.stack_top + sp_above_top
+        state.pc = img.base
+        with pytest.raises(MachineFault) as err:
+            run(state)
+        states.append((err.value.kind, state.regs, state.sram))
+    assert states[0] == states[1]
+    assert states[0][0] == want
+
+
+def test_flash_running_into_the_table_region_runs_each_tables_bytes():
+    """Flash that falls through into the table region ends its block at
+    the flash end, so each table's own bytes run after it."""
+    code = asm(MovImm(1, 3), Nop())
+    image = FirmwareImage(code.base, code.data, sram_base=code.end, table_base=code.end)
+    for imm in (1, 2, 1):
+        table = RamTable(image.table_base, 0x100)
+        sighting = RawSighting(core=image.base, adds_imm=0, literal_value=image.table_base)
+        table.add(entry_bytes_for([MovImm(2, imm), BxLr()], sighting, image.table_base))
+        _assert_same_at_every_budget(image, table, image.base, {})
+        assert call(image, table, keep_trace=False).state.regs[2] == imm
+
+
+def test_check_gadget_matches_reference_on_every_candidate(obfuscated):
+    """Every catalog candidate of a small obfuscated image, most of them
+    entered mid-block, checks like a reference-stepped gadget run; the
+    catalog's own candidates all pass."""
+    image = obfuscated[0]
+    table = build_table(image, KEY)
+    catalog = run_attack(image).catalog
+    assert len(catalog) > 50 and any(c.instructions for c in catalog)
+    for cand in catalog:
+        args = (image, table, cand.start, cand.stack_delta, cand.pc_slot_index)
+        fast, _, passed = _caught(check_gadget, *args)
+        ref, ref_passed = reference_check_gadget(*args)
+        assert passed == ref_passed
+        assert (fast.step_count, fast.regs, fast.sram) == (ref.step_count, ref.regs, ref.sram)
+    assert all(check_gadget(image, table, c.start, c.stack_delta, c.pc_slot_index)
+               for c in catalog)
+
+
+@pytest.mark.parametrize("delta", [-4, STACK_RESERVE + 4, 100_000])
+def test_check_gadget_fails_when_the_seeded_words_do_not_fit(delta):
+    img = asm(BxLr())
+    assert check_gadget(img, None, img.base, delta, None) is False
+    assert reference_check_gadget(img, None, img.base, delta, None)[1] is False
+
+
+@pytest.mark.parametrize("insn", [Push(RegisterList(0)), Push(R("r4", "pc")), Pop(RegisterList(0))],
+                         ids=str)
+def test_invalid_register_lists_fault_on_both_paths(insn):
+    """The decoder never yields these lists; placed in the decode map by
+    hand, each faults INVALID at its own pc after the steps before it,
+    stepped or run in a block."""
+    img = asm(MovImm(1, 1), Nop(), BxLr())
+    img.decoded[img.base + 2] = (insn, 2)
+    for keep_trace in (True, False):
+        with pytest.raises(MachineFault) as err:
+            call(img, entry=img.base, keep_trace=keep_trace)
+        assert err.value.kind == FaultKind.INVALID
+    state, fault = _fast_run(img, None, img.base, {}, budget=100)
+    assert (fault, state.step_count, state.pc) == (FaultKind.INVALID, 1, img.base + 2)

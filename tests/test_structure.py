@@ -3,8 +3,9 @@ module reaches into another module's private names, the trampoline
 geometry and the RAM map each have one definition, each source of
 trampolines (the rewriter, the byte scan) has one trampoline type, every
 instruction type the interpreter can run has a handler, every function
-the benchmark's span tracer wraps exists, and only the boot pass touches
-the image's boot-plan memo."""
+the benchmark's span tracer wraps exists, only the boot pass touches
+the image's boot-plan memo, and only the interpreter touches its decode and
+block memos."""
 
 import ast
 import importlib
@@ -135,12 +136,13 @@ def _concrete_instructions():
 
 
 def test_every_instruction_type_has_a_handler():
-    """The interpreter dispatches on the exact instruction type, so a new
-    ``isa`` class without a handler would fault instead of running; only
-    ``Unknown`` and the emission-only ``RawWord`` are left without one, and
-    fetching either faults UNDECODABLE."""
+    """The interpreter compiles each instruction to an op by its exact type,
+    in ``step`` and in a flash block alike, so a new ``isa`` class without
+    an op builder would fault instead of running; only ``Unknown`` and the
+    emission-only ``RawWord`` are left without one, and fetching either
+    faults UNDECODABLE."""
     unhandled = {isa.Unknown, isa.RawWord}
-    assert set(machine.HANDLERS) == _concrete_instructions() - unhandled
+    assert set(machine.OPS) == _concrete_instructions() - unhandled
     for insn in (isa.Unknown(0xDEFF), isa.RawWord(0)):
         img = FirmwareImage(0x40000, bytes(4))
         img.decoded[img.base] = (insn, insn.byte_length())
@@ -162,4 +164,21 @@ def test_only_obfuscation_touches_the_boot_plans():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Attribute) and node.attr == "boot_plans"
     ]
+    assert users == []
+
+
+def test_only_machine_touches_the_interpreter_memos():
+    """The image's ``decoded`` and ``blocks`` memos hold what the
+    interpreter compiled from flash; only ``machine`` reads or fills them.
+    A method call such as ``ImageView.decoded(idx)`` is not the memo."""
+    memos = {"decoded", "blocks"}
+    users = []
+    for path in SOURCES:
+        if path.name == "machine.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        users += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in memos
+                  and id(node) not in called]
     assert users == []
