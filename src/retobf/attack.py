@@ -16,7 +16,6 @@ import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import isa
@@ -100,15 +99,15 @@ class SegmentSummary(NamedTuple):
     """One sweep of a code segment: its push-with-lr addresses (ascending);
     the callee-saved registers written in all of it, and after its last
     push-with-lr (all of it when it has none), as masks; whether it calls
-    out, and whether it holds anything but nops and junk; and the addresses
-    of its last ``GADGET_WINDOW`` instructions."""
+    out, and whether it holds anything but nops and junk; and the start
+    address of each of its instructions (ascending)."""
 
     pushes: list[int]
     written: int
     written_since_push: int
     has_call: bool
     real_code: bool
-    tail: list[int]
+    starts: list[int]
 
 
 def find_trampolines(image: FirmwareImage) -> list[RawSighting]:
@@ -143,7 +142,6 @@ class ImageView:
         self.segments.append((cursor, image.end))
         self._starts = [lo for lo, _ in self.segments]
         self._ending_at = {hi: idx for idx, (_, hi) in enumerate(self.segments)}
-        self._decoded: dict[int, list] = {}
         self._summaries: dict[int, SegmentSummary] = {}
 
     def overlap_failure(self, site: RawSighting, method: str) -> Prediction | None:
@@ -176,19 +174,6 @@ class ImageView:
         if addr + length > hi:
             return isa.Unknown(0), hi - addr
         return insn, length
-
-    def decoded(self, idx: int) -> list:
-        """[(address, instruction)] for one segment; tolerant of junk."""
-        if idx not in self._decoded:
-            lo, hi = self.segments[idx]
-            out = []
-            addr = lo
-            while addr < hi:
-                insn, length = self.decode_at(addr, hi)
-                out.append((addr, insn))
-                addr += length
-            self._decoded[idx] = out
-        return self._decoded[idx]
 
     def summary(self, idx: int) -> SegmentSummary:
         """The segment's summary, swept once: narrow halfwords through the
@@ -225,7 +210,7 @@ class ImageView:
             written_since_push=since_push & _CALLEE_SAVED,
             has_call=bool(seen & _CALL),
             real_code=bool(seen & _REAL),
-            tail=starts[-GADGET_WINDOW:],
+            starts=starts,
         )
         return self._summaries[idx]
 
@@ -465,30 +450,30 @@ def _sp_words(insn) -> int:
 def _candidates_for(
     window_insns: list, terminator: tuple[str, RegisterList | None], site_address: int
 ) -> list[GadgetCandidate]:
+    """The bare return, then each longer admissible window ending at it, up
+    to ``GADGET_WINDOW`` instructions.  One backward walk: every longer
+    window holds the first inadmissible instruction met, so it stops there."""
     kind, reglist = terminator
-    out = []
-    for k in range(0, min(GADGET_WINDOW, len(window_insns)) + 1):
-        suffix = window_insns[len(window_insns) - k :]
-        if any(not _admissible(insn, kind) for _, insn in suffix):
-            continue
-        sp_words = sum(_sp_words(insn) for _, insn in suffix)
-        if kind == "pop":
-            m = len(reglist)
-            delta = 4 * (sp_words + m)
-            slot = sp_words + m - 1
-        else:
-            delta = 4 * sp_words
-            slot = None
-        start = suffix[0][0] if suffix else site_address
-        out.append(
-            GadgetCandidate(
-                start=start,
-                site_address=site_address,
-                instructions=[insn.text() for _, insn in suffix],
-                stack_delta=delta,
-                pc_slot_index=slot,
-            )
+    popped = len(reglist) if kind == "pop" else 0
+
+    def candidate(start: int, texts: list[str], words: int) -> GadgetCandidate:
+        return GadgetCandidate(
+            start=start,
+            site_address=site_address,
+            instructions=texts[::-1],
+            stack_delta=4 * (words + popped),
+            pc_slot_index=words + popped - 1 if kind == "pop" else None,
         )
+
+    texts: list[str] = []
+    words = 0
+    out = [candidate(site_address, texts, words)]
+    for addr, insn in reversed(window_insns[-GADGET_WINDOW:]):
+        if not _admissible(insn, kind):
+            break
+        words += _sp_words(insn)
+        texts.append(insn.text())
+        out.append(candidate(addr, texts, words))
     return out
 
 
@@ -500,9 +485,9 @@ def build_gadget_catalog(view: ImageView, predictions: list[Prediction]) -> list
         if not pred.ok or pred.kind not in ("pop", "bx_lr"):
             continue
         core = pred.site.core
-        tail = [(a, view.decode_at(a, core)[0])
-                for a in view.summary(view.segment_before(core)).tail]
-        catalog.extend(_candidates_for(tail, (pred.kind, pred.reglist), core))
+        window = [(a, view.decode_at(a, core)[0])
+                  for a in view.summary(view.segment_before(core)).starts[-GADGET_WINDOW:]]
+        catalog.extend(_candidates_for(window, (pred.kind, pred.reglist), core))
     return catalog
 
 
@@ -527,11 +512,12 @@ def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
         seg_idx = view.segment_at(addr)
         if seg_idx is None:
             continue
-        # _candidates_for reads at most GADGET_WINDOW entries back.
-        insns = view.decoded(seg_idx)
-        stop = bisect_left(insns, addr, key=itemgetter(0))
-        preceding = insns[max(0, stop - GADGET_WINDOW) : stop]
-        catalog.extend(_candidates_for(preceding, terminator, addr))
+        # Decode only the instructions _candidates_for can read.
+        hi = view.segments[seg_idx][1]
+        starts = view.summary(seg_idx).starts
+        stop = bisect_left(starts, addr)
+        window = [(a, view.decode_at(a, hi)[0]) for a in starts[max(0, stop - GADGET_WINDOW):stop]]
+        catalog.extend(_candidates_for(window, terminator, addr))
     return catalog
 
 
@@ -572,9 +558,14 @@ class AttackResult:
     @classmethod
     def from_json(cls, obj: dict, catalog: list[GadgetCandidate]) -> "AttackResult":
         """Rebuild a result from its ``to_json`` form; the catalog is stored
-        separately (one ``GadgetCandidate`` JSON object per line).  A rebuilt
-        site's ``enc_window`` holds only the encrypted halfword, and
-        ``inferred_table_offset`` is derived again when the result is written."""
+        separately (one ``GadgetCandidate`` JSON object per line) and must
+        hold ``gadget_count`` candidates.  A rebuilt site's ``enc_window``
+        holds only the encrypted halfword, and ``inferred_table_offset`` is
+        derived again when the result is written."""
+        count = obj["gadget_count"]
+        if type(count) is not int or count != len(catalog):
+            raise ValueError(f"gadget_count {count!r} but the catalog holds "
+                             f"{len(catalog)} candidate(s)")
         sites = {}
         for site in obj["sites"]:
             core, halfword = int(site["address"], 16), int(site["encrypted_halfword"], 16)

@@ -27,7 +27,7 @@ from .attack import (
     evaluate_recovery,
     run_attack,
 )
-from .image import MALFORMED_INPUT, CorpusParams, FirmwareImage, ImageError, load, save
+from .image import MALFORMED_INPUT, CorpusParams, FirmwareImage, ImageError, json_text, load, save
 from .machine import MachineFault, call, check_gadget, states_equivalent
 from .obfuscation import ObfuscationError, build_table
 
@@ -40,7 +40,7 @@ class CliError(Exception):
 
 def _dump_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text(obj))
 
 
 def _parse_key(value: str | None) -> int:
@@ -124,11 +124,9 @@ def cmd_attack(args) -> int:
     if not result.sites:
         report["note"] = "no trampolines located; image looks unobfuscated"
     _dump_json(Path(str(out) + ".attack.json"), report)
-    gadget_path = Path(str(out) + ".gadgets.jsonl")
-    gadget_path.parent.mkdir(parents=True, exist_ok=True)
-    with gadget_path.open("w") as fh:
-        for cand in result.catalog:
-            fh.write(json.dumps(cand.to_json(), sort_keys=True) + "\n")
+    encode = json.JSONEncoder(sort_keys=True).encode
+    Path(str(out) + ".gadgets.jsonl").write_text(
+        "".join([encode(cand.to_json()) + "\n" for cand in result.catalog]))
     lines = [
         f"sites located: {len(result.sites)}",
         f"gadget candidates: {len(result.catalog)}",
@@ -138,7 +136,7 @@ def cmd_attack(args) -> int:
         lines.append(f"{method}: {ok}/{len(preds)} sites with a verdict")
     text = "\n".join(lines)
     Path(str(out) + ".attack.txt").write_text(text + "\n")
-    print(text if args.format == "text" else json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.write(text + "\n" if args.format == "text" else json_text(report))
     return 0
 
 
@@ -278,7 +276,7 @@ def cmd_eval(args) -> int:
     ]
     text = "\n".join(text_lines)
     Path(str(out) + ".eval.txt").write_text(text + "\n")
-    print(text if args.format == "text" else json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(text + "\n" if args.format == "text" else json_text(payload))
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -509,8 +510,58 @@ def save(image: FirmwareImage, manifest: Manifest, prefix) -> tuple[Path, Path]:
     bin_path = prefix.with_suffix(".bin")
     json_path = prefix.with_suffix(".json")
     bin_path.write_bytes(image.data)
-    json_path.write_text(json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json_text(manifest.to_json()))
     return bin_path, json_path
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(obj, newline: str) -> str:
+    """``obj`` in ``json_text``'s form; ``newline`` starts its inner lines'
+    parent level."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json_value(v, inner) for v in obj]
+        ) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # A key that is not a str fails here, in sorted() or _encode_str.
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _json_value(v, inner) for k, v in sorted(obj.items())]
+        ) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """The one text form of every JSON artifact the CLI writes: exactly
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.  Built by a direct
+    join with the C string encoder, because ``indent`` sends ``json.dumps``
+    through its pure-Python encoder.  Raises TypeError on a value json
+    rejects and on a dict key that is not a str."""
+    return _json_value(obj, "\n") + "\n"
 
 
 def load(prefix) -> tuple[FirmwareImage, Manifest]:

@@ -505,40 +505,52 @@ def build_table(image: FirmwareImage, key: int) -> RamTable:
     return table
 
 
+#: What ``sweep_plaintext`` looks for: the narrow classes, the wide prefix,
+#: and every high byte those can have (``_classify_halfword``'s patterns).
+_SWEEPS = {
+    "returns": (("pop-pc", "bx-lr"), _WIDE_POP, b"\xbd\x47\xe8"),
+    "pushes": (("push-lr",), _WIDE_PUSH, b"\xb5\xe9"),
+}
+
+
 def sweep_plaintext(
     data: bytes,
     *,
     exclude: list[tuple[int, int]] = (),
     want: str = "returns",
 ) -> list[int]:
-    """Halfword-aligned offsets of plaintext returns (or prologue pushes).
+    """Halfword-aligned offsets of plaintext returns (``want="returns"``) or
+    prologue pushes (``want="pushes"``), ascending.
 
     ``exclude`` masks byte ranges (trampoline data slots hold ciphertext and
     literals, which are not code).  Wide encodings are matched as raw
-    patterns at any halfword boundary.
+    patterns at any halfword boundary.  Only halfwords whose high byte can
+    match are classified; ``bytes.find`` locates them.
     """
-
+    if want not in _SWEEPS:
+        raise ValueError(f"want must be one of {', '.join(map(repr, _SWEEPS))}, got {want!r}")
+    narrow, wide, high_bytes = _SWEEPS[want]
     masked = bytearray(len(data))
     for lo, hi in exclude:
         lo = min(max(lo, 0), len(data))
         hi = min(max(hi, lo), len(data))
         masked[lo:hi] = b"\1" * (hi - lo)
-    if want == "returns":
-        narrow, wide = ("pop-pc", "bx-lr"), _WIDE_POP
-    else:
-        narrow, wide = ("push-lr",), _WIDE_PUSH
+    highs = data[1::2]
     hits = []
-    for off in range(0, len(data) - 1, 2):
-        if masked[off]:
-            continue
-        hw = int.from_bytes(data[off : off + 2], "little")
-        if _classify_halfword(hw) in narrow or (
-            hw == wide
-            and off + 4 <= len(data)
-            and not masked[off + 2]
-            and _wide_list_plausible(hw, int.from_bytes(data[off + 2 : off + 4], "little"))
-        ):
-            hits.append(off)
+    for high in high_bytes:
+        idx = highs.find(high)
+        while idx >= 0:
+            off = 2 * idx
+            hw = data[off] | high << 8
+            if not masked[off] and (_classify_halfword(hw) in narrow or (
+                hw == wide
+                and off + 4 <= len(data)
+                and not masked[off + 2]
+                and _wide_list_plausible(hw, int.from_bytes(data[off + 2 : off + 4], "little"))
+            )):
+                hits.append(off)
+            idx = highs.find(high, idx + 1)
+    hits.sort()
     return hits
 
 

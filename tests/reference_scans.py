@@ -5,9 +5,11 @@ with bisect, a dict, a byte mask or a per-segment summary: ``any()`` over
 every exclude range for each halfword, a walk over every segment for each
 lookup, the full filter over a segment for the instructions before a hit,
 ``any()`` over every function for each lifted address, a segment sweep with
-the previous decoder, and the two recovery methods and the gadget catalog
-walking each segment's instruction objects.  The oracle tests require the
-library to give equal results.
+the previous decoder, the gadget window builder that re-checks every suffix,
+and the two recovery methods, the gadget catalog and the baseline scan
+walking each segment's instruction objects from that sweep.  Nothing here
+calls the library's window builder or its segment summaries.  The oracle
+tests require the library to give equal results.
 """
 
 import reference_decode
@@ -22,13 +24,14 @@ from retobf.attack import (
     GADGET_WINDOW,
     LIVENESS_WINDOW,
     SYMMETRY_WINDOW,
+    GadgetCandidate,
     ImageView,
     Prediction,
     SegmentSummary,
-    _candidates_for,
 )
 from retobf.isa import (
     AddReg,
+    AddSpImm,
     Bl,
     BranchW,
     LdrSpRel,
@@ -110,6 +113,58 @@ def segment_sweep(image, lo, hi):
     return out
 
 
+def segment_insns(view, idx):
+    """``segment_sweep`` of the view's segment ``idx``."""
+    return segment_sweep(view.image, *view.segments[idx])
+
+
+def _admissible(insn, kind):
+    if isinstance(insn, (MovImm, MovReg, AddReg, SubReg, Nop, LdrSpRel, AddSpImm)):
+        return True
+    if isinstance(insn, Bl):
+        return kind == "pop"
+    if isinstance(insn, Pop) and not insn.regs.has_pc:
+        return kind == "pop" or not insn.regs.has_lr
+    return False
+
+
+def _sp_words(insn):
+    if isinstance(insn, AddSpImm):
+        return insn.imm // 4
+    if isinstance(insn, Pop):
+        return len(insn.regs)
+    return 0
+
+
+def candidates_for(window_insns, terminator, site_address):
+    """Slice, check and format every suffix of the window again."""
+    kind, reglist = terminator
+    out = []
+    for k in range(0, min(GADGET_WINDOW, len(window_insns)) + 1):
+        suffix = window_insns[len(window_insns) - k :]
+        if any(not _admissible(insn, kind) for _, insn in suffix):
+            continue
+        sp_words = sum(_sp_words(insn) for _, insn in suffix)
+        if kind == "pop":
+            m = len(reglist)
+            delta = 4 * (sp_words + m)
+            slot = sp_words + m - 1
+        else:
+            delta = 4 * sp_words
+            slot = None
+        start = suffix[0][0] if suffix else site_address
+        out.append(
+            GadgetCandidate(
+                start=start,
+                site_address=site_address,
+                instructions=[insn.text() for _, insn in suffix],
+                stack_delta=delta,
+                pc_slot_index=slot,
+            )
+        )
+    return out
+
+
 def baseline_gadget_scan(image):
     exclude = trampoline_data_ranges(image)
     hits = sweep_plaintext(image.data, exclude=exclude, want="returns")
@@ -124,8 +179,8 @@ def baseline_gadget_scan(image):
         seg_idx = segment_at(view, addr)
         if seg_idx is None:
             continue
-        preceding = [(a, i) for a, i in view.decoded(seg_idx) if a < addr]
-        catalog.extend(_candidates_for(preceding, terminator, addr))
+        preceding = [(a, i) for a, i in segment_insns(view, seg_idx) if a < addr]
+        catalog.extend(candidates_for(preceding, terminator, addr))
     return catalog
 
 
@@ -210,7 +265,7 @@ def segment_summary(image, lo, hi):
         written_since_push=_written_callee_saved(since_push).mask,
         has_call=_has_call(insns),
         real_code=_real_code(insns),
-        tail=[a for a, _ in insns[-GADGET_WINDOW:]],
+        starts=[a for a, _ in insns],
     )
 
 
@@ -225,7 +280,7 @@ def recover_by_symmetry(view, site):
     crossed = 0
     extra_pushes = 0
     for idx in range(seg, -1, -1):
-        for addr, insn in reversed(view.decoded(idx)):
+        for addr, insn in reversed(segment_insns(view, idx)):
             distance = site.core - addr
             if distance > SYMMETRY_WINDOW:
                 break
@@ -254,7 +309,7 @@ def recover_by_liveness(view, site):
     if failure is not None:
         return failure
     seg = view.segment_before(site.core)
-    w0 = view.decoded(seg)
+    w0 = segment_insns(view, seg)
     pc = RegisterList.of("pc")
     anchor = None
     for addr, insn in reversed(w0):
@@ -272,7 +327,7 @@ def recover_by_liveness(view, site):
         return Prediction(site, "liveness", ok=True, kind="bx_lr", confidence=CONF_LEAF)
     collected = list(w0)
     for idx in range(seg - 1, -1, -1):
-        insns = view.decoded(idx)
+        insns = segment_insns(view, idx)
         if insns and site.core - insns[0][0] > LIVENESS_WINDOW:
             break
         pushes = [a for a, i in insns if isinstance(i, Push) and i.regs.has_lr]
@@ -295,5 +350,5 @@ def build_gadget_catalog(view, predictions):
             continue
         seg = view.segment_before(pred.site.core)
         terminator = (pred.kind, pred.reglist)
-        catalog.extend(_candidates_for(view.decoded(seg), terminator, pred.site.core))
+        catalog.extend(candidates_for(segment_insns(view, seg), terminator, pred.site.core))
     return catalog

@@ -178,7 +178,8 @@ def test_region_ends_after_the_literal():
     image = FirmwareImage(BASE, bytes(data))
     view = ImageView(image)
     assert view.segments == [(BASE, BASE), (BASE + 20, image.end)]
-    assert isa.Unknown(0x1122) not in [insn for _, insn in view.decoded(1)]
+    decoded = [view.decode_at(a, image.end)[0] for a in view.summary(1).starts]
+    assert isa.Unknown(0x1122) not in decoded
 
 
 @given(crafted_images())

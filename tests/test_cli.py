@@ -212,6 +212,18 @@ def test_one_parser_serves_many_commands_in_a_process(workdir, tmp_path, capsys)
     assert written[Path("again.attack.txt")] == written[Path("text.attack.txt")]
 
 
+def test_json_format_prints_the_report_file(workdir, tmp_path, capsys):
+    """``--format json`` prints exactly the bytes of the report it writes."""
+    capsys.readouterr()
+    assert run("attack", "--in", str(workdir / "obf"), "--out", str(tmp_path / "a"),
+               "--format", "json") == 0
+    assert capsys.readouterr().out == (tmp_path / "a.attack.json").read_text()
+    assert run("eval", "--plain", str(workdir / "corpus"), "--image", str(workdir / "obf"),
+               "--attack", str(workdir / "atk"), "--out", str(tmp_path / "e"), "--key", KEY,
+               "--equivalence-runs", "3", "--format", "json") == 0
+    assert capsys.readouterr().out == (tmp_path / "e.eval.json").read_text()
+
+
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     """N calls to ``main`` in one process build the argparse tree once."""
     built = []
@@ -313,6 +325,26 @@ def test_eval_rejects_malformed_attack_report(workdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: malformed attack report") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize("damage", ["deleted", "truncated", "extended"])
+def test_eval_rejects_a_catalog_short_of_the_gadget_count(workdir, tmp_path, capsys, damage):
+    """A gadget file that is missing, or holds fewer or more lines than the
+    report's gadget_count, ends in one error line: the gadget check is never
+    skipped silently."""
+    shutil.copy(workdir / "atk.attack.json", tmp_path / "bad.attack.json")
+    lines = (workdir / "atk.gadgets.jsonl").read_text().splitlines(keepends=True)
+    assert json.loads((workdir / "atk.attack.json").read_text())["gadget_count"] == len(lines)
+    if damage != "deleted":
+        kept = lines[:-1] if damage == "truncated" else lines + lines[:1]
+        (tmp_path / "bad.gadgets.jsonl").write_text("".join(kept))
+    assert run("eval", "--plain", str(workdir / "corpus"),
+               "--image", str(workdir / "obf"), "--attack", str(tmp_path / "bad"),
+               "--out", str(tmp_path / "ev"), "--key", KEY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed attack report") and err.count("\n") == 1
+    assert "gadget_count" in err
+    assert not (tmp_path / "ev.eval.json").exists()
 
 
 @pytest.mark.parametrize("edit", [

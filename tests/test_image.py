@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retobf import isa
 from retobf._rewrite import BlobItem, Program, signature_offsets
@@ -15,6 +19,7 @@ from retobf.image import (
     FunctionRecord,
     ImageError,
     generate_corpus,
+    json_text,
     load,
     save,
     splice,
@@ -281,3 +286,48 @@ def test_params_validation():
         generate_corpus(CorpusParams(function_count=-1))
     with pytest.raises(ImageError):
         generate_corpus(CorpusParams(leaf_ratio=1.5))
+
+
+#: JSON leaves: strings with non-ASCII and control characters, ints past 64
+#: bits, the special floats, and bools beside the ints they equal.
+JSON_LEAVES = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf]),
+    st.sampled_from([True, False, 1, 0, None]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_json_text_equals_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_saved_manifest_is_json_text(small_corpus, tmp_path):
+    _, json_path = save(*small_corpus, tmp_path / "c")
+    manifest = small_corpus[1].to_json()
+    assert json_path.read_text() == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2}, Path("x"), b"bytes", {"a": [1, object()]}, {1: "int key"}, {None: 0},
+    {"a": 1, 2: "mixed keys"}, [{(1, 2): 3}],
+], ids=repr)
+def test_json_text_refuses_what_json_rejects(obj):
+    """Types json cannot encode raise TypeError, and so does any key that is
+    not a str (json would have converted it)."""
+    with pytest.raises(TypeError):
+        json_text(obj)

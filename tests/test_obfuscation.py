@@ -130,6 +130,12 @@ def test_plain_image_has_returns(corpus):
     assert len(hits) >= len(manifest.functions)
 
 
+@pytest.mark.parametrize("want", ["push", "return", "", None])
+def test_sweep_refuses_an_unknown_want(want):
+    with pytest.raises(ValueError, match="'returns', 'pushes'"):
+        sweep_plaintext(bytes(8), want=want)
+
+
 def test_obfuscate_empty_image():
     image, manifest = generate_corpus(CorpusParams(function_count=0, seed=1))
     obf, man2, records = obfuscate_returns(image, manifest, KEY)

@@ -18,8 +18,10 @@ from retobf.attack import (
     LIVENESS_WINDOW,
     METHODS,
     SYMMETRY_WINDOW,
+    GADGET_WINDOW,
     AttackError,
     ImageView,
+    _candidates_for,
     _effect,
     baseline_gadget_scan,
     combine_predictions,
@@ -28,7 +30,25 @@ from retobf.attack import (
 )
 from retobf.harden import encrypt_pushes
 from retobf.image import DEFAULT_BASE, CorpusParams, FirmwareImage, generate_corpus
-from retobf.isa import MovImm, Nop, Push, RegisterList, Unknown, decode, encode
+from retobf.isa import (
+    AddReg,
+    AddSpImm,
+    Bl,
+    BxLr,
+    LdrSpRel,
+    MovImm,
+    MovReg,
+    Nop,
+    Pop,
+    Push,
+    RegisterList,
+    StrSpRel,
+    SubReg,
+    SubSpImm,
+    Unknown,
+    decode,
+    encode,
+)
 from retobf.obfuscation import obfuscate_returns, sweep_plaintext, trampoline_data_ranges
 
 from conftest import KEY, crafted_images, plant_signature
@@ -59,6 +79,16 @@ def _check_sweeps(data, exclude):
         )
 
 
+def test_sweep_matches_reference_on_every_halfword():
+    """Each of the 65536 halfwords once (so every high byte a hit can have),
+    unmasked, then with some pops masked and the halfword after each wide
+    prefix masked."""
+    data = b"".join(hw.to_bytes(2, "little") for hw in range(0x10000))
+    _check_sweeps(data, ())
+    _check_sweeps(data, [(2 * 0xBD10, 2 * 0xBD20), (2 * 0xE8BD + 2, 2 * 0xE8BD + 4),
+                         (2 * 0xE92D + 2, 2 * 0xE92D + 4)])
+
+
 def test_scans_match_references_on_corpora(corpus_image):
     image, manifest = corpus_image
     _check_sweeps(image.data, trampoline_data_ranges(image))
@@ -79,10 +109,16 @@ def test_scans_match_references_on_crafted_images(image, data):
     assert baseline_gadget_scan(image) == ref.baseline_gadget_scan(image)
 
 
+def _decoded(view, idx):
+    """[(address, instruction)] of segment ``idx``, read off its summary."""
+    hi = view.segments[idx][1]
+    return [(a, view.decode_at(a, hi)[0]) for a in view.summary(idx).starts]
+
+
 def _check_decoded(image):
     view = ImageView(image)
     for idx, (lo, hi) in enumerate(view.segments):
-        assert view.decoded(idx) == ref.segment_sweep(image, lo, hi), (lo, hi)
+        assert _decoded(view, idx) == ref.segment_sweep(image, lo, hi), (lo, hi)
 
 
 #: Wide first halfwords: push.w, pop.w, bl/b.w and two unrecognised ones.
@@ -126,20 +162,68 @@ def test_decoded_junk_rules():
     nop = (0xBF00).to_bytes(2, "little")
     # An unrecognised wide prefix is two bytes of junk; the sweep goes on.
     view = ImageView(FirmwareImage(DEFAULT_BASE, (0xE800).to_bytes(2, "little") + nop))
-    assert view.decoded(0) == [(DEFAULT_BASE, Unknown(0xE800)), (DEFAULT_BASE + 2, Nop())]
+    assert _decoded(view, 0) == [(DEFAULT_BASE, Unknown(0xE800)), (DEFAULT_BASE + 2, Nop())]
     # A wide prefix in the last halfword is Unknown(0) to the end.
     view = ImageView(FirmwareImage(DEFAULT_BASE, nop + push_w[:2]))
-    assert view.decoded(0) == [(DEFAULT_BASE, Nop()), (DEFAULT_BASE + 2, Unknown(0))]
+    assert _decoded(view, 0) == [(DEFAULT_BASE, Nop()), (DEFAULT_BASE + 2, Unknown(0))]
     # A push.w that runs into a site's core is Unknown(0) to the core.
     data = bytearray(nop * 4 + push_w + nop * 16)
     assert plant_signature(data, DEFAULT_BASE, 10, 0, 0)
     image = FirmwareImage(DEFAULT_BASE, bytes(data))
     view = ImageView(image)
     assert view.segments[0] == (DEFAULT_BASE, DEFAULT_BASE + 10)
-    assert view.decoded(0)[-1] == (DEFAULT_BASE + 8, Unknown(0))
+    assert _decoded(view, 0)[-1] == (DEFAULT_BASE + 8, Unknown(0))
     _check_decoded(image)
-    assert ImageView(FirmwareImage(DEFAULT_BASE, bytes(push_w))).decoded(0) == [
+    assert _decoded(ImageView(FirmwareImage(DEFAULT_BASE, bytes(push_w))), 0) == [
         (DEFAULT_BASE, Push(RegisterList.of("r8", "lr")))]
+
+
+#: Window instructions: every admissible kind, each kind of pop (with pc,
+#: with lr, with neither), and inadmissible ones.
+WINDOW_INSNS = st.one_of(
+    st.builds(MovImm, st.integers(0, 7), st.integers(0, 255)),
+    st.builds(MovReg, st.integers(0, 12), st.integers(0, 12)),
+    st.builds(AddReg, st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
+    st.builds(SubReg, st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
+    st.builds(LdrSpRel, st.integers(0, 7), st.integers(0, 255).map(lambda n: 4 * n)),
+    st.builds(AddSpImm, st.integers(0, 127).map(lambda n: 4 * n)),
+    st.just(Nop()),
+    st.builds(Bl, st.integers(0, 0xFFFF).map(lambda n: DEFAULT_BASE + 2 * n)),
+    st.builds(lambda regs, extra: Pop(RegisterList(regs | extra)),
+              st.integers(0, 0x1FFF), st.sampled_from([0, 1 << 14, 1 << 15])),
+    st.builds(lambda regs, lr: Push(RegisterList(regs | lr << 14)),
+              st.integers(1, 0x1FFF), st.booleans()),
+    st.builds(StrSpRel, st.integers(0, 7), st.integers(0, 255).map(lambda n: 4 * n)),
+    st.builds(SubSpImm, st.integers(0, 127).map(lambda n: 4 * n)),
+    st.just(BxLr()),
+    st.builds(Unknown, st.integers(0, 0xFFFF)),
+)
+
+
+@given(st.lists(WINDOW_INSNS, max_size=GADGET_WINDOW + 4),
+       st.one_of(st.builds(lambda regs: ("pop", RegisterList(regs | 1 << 15)),
+                           st.integers(0, 0x1FFF)),
+                 st.just(("bx_lr", None))))
+@settings(max_examples=400, deadline=None)
+def test_window_builder_matches_the_reference(insns, terminator):
+    site = DEFAULT_BASE + 4 * len(insns)
+    window = [(DEFAULT_BASE + 4 * i, insn) for i, insn in enumerate(insns)]
+    assert _candidates_for(window, terminator, site) == ref.candidates_for(
+        window, terminator, site)
+
+
+@pytest.mark.parametrize("kind", ["pop", "bx_lr"])
+@pytest.mark.parametrize("bad", range(GADGET_WINDOW + 2))
+def test_window_builder_stops_at_an_inadmissible_instruction(bad, kind):
+    """An inadmissible instruction ``bad`` places before the return cuts
+    the candidates there, in the window or just outside it."""
+    insns = [MovImm(0, 1)] * (GADGET_WINDOW + 2)
+    insns[len(insns) - 1 - bad] = Push(RegisterList.of("r4", "lr"))
+    window = [(DEFAULT_BASE + 2 * i, insn) for i, insn in enumerate(insns)]
+    terminator = (kind, RegisterList.of("r4", "pc") if kind == "pop" else None)
+    got = _candidates_for(window, terminator, DEFAULT_BASE + 2 * len(insns))
+    assert got == ref.candidates_for(window, terminator, DEFAULT_BASE + 2 * len(insns))
+    assert len(got) == min(bad, GADGET_WINDOW) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +311,7 @@ def test_wide_instruction_straddling_a_site_core():
     assert decode(image.data, 4, DEFAULT_BASE + 4)[0] == Push(R("r0", "r1", "r11", "lr"))
     view = ImageView(image)
     assert view.decode_at(DEFAULT_BASE + 4, DEFAULT_BASE + 6) == (Unknown(0), 2)
-    assert view.summary(0).tail[-1] == DEFAULT_BASE + 4
+    assert view.summary(0).starts == [DEFAULT_BASE, DEFAULT_BASE + 2, DEFAULT_BASE + 4]
     result = _check_attack(image)
     assert not result.predictions["symmetry"][0].ok
     live = result.predictions["liveness"][0]
@@ -276,7 +360,7 @@ def test_summary_of_a_trailing_wide_prefix():
     image = FirmwareImage(DEFAULT_BASE, _code(MovImm(4, 1)) + (0xE92D).to_bytes(2, "little"))
     summary = ImageView(image).summary(0)
     assert summary == ref.segment_summary(image, image.base, image.end)
-    assert (summary.pushes, summary.written, summary.tail) == (
+    assert (summary.pushes, summary.written, summary.starts) == (
         [], R("r4").mask, [DEFAULT_BASE, DEFAULT_BASE + 2])
 
 

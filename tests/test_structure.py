@@ -4,8 +4,8 @@ geometry and the RAM map each have one definition, each source of
 trampolines (the rewriter, the byte scan) has one trampoline type, every
 instruction type the interpreter can run has a handler, every function
 the benchmark's span tracer wraps exists, only the boot pass touches
-the image's boot-plan memo, and only the interpreter touches its decode and
-block memos."""
+the image's boot-plan memo, only the interpreter touches its decode and
+block memos, and indented JSON is written only through ``image.json_text``."""
 
 import ast
 import importlib
@@ -182,3 +182,19 @@ def test_only_machine_touches_the_interpreter_memos():
                   if isinstance(node, ast.Attribute) and node.attr in memos
                   and id(node) not in called]
     assert users == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    """Indented JSON has one writer, ``image.json_text``: no module passes
+    ``indent=`` to ``json.dump`` or ``json.dumps``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert calls == [], f"{path.name}: json.dump(s) with indent= at lines {calls}"
