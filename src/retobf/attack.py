@@ -491,27 +491,30 @@ def build_gadget_catalog(view: ImageView, predictions: list[Prediction]) -> list
     return catalog
 
 
+def _plaintext_returns(view: ImageView):
+    """The classic sweep's starting points: ``(address, return, segment
+    index)`` for each plaintext hit that decodes as a return inside a code
+    segment.  The view's own sites mask the trampoline data slots."""
+    image = view.image
+    exclude = trampoline_data_ranges(image, view.sites)
+    for off in sweep_plaintext(image.data, exclude=exclude, want="returns"):
+        addr = image.base + off
+        insn, _ = decode(image.data, off, addr)
+        seg_idx = view.segment_at(addr)
+        # A raw pattern straddling data is not a decodable return.
+        if is_return(insn) and seg_idx is not None:
+            yield addr, insn, seg_idx
+
+
 def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
     """The classic sweep: find every plaintext return and emit backward
     windows.  On an obfuscated image (trampoline data slots masked out, as
     any competent scanner would once it has located them) this returns
     nothing: the starting points are gone."""
-    exclude = trampoline_data_ranges(image)
-    hits = sweep_plaintext(image.data, exclude=exclude, want="returns")
     view = ImageView(image)
     catalog = []
-    for off in hits:
-        addr = image.base + off
-        insn, _ = decode(image.data, off, addr)
-        if not is_return(insn):
-            continue  # raw pattern straddling data; not a decodable return
-        if isinstance(insn, Pop):
-            terminator = ("pop", insn.regs)
-        else:
-            terminator = ("bx_lr", None)
-        seg_idx = view.segment_at(addr)
-        if seg_idx is None:
-            continue
+    for addr, insn, seg_idx in _plaintext_returns(view):
+        terminator = ("pop", insn.regs) if isinstance(insn, Pop) else ("bx_lr", None)
         # Decode only the instructions _candidates_for can read.
         hi = view.segments[seg_idx][1]
         starts = view.summary(seg_idx).starts
@@ -519,6 +522,13 @@ def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
         window = [(a, view.decode_at(a, hi)[0]) for a in starts[max(0, stop - GADGET_WINDOW):stop]]
         catalog.extend(_candidates_for(window, terminator, addr))
     return catalog
+
+
+def count_terminators(image: FirmwareImage) -> int:
+    """The gadget terminators the classic sweep finds: one per plaintext
+    return, the zero-instruction candidate ``baseline_gadget_scan`` emits
+    for each, counted without building any window."""
+    return sum(1 for _ in _plaintext_returns(ImageView(image)))
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .attack import (
     AttackError,
     AttackResult,
     GadgetCandidate,
-    baseline_gadget_scan,
+    count_terminators,
     evaluate_recovery,
     run_attack,
 )
@@ -92,10 +92,10 @@ def cmd_obfuscate(args) -> int:
     key = _parse_key(args.key)
     image, manifest = load(args.input)
     obf, man2, records = obfuscation.obfuscate_returns(image, manifest, key)
-    save(obf, man2, args.out)
-    sites = Path(str(args.out) + ".sites.json")
+    bin_path, _ = save(obf, man2, args.out)
+    sites = image_mod.artifact_path(args.out, ".sites.json")
     _dump_json(sites, {"sites": [rec.to_json() for rec in records]})
-    print(f"sealed {len(records)} return(s); wrote {args.out}.bin and {sites}")
+    print(f"sealed {len(records)} return(s); wrote {bin_path} and {sites}")
     return 0
 
 
@@ -115,7 +115,7 @@ def cmd_init(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    bin_path = Path(args.input).with_suffix(".bin")
+    bin_path = image_mod.artifact_path(args.input, ".bin")
     image = FirmwareImage(base=args.base, data=bin_path.read_bytes())
     result = run_attack(image)
     out = Path(args.out)
@@ -153,12 +153,12 @@ def cmd_harden(args) -> int:
         encrypt_push=args.encrypt_push == "on",
         seed=args.seed,
     )
-    save(himg, hman, args.out)
+    bin_path, _ = save(himg, hman, args.out)
     padded = sum(1 for p in plans if not p.extra.is_empty)
     print(
         f"hardened {len(hman.functions)} function(s): {padded} padded, "
         f"rotate={args.rotate}, encrypt-push="
-        f"{'on' if args.rotate == 'on' else args.encrypt_push}; wrote {args.out}.bin"
+        f"{'on' if args.rotate == 'on' else args.encrypt_push}; wrote {bin_path}"
     )
     return 0
 
@@ -229,13 +229,14 @@ def cmd_eval(args) -> int:
     key = _parse_key(args.key)
     plain, plain_man = load(args.plain)
     image, manifest = load(args.image)
+    rotated = manifest.boots_rotated
     result = _load_attack(args.attack)
     report = evaluate_recovery(result, manifest, image)
+    # Once scored, only the catalog of an unrotated image is needed again.
+    catalog = [] if rotated else result.catalog
+    del result
 
-    # One terminator per plaintext return: the candidate with no instructions.
-    before = [c for c in baseline_gadget_scan(plain) if not c.instructions]
-    after = [c for c in baseline_gadget_scan(image) if not c.instructions]
-    rotated = manifest.boots_rotated
+    before, after = count_terminators(plain), count_terminators(image)
     if rotated:
         seeds = range(max(args.rotation_seeds, 1))
         tables = [harden_mod.build_rotated_table(image, manifest, key, s) for s in seeds]
@@ -246,8 +247,8 @@ def cmd_eval(args) -> int:
     )
 
     gadget_check = None
-    if result.catalog and not rotated:
-        gadget_check = _gadget_check(image, tables[0], result.catalog)
+    if catalog:
+        gadget_check = _gadget_check(image, tables[0], catalog)
 
     histogram = None
     if rotated and args.rotation_seeds > 1:
@@ -259,7 +260,7 @@ def cmd_eval(args) -> int:
             "plain_sha256": plain.sha256(),
             "image_sha256": image.sha256(),
         },
-        "gadget_terminators": {"before": len(before), "after": len(after)},
+        "gadget_terminators": {"before": before, "after": after},
         "equivalence": {"runs": runs, "passed": passed},
         "gadget_check": gadget_check,
         "size_overhead_bytes": len(image.data) - len(plain.data),
@@ -269,7 +270,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     _dump_json(Path(str(out) + ".eval.json"), payload)
     text_lines = [
-        f"gadget terminators: {len(before)} before, {len(after)} after",
+        f"gadget terminators: {before} before, {after} after",
         f"equivalence: {passed}/{runs} runs",
         f"size overhead: {payload['size_overhead_bytes']} bytes",
         report.text_table(),

@@ -10,7 +10,7 @@ Three independent measures:
 * ``build_rotated_table`` replaces each decrypted pair in the table with a
   split sequence that moves the return address to a random stack slot,
   redrawn from the boot seed on every reset; the manifest only names the
-  draws.
+  draws, and the tables of one image share everything but them.
 """
 
 from __future__ import annotations
@@ -145,33 +145,26 @@ def build_rotated_table(image: FirmwareImage, manifest: Manifest, key: int, seed
     """One boot's table with per-function rotated pair sequences, drawn and
     placed by the image's boot plan from the bytes and the key.  The manifest
     only names the draws, in order; a leaf function draws nothing."""
-    table = boot_scan(image, key).rotated_table(seed)
-    non_leaf = sum(not fn.is_leaf for fn in manifest.functions)
-    if non_leaf != len(table.draws):
-        raise HardenError(f"{len(table.draws)} sealed push group(s) in the image for "
-                          f"{non_leaf} non-leaf function(s) in the manifest")
-    draws = iter(table.draws)
-    table.draws = [{"fn": fn.name, **({"slots": 0, "position": 0} if fn.is_leaf else next(draws))}
-                   for fn in manifest.functions]
-    return table
+    functions = tuple((fn.name, fn.is_leaf) for fn in manifest.functions)
+    return boot_scan(image, key).rotated_table(seed, functions)
 
 
 def position_distribution(tables: list[RamTable]) -> dict[str, dict]:
     """Histogram of the return-address positions the rotated boot ``tables``
     drew per function, with a flag for functions whose slot is necessarily
-    fixed."""
+    fixed.  The tables share the layout of the first."""
     if not tables:
         raise HardenError("at least one table required")
-    hist = {
-        d["fn"]: {
-            "slots": d["slots"],
-            "counts": [0] * max(d["slots"], 1),
-            "degenerate": d["slots"] <= 1 or len(tables) == 1,
-        }
-        for d in tables[0].draws
-    }
-    for table in tables:
-        for d in table.draws:
-            if d["slots"]:
-                hist[d["fn"]]["counts"][d["position"]] += 1
+    layout = tables[0].layout
+    if any(table.layout != layout for table in tables):
+        raise HardenError("the tables do not share one draw layout")
+    hist = {}
+    for fn, group in () if layout is None else layout.rows:
+        slots = layout.slots(group)
+        counts = [0] * max(slots, 1)
+        if group is not None:
+            for table in tables:
+                counts[table.positions[group]] += 1
+        hist[fn] = {"slots": slots, "counts": counts,
+                    "degenerate": slots <= 1 or len(tables) == 1}
     return hist

@@ -103,19 +103,17 @@ class FirmwareImage:
     """Flash contents at ``base`` plus the RAM map they boot into.
 
     The image is frozen and ``data`` is kept as immutable ``bytes``, so its
-    three memos never go stale.  The interpreter's two (touched only by
-    ``machine``) are ``decoded``, its ``pc -> (instruction, length)`` map of
-    the flash addresses it has fetched, and ``blocks``, its
+    two memos never go stale.  ``blocks`` is the interpreter's
     ``pc -> (ops, end)`` map of the straight runs of flash code it has
-    compiled.  ``boot_plans`` is the boot pass's per-key scan of the image
-    (written only by ``obfuscation.boot_scan``).
+    compiled (touched only by ``machine``).  ``boot_plans`` is the boot
+    pass's per-key scan of the image (written only by
+    ``obfuscation.boot_scan``).
     """
 
     base: int
     data: bytes
     sram_base: int = DEFAULT_SRAM_BASE
     table_base: int = DEFAULT_TABLE_BASE
-    decoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     boot_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -502,13 +500,21 @@ def generate_corpus(params: CorpusParams) -> tuple[FirmwareImage, Manifest]:
     return image, manifest
 
 
+def artifact_path(prefix, suffix: str) -> Path:
+    """``<prefix><suffix>``, the ``suffix`` file of the artifacts a prefix
+    names.  A prefix ending in ``.bin`` or ``.json`` names them by its stem;
+    any other dot stays, so ``d/obf.v2`` names ``d/obf.v2.bin``."""
+    prefix = Path(prefix)
+    if prefix.suffix in (".bin", ".json"):
+        prefix = prefix.with_suffix("")
+    return prefix.with_name(prefix.name + suffix)
+
+
 def save(image: FirmwareImage, manifest: Manifest, prefix) -> tuple[Path, Path]:
     """Write ``<prefix>.bin`` (raw little-endian image) and ``<prefix>.json``."""
     manifest.validate(image)
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    bin_path = prefix.with_suffix(".bin")
-    json_path = prefix.with_suffix(".json")
+    bin_path, json_path = artifact_path(prefix, ".bin"), artifact_path(prefix, ".json")
+    bin_path.parent.mkdir(parents=True, exist_ok=True)
     bin_path.write_bytes(image.data)
     json_path.write_text(json_text(manifest.to_json()))
     return bin_path, json_path
@@ -565,9 +571,7 @@ def json_text(obj) -> str:
 
 
 def load(prefix) -> tuple[FirmwareImage, Manifest]:
-    prefix = Path(prefix)
-    bin_path = prefix.with_suffix(".bin")
-    json_path = prefix.with_suffix(".json")
+    bin_path, json_path = artifact_path(prefix, ".bin"), artifact_path(prefix, ".json")
     try:
         manifest = Manifest.from_json(json.loads(json_path.read_text()))
         manifest.trampoline_records()  # fail here, not later inside a pass

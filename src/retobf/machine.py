@@ -12,14 +12,14 @@ read-write scratch RAM region, laid out by the image's RAM map
 from the table base up to ``stack_limit``, holds the rebuilt instruction
 table.  Execution is allowed from flash and from that table region only.
 
-Flash is read-only, so the interpreter keeps two memos on the image, shared
-by every state of that image and never stale: ``decoded``, each fetched
-flash address's ``(instruction, length)``, and ``blocks``, each straight run
-of flash code compiled to ops (``pc -> (ops, end)``).  An untraced run
-executes a block at a time; traced runs, blocks that would overrun the step
-budget and fetches that fault or decode to ``Unknown`` are stepped.  The
-table region is RAM: it is stepped, decoded from the state's current bytes
-on every fetch.
+Flash is read-only, so the interpreter keeps one memo on the image, shared
+by every state of that image and never stale: ``blocks``, each straight run
+of flash code compiled to ops (``pc -> (ops, end)``), which keeps no
+instruction objects.  An untraced run executes a block at a time; traced
+runs, blocks that would overrun the step budget and fetches that fault or
+decode to ``Unknown`` are stepped.  Every stepped fetch decodes afresh; the
+table region is RAM, so it is always stepped, from the state's current
+bytes.
 """
 
 from __future__ import annotations
@@ -91,10 +91,8 @@ class MachineState:
     stack_limit: int
     stack_top: int
     step_count: int = 0
-    #: ``pc -> (instruction, length)`` for fetched flash addresses; shared
-    #: with every state of the same image.
-    flash_decoded: dict = field(default_factory=dict, repr=False)
-    #: ``pc -> (ops, end)`` for flash blocks run; shared likewise.
+    #: ``pc -> (ops, end)`` for flash blocks run; shared with every state
+    #: of the same image.
     flash_blocks: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -174,7 +172,6 @@ def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> Mach
         table_base=image.table_base,
         stack_limit=image.stack_limit,
         stack_top=image.stack_top,
-        flash_decoded=image.decoded,
         flash_blocks=image.blocks,
     )
     if table is not None:
@@ -186,25 +183,18 @@ def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> Mach
 
 
 def _fetch(state: MachineState, pc: int) -> tuple[Instruction, int]:
-    hit = state.flash_decoded.get(pc)
-    if hit is not None:
-        return hit
     if pc % 2:
         raise MachineFault(FaultKind.BAD_PC, f"misaligned pc 0x{pc:08x}")
-    in_flash = state.in_flash(pc, 2)
-    if in_flash:
+    if state.in_flash(pc, 2):
         data, off = state.flash, pc - state.flash_base
     elif state.table_base <= pc < state.stack_limit and state.in_sram(pc, 2):
         data, off = state.sram, pc - state.sram_base
     else:
         raise MachineFault(FaultKind.BAD_PC, f"pc 0x{pc:08x} not executable")
     try:
-        decoded = decode(data, off, pc)
+        return decode(data, off, pc)
     except isa.TruncatedStreamError as exc:
         raise MachineFault(FaultKind.UNDECODABLE, str(exc)) from exc
-    if in_flash:
-        state.flash_decoded[pc] = decoded
-    return decoded
 
 
 def _check_sp(state: MachineState) -> None:

@@ -13,6 +13,8 @@ and decrypts every sealed slot; its ``BootPlan`` is memoised on the image
 per key and encodes each table entry the first time a boot needs it.  The
 per-boot half only places those entries with ``RamTable.add``, plain
 (``build_table``) or rotated (``BootPlan.rotated_table``); neither reads a manifest.
+Rotated tables of one plan share their entries and the layout naming their
+draws; each holds only its drawn positions, its entry list and its bytes.
 
 Rotation planning lives here too: a rotation-capable site reserves table
 room for the longest rotated sequence, and the rotated boot checks it.
@@ -287,18 +289,49 @@ class TableEntry:
     site: int
 
 
+@dataclass(frozen=True)
+class DrawLayout:
+    """What the draws of every rotated table of one boot plan share: each
+    push group's register names, and the rows naming the draws,
+    ``(function, group)``.  A row's function is None for an unnamed draw,
+    its group None for a function that draws nothing (a leaf)."""
+
+    names: tuple[tuple[str, ...], ...]
+    rows: tuple[tuple[str | None, int | None], ...]
+
+    def slots(self, group: int | None) -> int:
+        """The stack slots a group's return address is drawn from; 0 for
+        no group."""
+        return 0 if group is None else len(self.names[group]) + 1
+
+    def draws(self, positions: bytes) -> list[dict]:
+        """The rows as JSON, each group at its drawn position."""
+        out = []
+        for fn, group in self.rows:
+            draw = {"slots": self.slots(group), "position": 0}
+            if group is not None:
+                draw.update(position=positions[group], regs=list(self.names[group]))
+            if fn is not None:
+                draw["fn"] = fn
+            out.append(draw)
+        return out
+
+
 @dataclass
 class RamTable:
     """The rebuilt instruction table: ``room`` bytes of RAM from ``base``.
 
     ``image`` holds the table's bytes from ``base`` to the end of the last
-    entry, zero between entries, as the boot pass leaves RAM."""
+    entry, zero between entries, as the boot pass leaves RAM.  A rotated
+    table also holds its drawn position per push group, and the layout its
+    plan's tables share."""
 
     base: int
     room: int
     entries: list[TableEntry] = field(default_factory=list)
-    draws: list[dict] = field(default_factory=list)
     image: bytearray = field(default_factory=bytearray, repr=False)
+    positions: bytes = b""
+    layout: DrawLayout | None = None
 
     def add(self, entry: TableEntry) -> None:
         """Place ``entry`` after the entries already placed."""
@@ -318,6 +351,11 @@ class RamTable:
     @property
     def size(self) -> int:
         return len(self.image)
+
+    @property
+    def draws(self) -> list[dict]:
+        """Each draw as JSON: none for a plain table."""
+        return [] if self.layout is None else self.layout.draws(self.positions)
 
     def install(self, state) -> None:
         """Write the table into ``state``'s RAM in one slice; a
@@ -417,12 +455,15 @@ class BootPlan:
     ``sites`` holds every trampoline in entry-address order with its sealed
     instruction.  ``entries`` fills as boots ask for entries: it maps (site
     core, position) to that site's encoded entry, with position None for the
-    sealed instruction itself.  Nothing here depends on a manifest."""
+    sealed instruction itself.  ``layouts`` maps each naming of the draws
+    that boots asked for to its ``DrawLayout``.  Nothing here depends on a
+    manifest."""
 
     table_base: int
     table_room: int
     sites: list[tuple[RawSighting, isa.Instruction]]
     entries: dict = field(default_factory=dict, repr=False)
+    layouts: dict = field(default_factory=dict, repr=False)
 
     def entry(self, sighting: RawSighting, insn, plan: RotationPlan | None = None) -> TableEntry:
         """The entry of the site holding the sealed ``insn``: ``insn`` itself
@@ -465,18 +506,40 @@ class BootPlan:
                                   f"{need}-byte rotated sequence; harden with --rotate on")
         return groups, site_groups
 
-    def rotated_table(self, seed: int) -> RamTable:
+    def rotated_table(self, seed: int, functions: tuple | None = None) -> RamTable:
         """One rotated boot: a ``random.Random(seed)`` draw per push group in
-        core order; ``draws`` lists each group's slots, position and names."""
+        core order.  Its draws are unnamed, or named by ``functions`` (see
+        ``draw_layout``)."""
         groups, site_groups = self.push_groups
         rng = random.Random(seed)
-        table = RamTable(self.table_base, self.table_room)
-        table.draws = [{"slots": len(plans), "position": rng.randint(0, len(plans) - 1),
-                        "regs": list(names)} for names, plans in groups]
+        positions = bytes([rng.randint(0, len(plans) - 1) for _, plans in groups])
+        table = RamTable(self.table_base, self.table_room, positions=positions)
         for (sighting, insn), group in zip(self.sites, site_groups):
-            plan = None if group is None else groups[group][1][table.draws[group]["position"]]
+            plan = None if group is None else groups[group][1][positions[group]]
             table.add(self.entry(sighting, insn, plan))
+        table.layout = self.draw_layout(functions)
         return table
+
+    def draw_layout(self, functions: tuple | None = None) -> DrawLayout:
+        """The layout every rotated table of this plan shares, made once per
+        naming: one unnamed row per push group, or one row per function of
+        ``functions``, ``(name, is_leaf)`` pairs in order, where a leaf draws
+        nothing and each other function takes the next group."""
+        layout = self.layouts.get(functions)
+        if layout is None:
+            groups, _ = self.push_groups
+            if functions is None:
+                rows = tuple((None, group) for group in range(len(groups)))
+            else:
+                non_leaf = sum(not leaf for _, leaf in functions)
+                if non_leaf != len(groups):
+                    raise HardenError(f"{len(groups)} sealed push group(s) in the image for "
+                                      f"{non_leaf} non-leaf function(s) in the manifest")
+                order = iter(range(len(groups)))
+                rows = tuple((name, None if leaf else next(order)) for name, leaf in functions)
+            layout = self.layouts[functions] = DrawLayout(
+                tuple(names for names, _ in groups), rows)
+        return layout
 
 
 def boot_scan(image: FirmwareImage, key: int) -> BootPlan:
@@ -554,10 +617,12 @@ def sweep_plaintext(
     return hits
 
 
-def trampoline_data_ranges(image: FirmwareImage) -> list[tuple[int, int]]:
-    """Byte ranges (offsets) of the non-code slots inside found trampolines:
-    the sealed instruction plus padding plus the literal word."""
-    return [
-        (s.enc_slot - image.base, s.resume - image.base)
-        for s in scan_trampolines(image.data, image.base)
-    ]
+def trampoline_data_ranges(
+    image: FirmwareImage, sightings: list[RawSighting] | None = None
+) -> list[tuple[int, int]]:
+    """Byte ranges (offsets) of the non-code slots inside the trampolines
+    ``sightings`` of ``image`` (by default, a fresh scan of it): the sealed
+    instruction plus padding plus the literal word."""
+    if sightings is None:
+        sightings = scan_trampolines(image.data, image.base)
+    return [(s.enc_slot - image.base, s.resume - image.base) for s in sightings]

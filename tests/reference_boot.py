@@ -1,9 +1,12 @@
 """Reference boot pass: the uncached table builders the boot plan replaced.
 
 Every call scans the image, decrypts every slot and encodes every entry
-afresh, with no state kept between calls.  ``tests/test_boot_plan.py``
-checks that the memoised ``build_table`` and ``build_rotated_table`` give
-the same tables, in JSON and in RAM bytes, whatever order they run in.
+afresh, with no state kept between calls, and every table keeps its own
+draw dicts.  ``tests/test_boot_plan.py`` checks that the memoised
+``build_table`` and ``build_rotated_table`` give the same tables, in JSON
+and in RAM bytes, whatever order they run in, and that
+``position_distribution`` counts what ``reference_position_distribution``
+counts from those dicts.
 """
 
 import random
@@ -139,3 +142,20 @@ def reference_rotated_table(image, manifest, key, seed) -> ReferenceTable:
             seq = plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence
         table.add(sighting, seq, rec.capacity)
     return table
+
+
+def reference_position_distribution(tables) -> dict[str, dict]:
+    """The position histogram counted from each table's own draw dicts."""
+    hist = {
+        d["fn"]: {
+            "slots": d["slots"],
+            "counts": [0] * max(d["slots"], 1),
+            "degenerate": d["slots"] <= 1 or len(tables) == 1,
+        }
+        for d in tables[0].draws
+    }
+    for table in tables:
+        for d in table.draws:
+            if d["slots"]:
+                hist[d["fn"]]["counts"][d["position"]] += 1
+    return hist

@@ -3,13 +3,14 @@ entry encoded once, and every table still equals the uncached reference
 boot pass, whatever order the tables are built in."""
 
 import copy
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retobf import obfuscation
-from retobf.harden import HardenError, build_rotated_table, harden
+from retobf.harden import HardenError, build_rotated_table, harden, position_distribution
 from retobf.image import CorpusParams, FirmwareImage, Manifest, generate_corpus
 from retobf.isa import Pop, Push, RegisterList, encode
 from retobf.obfuscation import (
@@ -21,7 +22,12 @@ from retobf.obfuscation import (
 )
 
 from conftest import KEY, crafted_images
-from reference_boot import reference_plan_rotation, reference_rotated_table, reference_table
+from reference_boot import (
+    reference_plan_rotation,
+    reference_position_distribution,
+    reference_rotated_table,
+    reference_table,
+)
 
 
 def _fresh(image: FirmwareImage) -> FirmwareImage:
@@ -59,6 +65,49 @@ def test_tables_equal_the_uncached_reference(
             table = build_rotated_table(himg, hman, KEY, seed)
             ref = reference_rotated_table(himg, hman, KEY, seed)
         assert _same_table(table, ref), seed
+
+
+@given(seeds=st.lists(st.integers(0, 1 << 32), min_size=2, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_shared_tables_equal_the_reference_over_boot_seeds(hardened, seeds):
+    """Rotated tables of one plan hold only their draws, yet each equals the
+    reference boot pass, and their histogram is the one counted from the
+    reference tables' own draw dicts.  Any two of them share one layout,
+    and the same entry object wherever their entries are equal."""
+    himg, hman, _ = hardened
+    tables = [build_rotated_table(himg, hman, KEY, seed) for seed in seeds]
+    refs = [reference_rotated_table(himg, hman, KEY, seed) for seed in seeds]
+    for table, ref in zip(tables, refs):
+        assert _same_table(table, ref)
+        assert len(table.positions) == len(table.layout.names)
+    assert position_distribution(tables) == reference_position_distribution(refs)
+    first, second = tables[:2]
+    assert first.layout is second.layout
+    assert all((a is b) == (a == b) for a, b in zip(first.entries, second.entries))
+    assert any(a is b for a, b in zip(first.entries, second.entries))
+
+
+def test_fifty_more_tables_retain_a_few_words_per_group_and_site(hardened):
+    """Each further rotated table retains O(groups + sites) words: its
+    positions, its entry list and its bytes.  Its draws and entries are
+    shared with the plan's other tables.  The bound, 6 words per push group
+    and site, is generous: such a table takes about 2, and one holding its
+    own draw dicts took about 15."""
+    himg, hman, _ = hardened
+    image = _fresh(himg)
+    # Warm the plan: 50 boots encode nearly every (site, position) entry.
+    for seed in range(50):
+        build_rotated_table(image, hman, KEY, seed)
+    plan = obfuscation.boot_scan(image, KEY)
+    words = len(plan.push_groups[0]) + len(plan.sites)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = [build_rotated_table(image, hman, KEY, seed) for seed in range(50, 100)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(tables) <= 6 * 8 * words
 
 
 @given(crafted_images())

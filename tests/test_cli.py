@@ -574,6 +574,28 @@ def test_harden_identity_knobs(workdir, tmp_path):
     assert (tmp_path / "h0.bin").read_bytes() == (workdir / "obf.bin").read_bytes()
 
 
+def test_dotted_prefixes_keep_their_suffix_through_the_pipeline(tmp_path, capsys):
+    """Every artifact of gen, obfuscate, init, attack and eval sits under
+    its full dotted prefix, and eval finds each of them there."""
+    d = tmp_path / "d"
+    assert run("gen", "--out", str(d / "corpus.v2"), "--seed", "5", "--functions", "12") == 0
+    assert run("obfuscate", "--in", str(d / "corpus.v2"), "--out", str(d / "obf.v2"),
+               "--key", KEY) == 0
+    assert f"wrote {d / 'obf.v2.bin'} and {d / 'obf.v2.sites.json'}" in capsys.readouterr().out
+    assert run("init", "--in", str(d / "obf.v2"), "--key", KEY) == 0
+    assert run("attack", "--in", str(d / "obf.v2"), "--out", str(d / "atk.v2")) == 0
+    assert run("eval", "--plain", str(d / "corpus.v2"), "--image", str(d / "obf.v2"),
+               "--attack", str(d / "atk.v2"), "--out", str(d / "ev.v2"), "--key", KEY) == 0
+    assert sorted(p.name for p in d.iterdir()) == sorted([
+        "corpus.v2.bin", "corpus.v2.json", "obf.v2.bin", "obf.v2.json",
+        "obf.v2.sites.json", "obf.v2.table.json", "atk.v2.attack.json",
+        "atk.v2.attack.txt", "atk.v2.gadgets.jsonl", "ev.v2.eval.json", "ev.v2.eval.txt",
+    ])
+    payload = json.loads((d / "ev.v2.eval.json").read_text())
+    assert payload["equivalence"]["passed"] == payload["equivalence"]["runs"] > 0
+    assert payload["gadget_terminators"]["after"] == 0
+
+
 def test_harden_full_pipeline(tmp_path):
     assert run("gen", "--out", str(tmp_path / "c"), "--seed", "9",
                "--functions", "20") == 0

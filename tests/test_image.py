@@ -18,6 +18,7 @@ from retobf.image import (
     FirmwareImage,
     FunctionRecord,
     ImageError,
+    artifact_path,
     generate_corpus,
     json_text,
     load,
@@ -162,6 +163,27 @@ def test_save_load_roundtrip(tmp_path, small_corpus):
     save(image2, manifest2, tmp_path / "again")
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "corpus.json").read_bytes()
     assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "corpus.bin").read_bytes()
+
+
+@pytest.mark.parametrize("prefix, stem", [
+    ("d/corpus", "d/corpus"),
+    ("d/corpus.v2", "d/corpus.v2"),
+    ("d/corpus.bin", "d/corpus"),
+    ("d/corpus.json", "d/corpus"),
+    ("d/corpus.v2.bin", "d/corpus.v2"),
+])
+def test_artifact_paths_keep_every_dot_but_a_pair_suffix(prefix, stem):
+    assert artifact_path(prefix, ".bin") == Path(stem + ".bin")
+    assert artifact_path(Path(prefix), ".json") == Path(stem + ".json")
+
+
+def test_a_dotted_prefix_saves_and_loads_its_own_pair(tmp_path, small_corpus):
+    image, manifest = small_corpus
+    assert save(image, manifest, tmp_path / "corpus.v2") == (
+        tmp_path / "corpus.v2.bin", tmp_path / "corpus.v2.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.v2.bin", "corpus.v2.json"]
+    for prefix in ("corpus.v2", "corpus.v2.bin", "corpus.v2.json"):
+        assert load(tmp_path / prefix)[0].data == image.data
 
 
 def test_load_rejects_overlap(tmp_path, small_corpus):

@@ -1,6 +1,10 @@
 """Interpreter tests: stack semantics, faults, determinism, equivalence,
-and the fast path (flash decode map, flash blocks, per-table RAM image, op
-table) against a reference stepper."""
+and the fast path (flash blocks, per-table RAM image, op table) against a
+reference stepper."""
+
+import dataclasses
+import gc
+import types
 
 import pytest
 from conftest import KEY, crafted_images
@@ -395,12 +399,12 @@ def test_each_table_runs_its_own_bytes(hardened):
 @settings(max_examples=60, deadline=None)
 def test_image_keeps_its_bytes_when_the_source_buffer_changes(edits):
     """Editing the buffer an image was built from, before its first run or
-    after one filled its decode map, changes nothing the image runs."""
+    after one filled its block memo, changes nothing the image runs."""
     code = asm(Push(R("r4", "lr")), MovImm(4, 3), Nop(), Pop(R("r4", "pc")))
     want = call(code, regs={4: 9})
     buffers = [bytearray(code.data), bytearray(code.data)]
     images = [FirmwareImage(code.base, buffer) for buffer in buffers]
-    call(images[1], regs={4: 9})
+    call(images[1], regs={4: 9}, keep_trace=False)
     for buffer in buffers:
         for off, value in edits:
             buffer[off] = value
@@ -409,6 +413,37 @@ def test_image_keeps_its_bytes_when_the_source_buffer_changes(edits):
         assert isinstance(img.data, bytes) and img.data == code.data
         assert got.trace_lines() == want.trace_lines()
         assert got.state.regs == want.state.regs
+        assert call(img, regs={4: 9}, keep_trace=False).state.regs == want.state.regs
+
+
+def _instructions_in(obj) -> set[int]:
+    """Ids of the instruction objects reachable from ``obj`` through its
+    containers and instances; functions, modules and types end the walk."""
+    opaque = (type, types.FunctionType, types.BuiltinFunctionType, types.ModuleType)
+    seen, found, pending = set(), set(), [obj]
+    while pending:
+        item = pending.pop()
+        if id(item) in seen or isinstance(item, opaque):
+            continue
+        seen.add(id(item))
+        if isinstance(item, isa.Instruction):
+            found.add(id(item))
+        pending.extend(gc.get_referents(item))
+    return found
+
+
+def test_an_untraced_call_compiles_blocks_but_keeps_no_instructions(hardened):
+    """Untraced calls of every function fill the image's block memo with ops
+    and add no instruction object to any of its memos."""
+    himg, hman, _ = hardened
+    image = FirmwareImage(himg.base, himg.data, himg.sram_base, himg.table_base)
+    table = build_rotated_table(image, hman, KEY, 3)
+    memos = [f.name for f in dataclasses.fields(image) if not f.init]
+    before = {name: _instructions_in(getattr(image, name)) for name in memos}
+    for fn in hman.functions:
+        call(image, table, entry=fn.start, keep_trace=False)
+    assert image.blocks and before["blocks"] == set()
+    assert {name: _instructions_in(getattr(image, name)) for name in memos} == before
 
 
 def _steps_to_finish(image, table, entry, regs) -> int:
@@ -551,12 +586,14 @@ def test_check_gadget_fails_when_the_seeded_words_do_not_fit(delta):
 
 @pytest.mark.parametrize("insn", [Push(RegisterList(0)), Push(R("r4", "pc")), Pop(RegisterList(0))],
                          ids=str)
-def test_invalid_register_lists_fault_on_both_paths(insn):
-    """The decoder never yields these lists; placed in the decode map by
-    hand, each faults INVALID at its own pc after the steps before it,
-    stepped or run in a block."""
+def test_invalid_register_lists_fault_on_both_paths(insn, monkeypatch):
+    """The decoder never yields these lists; fed to the interpreter by a
+    patched decoder, each faults INVALID at its own pc after the steps
+    before it, stepped or run in a block."""
     img = asm(MovImm(1, 1), Nop(), BxLr())
-    img.decoded[img.base + 2] = (insn, 2)
+    decode = machine.decode
+    monkeypatch.setattr(machine, "decode", lambda data, off, pc: (
+        (insn, 2) if pc == img.base + 2 else decode(data, off, pc)))
     for keep_trace in (True, False):
         with pytest.raises(MachineFault) as err:
             call(img, entry=img.base, keep_trace=keep_trace)

@@ -25,6 +25,7 @@ from retobf.attack import (
     _effect,
     baseline_gadget_scan,
     combine_predictions,
+    count_terminators,
     find_trampolines,
     run_attack,
 )
@@ -79,6 +80,25 @@ def _check_sweeps(data, exclude):
         )
 
 
+def _check_baseline(image):
+    """The baseline catalog equals the reference's, and the terminator count
+    is its number of zero-instruction candidates."""
+    want = ref.baseline_gadget_scan(image)
+    assert baseline_gadget_scan(image) == want
+    assert count_terminators(image) == sum(not c.instructions for c in want)
+
+
+def test_terminators_skip_sweep_hits_that_are_not_returns():
+    """The raw ``pop.w {r4, pc}`` pattern is a sweep hit, but it needs no
+    wide form, so it decodes as junk and ends no gadget; the narrow pop and
+    ``bx lr`` after it do."""
+    words = (0xE8BD, 0x8010, 0xBD10, 0x4770)
+    image = FirmwareImage(DEFAULT_BASE, b"".join(w.to_bytes(2, "little") for w in words))
+    assert sweep_plaintext(image.data) == [0, 4, 6]
+    assert count_terminators(image) == 2
+    _check_baseline(image)
+
+
 def test_sweep_matches_reference_on_every_halfword():
     """Each of the 65536 halfwords once (so every high byte a hit can have),
     unmasked, then with some pops masked and the halfword after each wide
@@ -94,7 +114,7 @@ def test_scans_match_references_on_corpora(corpus_image):
     _check_sweeps(image.data, trampoline_data_ranges(image))
     _check_sweeps(image.data, ())
     _check_lookups(image)
-    assert baseline_gadget_scan(image) == ref.baseline_gadget_scan(image)
+    _check_baseline(image)
     assert ref.program_items(lift(image, manifest)) == ref.program_items(ref.lift(image, manifest))
 
 
@@ -106,7 +126,7 @@ def test_scans_match_references_on_crafted_images(image, data):
     exclude = data.draw(st.lists(st.tuples(bound, bound), max_size=8))
     _check_sweeps(image.data, exclude)
     _check_lookups(image)
-    assert baseline_gadget_scan(image) == ref.baseline_gadget_scan(image)
+    _check_baseline(image)
 
 
 def _decoded(view, idx):

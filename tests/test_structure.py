@@ -4,8 +4,8 @@ geometry and the RAM map each have one definition, each source of
 trampolines (the rewriter, the byte scan) has one trampoline type, every
 instruction type the interpreter can run has a handler, every function
 the benchmark's span tracer wraps exists, only the boot pass touches
-the image's boot-plan memo, only the interpreter touches its decode and
-block memos, and indented JSON is written only through ``image.json_text``."""
+the image's boot-plan memo, only the interpreter touches its block memo,
+and indented JSON is written only through ``image.json_text``."""
 
 import ast
 import importlib
@@ -135,7 +135,7 @@ def _concrete_instructions():
     return found
 
 
-def test_every_instruction_type_has_a_handler():
+def test_every_instruction_type_has_a_handler(monkeypatch):
     """The interpreter compiles each instruction to an op by its exact type,
     in ``step`` and in a flash block alike, so a new ``isa`` class without
     an op builder would fault instead of running; only ``Unknown`` and the
@@ -145,7 +145,8 @@ def test_every_instruction_type_has_a_handler():
     assert set(machine.OPS) == _concrete_instructions() - unhandled
     for insn in (isa.Unknown(0xDEFF), isa.RawWord(0)):
         img = FirmwareImage(0x40000, bytes(4))
-        img.decoded[img.base] = (insn, insn.byte_length())
+        monkeypatch.setattr(machine, "decode",
+                            lambda data, off, pc, insn=insn: (insn, insn.byte_length()))
         state = machine.make_state(img)
         state.pc = img.base
         with pytest.raises(machine.MachineFault) as err:
@@ -168,10 +169,10 @@ def test_only_obfuscation_touches_the_boot_plans():
 
 
 def test_only_machine_touches_the_interpreter_memos():
-    """The image's ``decoded`` and ``blocks`` memos hold what the
-    interpreter compiled from flash; only ``machine`` reads or fills them.
-    A method call such as ``ImageView.decoded(idx)`` is not the memo."""
-    memos = {"decoded", "blocks"}
+    """The image's ``blocks`` memo holds what the interpreter compiled from
+    flash; only ``machine`` reads or fills it.  A method call such as
+    ``view.blocks()`` would not be the memo."""
+    memos = {"blocks"}
     users = []
     for path in SOURCES:
         if path.name == "machine.py":
