@@ -344,8 +344,16 @@ def test_saved_manifest_is_json_text(small_corpus, tmp_path):
     assert json_path.read_text() == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
+class Opaque:
+    """A type json cannot encode, with a repr that names the same test case
+    on every run (a bare object's repr carries its memory address)."""
+
+    def __repr__(self):
+        return "Opaque()"
+
+
 @pytest.mark.parametrize("obj", [
-    {1, 2}, Path("x"), b"bytes", {"a": [1, object()]}, {1: "int key"}, {None: 0},
+    {1, 2}, Path("x"), b"bytes", {"a": [1, Opaque()]}, {1: "int key"}, {None: 0},
     {"a": 1, 2: "mixed keys"}, [{(1, 2): 3}],
 ], ids=repr)
 def test_json_text_refuses_what_json_rejects(obj):
