@@ -103,11 +103,10 @@ class FirmwareImage:
     """Flash contents at ``base`` plus the RAM map they boot into.
 
     The image is frozen and ``data`` is kept as immutable ``bytes``, so its
-    two memos never go stale.  ``blocks`` is the interpreter's
-    ``pc -> (ops, end)`` map of the straight runs of flash code it has
-    compiled (touched only by ``machine``).  ``boot_plans`` is the boot
-    pass's per-key scan of the image (written only by
-    ``obfuscation.boot_scan``).
+    memos never go stale.  ``blocks`` and ``table_blocks`` hold the runs of
+    flash and of table code the interpreter compiled (touched only by
+    ``machine``).  ``boot_plans`` is the boot pass's per-key scan of the
+    image (written only by ``obfuscation.boot_scan``).
     """
 
     base: int
@@ -115,6 +114,7 @@ class FirmwareImage:
     sram_base: int = DEFAULT_SRAM_BASE
     table_base: int = DEFAULT_TABLE_BASE
     blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    table_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     boot_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -228,6 +228,21 @@ class Manifest:
     transform_log: list[dict] = field(default_factory=list)
 
     def validate(self, image: FirmwareImage | None = None) -> None:
+        """Function names are unique strings and site records name functions
+        (else a FieldError); given ``image``, the manifest describes it."""
+        names = {}
+        for i, fn in enumerate(self.functions):
+            if not isinstance(fn.name, str) or names.setdefault(fn.name, i) != i:
+                raise FieldError(f".functions[{i}].name", ValueError("not a unique string"))
+        for k, entry in enumerate(self.transform_log):
+            sites = entry.get("sites", [])
+            if not isinstance(sites, list):
+                raise FieldError(f".transform_log[{k}].sites", TypeError("not a list"))
+            for j, site in enumerate(sites):
+                fn = site.get("fn") if isinstance(site, dict) else None
+                if not isinstance(fn, str) or fn not in names:
+                    raise FieldError(f".transform_log[{k}].sites[{j}].fn",
+                                     ValueError(f"{fn!r} names no function"))
         prev_end = None
         ordered = sorted(self.functions, key=lambda f: f.start)
         if [f.name for f in ordered] != [f.name for f in self.functions]:
@@ -575,17 +590,17 @@ def load(prefix) -> tuple[FirmwareImage, Manifest]:
     try:
         manifest = Manifest.from_json(json.loads(json_path.read_text()))
         manifest.trampoline_records()  # fail here, not later inside a pass
+        image = FirmwareImage(
+            base=manifest.base,
+            data=bin_path.read_bytes(),
+            sram_base=manifest.sram_base,
+            table_base=manifest.table_base,
+        )
+        manifest.validate(image)
     except FieldError as exc:
         raise ImageError(f"malformed manifest {json_path}: {exc}") from exc
     except MALFORMED_INPUT as exc:
         raise ImageError(f"malformed manifest {json_path}: {exc!r}") from exc
-    image = FirmwareImage(
-        base=manifest.base,
-        data=bin_path.read_bytes(),
-        sram_base=manifest.sram_base,
-        table_base=manifest.table_base,
-    )
-    manifest.validate(image)
     return image, manifest
 
 

@@ -12,14 +12,14 @@ read-write scratch RAM region, laid out by the image's RAM map
 from the table base up to ``stack_limit``, holds the rebuilt instruction
 table.  Execution is allowed from flash and from that table region only.
 
-Flash is read-only, so the interpreter keeps one memo on the image, shared
-by every state of that image and never stale: ``blocks``, each straight run
-of flash code compiled to ops (``pc -> (ops, end)``), which keeps no
-instruction objects.  An untraced run executes a block at a time; traced
-runs, blocks that would overrun the step budget and fetches that fault or
-decode to ``Unknown`` are stepped.  Every stepped fetch decodes afresh; the
-table region is RAM, so it is always stepped, from the state's current
-bytes.
+An untraced run executes a block at a time: a straight run of code
+compiled to ops.  The image keeps the blocks of every state of it, and no
+instructions: ``blocks`` per flash pc (flash is read-only), and
+``table_blocks`` per table pc, each kept with the RAM bytes it was compiled
+from and reused only while RAM holds them.  Only ``write_table`` writes
+below ``stack_limit`` (a run keeps sp in the stack), so table code cannot
+change during a run.  Traced runs, blocks over the step budget and fetches
+that fault or decode to ``Unknown`` are stepped, decoding afresh.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ class MachineState:
     stack_limit: int
     stack_top: int
     step_count: int = 0
-    #: ``pc -> (ops, end)`` for flash blocks run; shared with every state
-    #: of the same image.
+    #: The image's block memos: ``pc -> (ops, end)`` in flash, and
+    #: ``pc -> (bytes, ops, bytes, ops, ...)`` in the table region.
     flash_blocks: dict = field(default_factory=dict, repr=False)
+    table_blocks: dict = field(default_factory=dict, repr=False)
 
     @property
     def pc(self) -> int:
@@ -173,6 +174,7 @@ def make_state(image, table=None, *, regs: dict[int, int] | None = None) -> Mach
         stack_limit=image.stack_limit,
         stack_top=image.stack_top,
         flash_blocks=image.blocks,
+        table_blocks=image.table_blocks,
     )
     if table is not None:
         table.install(state)
@@ -237,9 +239,8 @@ def _push(state: MachineState, regs_pushed: tuple[int, ...]) -> None:
             state.write(sp + 4 * i, 4, regs[reg])
 
 
-def _pop(state: MachineState, arg: tuple[tuple[int, ...], bool]) -> int | None:
-    regs_popped, to_pc = arg
-    regs, n = state.regs, len(regs_popped) + to_pc
+def _pop(state: MachineState, regs_popped: tuple[int, ...]) -> int | None:
+    regs, n = state.regs, len(regs_popped)
     sp = regs[isa.SP]
     lo = sp - state.sram_base
     if 0 <= lo and lo + 4 * n <= len(state.sram):
@@ -248,7 +249,8 @@ def _pop(state: MachineState, arg: tuple[tuple[int, ...], bool]) -> int | None:
         values = [state.read(sp + 4 * i, 4) for i in range(n)]
     regs[isa.SP] = (sp + 4 * n) & MASK32
     _check_sp(state)
-    for reg, value in zip(regs_popped, values):
+    to_pc = regs_popped[-1] == isa.PC  # pc, the highest register, is popped last
+    for reg, value in zip(regs_popped[:-1] if to_pc else regs_popped, values):
         regs[reg] = value
     return _interwork_target(values[-1]) if to_pc else None
 
@@ -301,10 +303,7 @@ def _push_op(state: MachineState, insn: isa.Push, pc: int, index: int) -> tuple:
 def _pop_op(state: MachineState, insn: isa.Pop, pc: int, index: int) -> tuple:
     if insn.regs.is_empty:
         return (_CALL, pc, _invalid, "pop {}", index)
-    popped, to_pc = insn.regs.indices(), insn.regs.has_pc
-    if to_pc:
-        popped = popped[:-1]  # pc, the highest register, is popped last
-    return (_JUMP if to_pc else _CALL, pc, _pop, (popped, to_pc), index)
+    return (_JUMP if insn.regs.has_pc else _CALL, pc, _pop, insn.regs.indices(), index)
 
 
 #: The op builder of each executable instruction type:
@@ -384,34 +383,53 @@ def step(state: MachineState) -> Instruction:
     return insn
 
 
-#: The block of a pc that is not flash code: step it.
+#: The block of a pc that is not code: step it.
 _STEP = ((), 0)
 
 
-def _block_at(state: MachineState, pc: int) -> tuple[tuple, int]:
-    """The ops of the straight run of flash code from ``pc`` up to and
-    including its first branch, and the address after the run.  The run
-    stops early before an instruction that ends flash, faults on fetch or
-    has no op, and before ``SENTINEL``.  Flash blocks go into the image's
-    block memo; a pc outside flash gets ``_STEP``."""
-    if pc % 2 or not state.in_flash(pc, 2):
-        return _STEP
+def _compile(state: MachineState, pc: int, limit: int) -> tuple[tuple, int]:
+    """The ops of the straight run of code from ``pc`` up to and including
+    its first branch, and the address after the run.  The run stops early
+    before an instruction that does not end by ``limit``, faults on fetch
+    or has no op, and before ``SENTINEL``."""
     ops: list = []
     addr = pc
-    while state.in_flash(addr, 2):
+    while addr < limit:
         try:
             insn, length = _fetch(state, addr)
         except MachineFault:
             break
         build = OPS.get(type(insn))
-        if build is None:
+        if build is None or addr + length > limit:
             break
         ops.append(build(state, insn, addr, len(ops)))
         addr += length
         if ops[-1][0] in _BRANCHES or addr == SENTINEL:
             break
-    block = state.flash_blocks[pc] = (tuple(ops), addr)
-    return block
+    return tuple(ops), addr
+
+
+def _block_at(state: MachineState, pc: int) -> tuple[tuple, int]:
+    """The block at ``pc`` from the image's memos, compiled on a miss.  A
+    table block ends by ``stack_limit``, so it never reads the stack, and
+    is reused only while RAM holds the bytes it was compiled from.  Any
+    other pc gets ``_STEP``."""
+    if pc % 2:
+        return _STEP
+    if state.in_flash(pc, 2):
+        block = state.flash_blocks[pc] = _compile(state, pc, state.flash_base + len(state.flash))
+        return block
+    if not state.table_base <= pc < state.stack_limit:
+        return _STEP
+    sram, lo = state.sram, pc - state.sram_base
+    runs = state.table_blocks.get(pc, ())
+    for i in range(0, len(runs), 2):
+        if sram.startswith(runs[i], lo):
+            return runs[i + 1], pc + len(runs[i])
+    ops, end = _compile(state, pc, state.stack_limit)
+    if ops:
+        state.table_blocks[pc] = (*runs, bytes(sram[lo : end - state.sram_base]), ops)
+    return ops, end
 
 
 def _run(state: MachineState, budget: int, trace: list[TraceEvent] | None = None) -> None:
@@ -419,9 +437,9 @@ def _run(state: MachineState, budget: int, trace: list[TraceEvent] | None = None
     per step to ``trace`` when given.  Raises ``MachineFault`` on any fault,
     including exhausting the step budget.
 
-    An untraced run executes a flash block at a time while the whole block
-    fits the budget; it steps table code, blocks that would overrun the
-    budget, and instructions that fault on fetch or have no op."""
+    An untraced run executes a block at a time while the whole block fits
+    the budget; it steps blocks that would overrun the budget, and
+    instructions that fault on fetch or have no op."""
     regs = state.regs
     blocks = state.flash_blocks
     while (pc := regs[isa.PC]) != SENTINEL:

@@ -11,8 +11,11 @@ The boot pass is modeled offline and split in two.  The per-image half,
 ``boot_scan``, walks the image like the in-firmware initialization would
 and decrypts every sealed slot; its ``BootPlan`` is memoised on the image
 per key and encodes each table entry the first time a boot needs it.  The
-per-boot half only places those entries with ``RamTable.add``, plain
-(``build_table``) or rotated (``BootPlan.rotated_table``); neither reads a manifest.
+per-boot half only places those entries, and neither kind reads a
+manifest.  A plain table (``build_table``) adds them with ``RamTable.add``,
+which checks each against the entry before it.  A rotated boot
+(``BootPlan.rotated_table``) draws positions and joins the drawn entries'
+bytes, each entry checked and padded to the next site once per plan.
 Rotated tables of one plan share their entries and the layout naming their
 draws; each holds only its drawn positions, its entry list and its bytes.
 
@@ -79,10 +82,6 @@ def encrypt_halfword(hw: int, key: int) -> int:
     same operation."""
     check_key(key)
     return (hw ^ key) & 0xFFFF
-
-
-def decrypt_halfword(hw: int, key: int) -> int:
-    return encrypt_halfword(hw, key)
 
 
 def encrypt_bytes(data: bytes, key: int) -> bytes:
@@ -317,6 +316,22 @@ class DrawLayout:
         return out
 
 
+def _check_entry(entry: TableEntry, start: int, room: int) -> None:
+    """Refuse ``entry`` unless it starts inside a table of ``room`` bytes, on
+    a stride boundary at or after ``start`` (where the entry before it
+    ends), and ends within the room."""
+    offset, size = entry.offset, len(entry.data)
+    if not 0 <= offset < room:
+        raise IntegrityError(f"site 0x{entry.site:x}: entry outside table")
+    if offset % TABLE_STRIDE or offset < start:
+        raise IntegrityError(
+            f"site 0x{entry.site:x}: table entry +{offset} is misaligned "
+            "or overlaps the previous entry"
+        )
+    if offset + size > room:
+        raise TableCapacityError(f"table size {offset + size} exceeds {room}")
+
+
 @dataclass
 class RamTable:
     """The rebuilt instruction table: ``room`` bytes of RAM from ``base``.
@@ -335,18 +350,9 @@ class RamTable:
 
     def add(self, entry: TableEntry) -> None:
         """Place ``entry`` after the entries already placed."""
-        offset, size = entry.offset, len(entry.data)
-        if not 0 <= offset < self.room:
-            raise IntegrityError(f"site 0x{entry.site:x}: entry outside table")
-        if offset % TABLE_STRIDE or offset < self.size:
-            raise IntegrityError(
-                f"site 0x{entry.site:x}: table entry +{offset} is misaligned "
-                "or overlaps the previous entry"
-            )
-        if offset + size > self.room:
-            raise TableCapacityError(f"table size {offset + size} exceeds {self.room}")
+        _check_entry(entry, self.size, self.room)
         self.entries.append(entry)
-        self.image += bytes(offset - len(self.image)) + entry.data
+        self.image += bytes(entry.offset - len(self.image)) + entry.data
 
     @property
     def size(self) -> int:
@@ -453,35 +459,27 @@ class BootPlan:
     """The per-image half of the boot pass for one key.
 
     ``sites`` holds every trampoline in entry-address order with its sealed
-    instruction.  ``entries`` fills as boots ask for entries: it maps (site
-    core, position) to that site's encoded entry, with position None for the
-    sealed instruction itself.  ``layouts`` maps each naming of the draws
-    that boots asked for to its ``DrawLayout``.  Nothing here depends on a
+    instruction.  ``placed`` fills as rotated boots draw positions: one row
+    per site holds, per position (only 0 for an unrotated site), the site's
+    entry, checked once, then its bytes padded up to the next site's entry,
+    so a boot is one join.  ``layouts`` maps each naming of the draws that
+    boots asked for to its ``DrawLayout``.  Nothing here depends on a
     manifest."""
 
     table_base: int
     table_room: int
     sites: list[tuple[RawSighting, isa.Instruction]]
-    entries: dict = field(default_factory=dict, repr=False)
+    placed: list = field(default_factory=list, repr=False)
     layouts: dict = field(default_factory=dict, repr=False)
-
-    def entry(self, sighting: RawSighting, insn, plan: RotationPlan | None = None) -> TableEntry:
-        """The entry of the site holding the sealed ``insn``: ``insn`` itself
-        or, given a rotation ``plan`` of its registers, the plan's sequence."""
-        key = (sighting.core, None if plan is None else plan.position)
-        entry = self.entries.get(key)
-        if entry is None:
-            seq = [insn] if plan is None else (
-                plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence)
-            entry = self.entries[key] = entry_bytes_for(seq, sighting, self.table_base)
-        return entry
 
     @cached_property
     def push_groups(self) -> tuple[list[tuple[tuple[str, ...], list[RotationPlan]]], list]:
         """Each push group's register names and rotation plans, and each
         site's group index (None: an unrotated ``bx lr``).  In core order a
         sealed push opens a group and a sealed pop joins it.  Each site's
-        room, up to the next entry, must hold its longest rotated sequence."""
+        room, up to the next entry, must hold its longest rotated sequence,
+        found once per distinct sealed instruction (a pop restores its
+        push's registers)."""
         groups, group_of, pushes = [], {}, {}
         for sighting, insn in sorted(self.sites, key=lambda site: site[0].core):
             if isinstance(insn, Push):
@@ -499,8 +497,10 @@ class BootPlan:
             group_of[sighting.core] = len(groups) - 1
         site_groups = [group_of.get(s.core) for s, _ in self.sites]
         ends = [s.entry_address for s, _ in self.sites[1:]] + [self.table_base + self.table_room]
+        needs = {}
         for (sighting, insn), group, end in zip(self.sites, site_groups, ends):
-            need = _entry_capacity(insn, [] if group is None else groups[group][1])
+            need = needs.get(insn) or needs.setdefault(
+                insn, _entry_capacity(insn, [] if group is None else groups[group][1]))
             if need > end - sighting.entry_address:
                 raise HardenError(f"site 0x{sighting.core:x}: no table room for its "
                                   f"{need}-byte rotated sequence; harden with --rotate on")
@@ -513,12 +513,38 @@ class BootPlan:
         groups, site_groups = self.push_groups
         rng = random.Random(seed)
         positions = bytes([rng.randint(0, len(plans) - 1) for _, plans in groups])
-        table = RamTable(self.table_base, self.table_room, positions=positions)
-        for (sighting, insn), group in zip(self.sites, site_groups):
-            plan = None if group is None else groups[group][1][positions[group]]
-            table.add(self.entry(sighting, insn, plan))
-        table.layout = self.draw_layout(functions)
-        return table
+        if not self.placed:
+            self.placed = [[None] * (2 if group is None else 2 * len(groups[group][1]))
+                           for group in site_groups]
+        placed, place = self.placed, self._place
+        entries, chunks = [], [b""]
+        for index, group in enumerate(site_groups):
+            row, at = placed[index], 0 if group is None else 2 * positions[group]
+            if row[at] is None:
+                place(index, at // 2)
+            entries.append(row[at])
+            chunks.append(row[at + 1])
+        chunks[0] = bytes(entries[0].offset if entries else 0)
+        return RamTable(self.table_base, self.table_room, entries, b"".join(chunks),
+                        positions, self.draw_layout(functions))
+
+    def _place(self, index: int, position: int) -> None:
+        """Fill site ``index``'s row at ``position``: the entry, checked, then
+        its bytes padded to the next site's entry.  The sites are in entry
+        order and ``push_groups`` bounds each entry by the next site's, so
+        rotated entries never overlap the one before."""
+        groups, site_groups = self.push_groups
+        sighting, insn = self.sites[index]
+        seq = [insn]
+        if site_groups[index] is not None:
+            plan = groups[site_groups[index]][1][position]
+            seq = plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence
+        entry = entry_bytes_for(seq, sighting, self.table_base)
+        _check_entry(entry, 0, self.table_room)
+        end = entry.offset + len(entry.data)
+        pad = 0 if index + 1 == len(self.sites) else (
+            self.sites[index + 1][0].entry_address - self.table_base - end)
+        self.placed[index][2 * position : 2 * position + 2] = entry, entry.data + bytes(pad)
 
     def draw_layout(self, functions: tuple | None = None) -> DrawLayout:
         """The layout every rotated table of this plan shares, made once per
@@ -564,7 +590,7 @@ def build_table(image: FirmwareImage, key: int) -> RamTable:
     plan = boot_scan(image, key)
     table = RamTable(image.table_base, image.table_room)
     for sighting, insn in plan.sites:
-        table.add(plan.entry(sighting, insn))
+        table.add(entry_bytes_for([insn], sighting, image.table_base))
     return table
 
 

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from retobf import obfuscation
 from retobf.harden import HardenError, build_rotated_table, harden, position_distribution
-from retobf.image import CorpusParams, FirmwareImage, Manifest, generate_corpus
+from retobf.image import (
+    DEFAULT_BASE,
+    DEFAULT_TABLE_BASE,
+    CorpusParams,
+    FirmwareImage,
+    Manifest,
+    generate_corpus,
+)
 from retobf.isa import Pop, Push, RegisterList, encode
 from retobf.obfuscation import (
     IntegrityError,
@@ -21,7 +28,7 @@ from retobf.obfuscation import (
     plan_rotation,
 )
 
-from conftest import KEY, crafted_images
+from conftest import KEY, crafted_images, plant_signature
 from reference_boot import (
     reference_plan_rotation,
     reference_position_distribution,
@@ -136,6 +143,28 @@ def test_crafted_images_boot_rotated_or_raise_a_typed_error(image, seed):
         return
     assert [e.site for e in table.entries] == [sighting.core for sighting, _ in plan.sites]
     assert len(table.draws) == sum(isinstance(insn, Push) for _, insn in plan.sites)
+
+
+@pytest.mark.parametrize("literal, adds_imm, message", [
+    (DEFAULT_TABLE_BASE - 8, 0, "entry outside table"),
+    (DEFAULT_TABLE_BASE, 2, "misaligned"),
+], ids=["below-the-table", "off-the-stride"])
+def test_a_rotated_boot_checks_each_entry_as_the_plain_boot_does(literal, adds_imm, message):
+    """A push site whose entry lies below the table or off the stride, with
+    room for every rotated sequence before the pop site after it, fails
+    every rotated boot with the plain boot's IntegrityError naming it."""
+    data = bytearray(64)
+    for off, adds, lit, insn in [(0, adds_imm, literal, Push(RegisterList.of("r4", "lr"))),
+                                 (32, 32, DEFAULT_TABLE_BASE, Pop(RegisterList.of("r4", "pc")))]:
+        assert plant_signature(data, DEFAULT_BASE, off, adds, lit,
+                               encrypt_bytes(encode(insn), KEY))
+    image = FirmwareImage(DEFAULT_BASE, bytes(data))
+    error = f"site 0x{DEFAULT_BASE:x}: .*{message}"
+    with pytest.raises(IntegrityError, match=error):
+        build_table(image, KEY)
+    for seed in range(4):
+        with pytest.raises(IntegrityError, match=error):
+            obfuscation.boot_scan(image, KEY).rotated_table(seed)
 
 
 def _count_calls(monkeypatch, name: str) -> list:

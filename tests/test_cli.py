@@ -458,6 +458,36 @@ def test_non_leaf_without_prologue_fails_every_stage(tmp_path, capsys):
         assert err.startswith("error: ") and "fn_001" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edit, path", [
+    (lambda m: m["functions"][5].update(name="zz"),
+     "transform_log[1].sites[5].fn: ValueError(\"'fn_005' names no function\")"),
+    (lambda m: m["transform_log"][1]["sites"][0].update(fn="nope"),
+     "transform_log[1].sites[0].fn: ValueError(\"'nope' names no function\")"),
+    (lambda m: m["functions"][5].update(name=["fn_005"]),
+     "functions[5].name: ValueError('not a unique string')"),
+    (lambda m: m["functions"][5].update(name="fn_004"),
+     "functions[5].name: ValueError('not a unique string')"),
+], ids=["renamed-function", "dangling-site-fn", "list-as-name", "duplicate-name"])
+def test_eval_refuses_a_site_that_names_no_function(tmp_path, capsys, edit, path):
+    """Function names are unique strings and every site record names one;
+    otherwise ``load`` refuses the manifest, naming the field, before
+    ``eval`` scores the attack against it."""
+    assert run("gen", "--out", str(tmp_path / "c"), "--functions", "12", "--seed", "2") == 0
+    assert run("obfuscate", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+               "--key", KEY) == 0
+    assert run("attack", "--in", str(tmp_path / "o"), "--out", str(tmp_path / "a")) == 0
+    manifest = json.loads((tmp_path / "o.json").read_text())
+    edit(manifest)
+    (tmp_path / "o.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("eval", "--plain", str(tmp_path / "c"), "--image", str(tmp_path / "o"),
+               "--attack", str(tmp_path / "a"), "--out", str(tmp_path / "e"),
+               "--key", KEY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed manifest ") and err.endswith(f": {path}\n")
+    assert err.count("\n") == 1
+
+
 def test_equivalence_suite_reports_each_failed_run(workdir, capsys):
     """With one table entry zeroed, the runs through it fail, each with one
     stderr line naming its function, table and fault kind."""

@@ -1,5 +1,5 @@
 """Interpreter tests: stack semantics, faults, determinism, equivalence,
-and the fast path (flash blocks, per-table RAM image, op table) against a
+and the fast path (flash and table blocks, per-table RAM image, op table) against a
 reference stepper."""
 
 import dataclasses
@@ -15,7 +15,7 @@ from reference_machine import reference_check_gadget, reference_run, reference_s
 from retobf import isa, machine
 from retobf.attack import run_attack
 from retobf.harden import build_rotated_table
-from retobf.image import STACK_RESERVE, FirmwareImage
+from retobf.image import DEFAULT_BASE, DEFAULT_SRAM_BASE, STACK_RESERVE, FirmwareImage
 from retobf.isa import (
     AddReg,
     AddSpImm,
@@ -49,6 +49,7 @@ from retobf.obfuscation import (
     ObfuscationError,
     RamTable,
     RawSighting,
+    TableEntry,
     build_table,
     entry_bytes_for,
     scan_trampolines,
@@ -557,6 +558,124 @@ def test_flash_running_into_the_table_region_runs_each_tables_bytes():
         table.add(entry_bytes_for([MovImm(2, imm), BxLr()], sighting, image.table_base))
         _assert_same_at_every_budget(image, table, image.base, {})
         assert call(image, table, keep_trace=False).state.regs[2] == imm
+
+
+def test_one_image_under_many_rotated_tables_matches_reference(hardened):
+    """One image runs every function under six rotated tables in turn, so
+    its table memo holds several runs at one pc; each call, and each call
+    cut short by a smaller budget, matches the reference stepper."""
+    himg, hman, _ = hardened
+    image = FirmwareImage(himg.base, himg.data, himg.sram_base, himg.table_base)
+    tables = [build_rotated_table(image, hman, KEY, seed) for seed in range(6)]
+    regs = {i: 0x01010101 * (i + 1) for i in range(13)}
+    for round_ in range(2):
+        for fn in hman.functions:
+            for table in tables:
+                _assert_same_as_reference(image, table, fn.start, regs, budget=10_000)
+        fn = hman.functions[round_ * 7]
+        for table in tables[:2]:
+            _assert_same_at_every_budget(image, table, fn.start, regs)
+    assert max(len(runs) for runs in image.table_blocks.values()) > 2  # (bytes, ops) per run
+
+
+def test_a_table_entry_rewritten_between_calls_matches_reference():
+    """A hand-built table whose first entry is rewritten between calls, to
+    other code, a shorter or longer run, or an undecodable halfword, runs
+    each call's own bytes, as the reference stepper does."""
+    base = DEFAULT_BASE
+    code = asm(Push(R("lr")), Bl(DEFAULT_SRAM_BASE), Bl(DEFAULT_SRAM_BASE + 16),
+               Pop(R("pc")), base=base)
+    image = FirmwareImage(code.base, code.data)
+    table = RamTable(image.table_base, 0x100)
+    for offset, insns in ((0, [MovImm(2, 1), BxLr()]), (16, [MovImm(3, 7), BxLr()])):
+        sighting = RawSighting(core=base, adds_imm=offset, literal_value=image.table_base)
+        table.add(entry_bytes_for(insns, sighting, image.table_base))
+    first = [[MovImm(2, 1), BxLr()], [MovImm(2, 5), AddReg(2, 2, 2), BxLr()],
+             [MovImm(2, 1), Nop(), BxLr()], [MovImm(2, 9), isa.Unknown(0xDEFF)],
+             [MovImm(2, 1), BxLr()], [Pop(R("r4", "pc"))]]
+    faults = []
+    for insns in first:
+        data = b"".join(encode(insn) for insn in insns)
+        table.entries[0] = TableEntry(0, data, "", base)
+        table.image[0:16] = data.ljust(16, b"\0")
+        for budget in (10_000, 4):
+            faults.append(_assert_same_as_reference(image, table, base, {}, budget))
+    assert faults == [None, FaultKind.BUDGET] * 3 + [FaultKind.UNDECODABLE] * 2 + [
+        None, FaultKind.BUDGET, FaultKind.INTERWORK, FaultKind.INTERWORK]
+    assert len(image.table_blocks[image.table_base]) == 2 * 5  # (bytes, ops) per run
+
+
+def _load(rd: int, value: int) -> list:
+    """Instructions leaving the 16-bit ``value`` in ``rd`` (r0 is scratch)."""
+    return [MovImm(rd, value >> 8), *[AddReg(rd, rd, rd)] * 8,
+            MovImm(0, value & 0xFF), AddReg(rd, rd, 0)]
+
+
+def test_a_table_block_never_reads_the_stack():
+    """A table entry ends in the first half of a wide ``pop.w`` at
+    ``stack_limit - 2``, so its second half is the lowest stack halfword,
+    which the entry's own ``push {r1}`` rewrites.  The block at the entry
+    stops before the straddling instruction, which is stepped from the
+    bytes the push left, as the reference stepper reads them."""
+    base = DEFAULT_BASE
+    probe = FirmwareImage(base, bytes(4))
+    entry = probe.stack_limit - 4
+    code = asm(*_load(2, 0x8110), *_load(1, 0x8210), *_DOWN_TO_STACK_LIMIT,
+               StrSpRel(2, 0), AddSpImm(4), Bl(entry), base=base)
+    image = FirmwareImage(base, code.data)
+    table = RamTable(image.table_base, image.table_room)
+    table.add(TableEntry(entry - image.table_base, encode(Push(R("r1"))) + b"\xbd\xe8", "",
+                         base))
+    regs = {8: 0x88, 9: 0x99}
+    for _ in range(2):  # cold, then with the image's memos filled
+        _assert_same_at_every_budget(image, table, base, regs)
+    state, fault = _fast_run(image, table, base, regs, budget=10_000)
+    assert fault == FaultKind.INTERWORK  # pop.w {r4, r9, pc} popped an even pc
+    assert (state.regs[4], state.regs[8], state.regs[9]) == (0x8210, 0x88, 0)
+
+
+def _assert_runs_keep_the_table_region(image, table, runs):
+    """Each of ``runs`` ends, or faults, with the RAM below ``stack_limit``
+    holding just what installing ``table`` wrote there."""
+    installed = make_state(image, table).sram[: image.stack_limit - image.sram_base]
+    for run in runs:
+        state, _, _ = _caught(run)
+        assert state.sram[: image.stack_limit - image.sram_base] == installed
+
+
+@given(image=crafted_images(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_only_the_table_install_writes_below_the_stack_limit(image, data):
+    """A run keeps sp inside the stack, so only ``write_table`` writes
+    below ``stack_limit``: whatever a run does, and wherever it faults, the
+    table region holds the bytes installed before it.  This is why a table
+    block compiled from those bytes stays valid for the whole run."""
+    try:
+        table = build_table(image, KEY)
+    except ObfuscationError:
+        table = None
+    entry = image.base + 2 * data.draw(st.integers(0, len(image.data) // 2 - 1))
+    regs = data.draw(_REGS)
+    delta, slot = 4 * data.draw(st.integers(0, 16)), data.draw(st.integers(0, 16))
+    _assert_runs_keep_the_table_region(image, table, [
+        lambda: call(image, table, entry, regs, budget=300, keep_trace=False),
+        lambda: call(image, table, entry, regs, budget=300),
+        lambda: check_gadget(image, table, entry, delta, slot),
+    ])
+
+
+@pytest.mark.parametrize("name", MID_BLOCK)
+def test_runs_down_to_the_stack_limit_keep_the_table_region(name):
+    """The same holds for runs that push, store and move sp at the stack's
+    edges, with a table installed right below the stack."""
+    image = asm(*MID_BLOCK[name][0])
+    table = RamTable(image.table_base, image.table_room)
+    table.add(TableEntry(image.table_room - 4, b"\xa5" * 4, "", image.base))
+    regs = {i: 0x10 * i + 1 for i in range(13)}
+    _assert_runs_keep_the_table_region(image, table, [
+        lambda: call(image, table, image.base, regs, keep_trace=keep_trace)
+        for keep_trace in (False, True)
+    ])
 
 
 def test_check_gadget_matches_reference_on_every_candidate(obfuscated):

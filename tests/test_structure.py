@@ -4,7 +4,7 @@ geometry and the RAM map each have one definition, each source of
 trampolines (the rewriter, the byte scan) has one trampoline type, every
 instruction type the interpreter can run has a handler, every function
 the benchmark's span tracer wraps exists, only the boot pass touches
-the image's boot-plan memo, only the interpreter touches its block memo,
+the image's boot-plan memo, only the interpreter touches its block memos,
 and indented JSON is written only through ``image.json_text``."""
 
 import ast
@@ -169,10 +169,11 @@ def test_only_obfuscation_touches_the_boot_plans():
 
 
 def test_only_machine_touches_the_interpreter_memos():
-    """The image's ``blocks`` memo holds what the interpreter compiled from
-    flash; only ``machine`` reads or fills it.  A method call such as
-    ``view.blocks()`` would not be the memo."""
-    memos = {"blocks"}
+    """The image's ``blocks`` and ``table_blocks`` memos hold what the
+    interpreter compiled from flash and from table code; only ``machine``
+    reads or fills them.  A method call such as ``view.blocks()`` would not
+    be the memo."""
+    memos = {"blocks", "table_blocks"}
     users = []
     for path in SOURCES:
         if path.name == "machine.py":
