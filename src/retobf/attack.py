@@ -408,22 +408,22 @@ class GadgetCandidate:
             "pc_slot_index": self.pc_slot_index,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GadgetCandidate":
-        """Raises ValueError unless ``stack_delta`` is a non-negative
-        multiple of 4 and ``pc_slot_index`` is None or one of its words."""
+    @staticmethod
+    def json_fields(obj: dict) -> tuple:
+        """Every check ``from_json`` makes, without building the candidate:
+        its constructor arguments, in field order.  Raises ValueError unless
+        ``stack_delta`` is a non-negative multiple of 4 and ``pc_slot_index``
+        is None or one of its words."""
         delta, slot = obj["stack_delta"], obj["pc_slot_index"]
         if type(delta) is not int or delta < 0 or delta % 4:
             raise ValueError(f"stack_delta {delta!r} is not a non-negative multiple of 4")
         if slot is not None and (type(slot) is not int or not 0 <= slot < delta // 4):
             raise ValueError(f"pc_slot_index {slot!r} is not one of {delta // 4} stack words")
-        return cls(
-            start=int(obj["start"], 16),
-            site_address=int(obj["site"], 16),
-            instructions=obj["instructions"],
-            stack_delta=delta,
-            pc_slot_index=slot,
-        )
+        return int(obj["start"], 16), int(obj["site"], 16), obj["instructions"], delta, slot
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "GadgetCandidate":
+        return cls(*cls.json_fields(obj))
 
 
 def _admissible(insn, kind: str) -> bool:
@@ -542,8 +542,9 @@ class AttackResult:
         return {p.site.core: p for p in self.predictions[method]}
 
     def to_json(self) -> dict:
-        """The report form.  ``inferred_table_offset`` is a site's table
-        entry relative to the lowest entry the image's sites point at."""
+        """The report form, without the catalog.  ``inferred_table_offset``
+        is a site's table entry relative to the lowest entry the image's
+        sites point at."""
         min_entry = min((s.entry_address for s in self.sites), default=0)
         return {
             "image_sha256": self.image_sha256,
@@ -562,20 +563,16 @@ class AttackResult:
                 method: [p.to_json() for p in preds]
                 for method, preds in self.predictions.items()
             },
-            "gadget_count": len(self.catalog),
         }
 
     @classmethod
-    def from_json(cls, obj: dict, catalog: list[GadgetCandidate]) -> "AttackResult":
-        """Rebuild a result from its ``to_json`` form; the catalog is stored
-        separately (one ``GadgetCandidate`` JSON object per line) and must
-        hold ``gadget_count`` candidates.  A rebuilt site's ``enc_window``
-        holds only the encrypted halfword, and ``inferred_table_offset`` is
-        derived again when the result is written."""
-        count = obj["gadget_count"]
-        if type(count) is not int or count != len(catalog):
-            raise ValueError(f"gadget_count {count!r} but the catalog holds "
-                             f"{len(catalog)} candidate(s)")
+    def from_json(cls, obj: dict) -> "AttackResult":
+        """Rebuild a result from its ``to_json`` form.  The catalog is not
+        part of it (it is stored one ``GadgetCandidate`` per line, apart), so
+        the rebuilt result's catalog is empty.  A rebuilt site's
+        ``enc_window`` holds only the encrypted halfword, and
+        ``inferred_table_offset`` is derived again when the result is
+        written."""
         sites = {}
         for site in obj["sites"]:
             core, halfword = int(site["address"], 16), int(site["encrypted_halfword"], 16)
@@ -597,7 +594,7 @@ class AttackResult:
                 ]
                 for method in METHODS
             },
-            catalog=catalog,
+            catalog=[],
         )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import random
@@ -106,7 +107,7 @@ def cmd_init(args) -> int:
         table = harden_mod.build_rotated_table(image, manifest, key, args.seed)
     else:
         table = build_table(image, key)
-    out = Path(args.out if args.out else str(args.input) + ".table.json")
+    out = Path(args.out) if args.out else image_mod.artifact_path(args.input, ".table.json")
     payload = table.to_json()
     payload["image_sha256"] = image.sha256()
     _dump_json(out, payload)
@@ -121,6 +122,7 @@ def cmd_attack(args) -> int:
     out = Path(args.out)
     report = result.to_json()
     report["config"] = _echo(args)
+    report["gadget_count"] = len(result.catalog)
     if not result.sites:
         report["note"] = "no trampolines located; image looks unobfuscated"
     _dump_json(Path(str(out) + ".attack.json"), report)
@@ -163,16 +165,47 @@ def cmd_harden(args) -> int:
     return 0
 
 
-def _load_attack(prefix) -> AttackResult:
+def _load_attack(prefix) -> tuple[AttackResult, object]:
+    """The result ``<prefix>.attack.json`` holds, and its ``gadget_count``
+    as read: ``_sample_catalog`` checks it against the catalog."""
     path = Path(str(prefix) + ".attack.json")
-    gadget_path = Path(str(prefix) + ".gadgets.jsonl")
     text = path.read_text()
-    lines = gadget_path.read_text().splitlines() if gadget_path.exists() else []
     try:
-        catalog = [GadgetCandidate.from_json(json.loads(line)) for line in lines]
-        return AttackResult.from_json(json.loads(text), catalog)
+        obj = json.loads(text)
+        return AttackResult.from_json(obj), obj["gadget_count"]
     except MALFORMED_INPUT as exc:
         raise CliError(f"malformed attack report {path}: {exc!r}") from exc
+
+
+def _sample_catalog(prefix, count, size: int) -> list[GadgetCandidate]:
+    """Check ``<prefix>.gadgets.jsonl`` in one pass and build the sample of
+    up to ``size`` candidates the gadget check runs.
+
+    Every line is checked as ``GadgetCandidate.from_json`` reads it, and the
+    file (none counts as empty) must hold ``count`` lines.  Only the lines
+    at the indices ``random.Random(0xCA7).sample`` draws from ``range(count)``
+    are built, in draw order: the sample it draws from the parsed list.  A
+    refused line is named by its 1-based number."""
+    path = Path(str(prefix) + ".gadgets.jsonl")
+    counted = type(count) is int and count >= 0
+    picks = random.Random(0xCA7).sample(range(count), min(size, count)) if counted else []
+    sample = dict.fromkeys(picks)
+    n = 0
+    try:
+        with path.open("rb") if path.exists() else io.BytesIO() as lines:
+            for raw in lines:
+                # Split as str.splitlines does, which also breaks at \r, \v, \f.
+                for line in raw.decode().splitlines():
+                    fields = GadgetCandidate.json_fields(json.loads(line))
+                    if n in sample:
+                        sample[n] = GadgetCandidate(*fields)
+                    n += 1
+    except MALFORMED_INPUT as exc:
+        raise CliError(f"malformed attack report {path} line {n + 1}: {exc!r}") from exc
+    if not counted or count != n:
+        raise CliError(f"malformed attack report {path}: gadget_count {count!r} "
+                       f"but the catalog holds {n} candidate(s)")
+    return list(sample.values())
 
 
 def _equivalence_suite(plain, plain_man, image, manifest, tables, *, runs):
@@ -208,12 +241,10 @@ def _equivalence_suite(plain, plain_man, image, manifest, tables, *, runs):
     return total, passed
 
 
-def _gadget_check(image, table, catalog) -> dict:
-    """Run a fixed sample of up to 25 ``catalog`` candidates under
-    ``table``.  Each failed sample prints one stderr line with the
-    candidate's start, site and stack delta."""
-    rng = random.Random(0xCA7)
-    sample = rng.sample(catalog, min(25, len(catalog)))
+def _gadget_check(image, table, sample) -> dict:
+    """Run the ``sample`` candidates under ``table``.  Each failed one
+    prints one stderr line with the candidate's start, site and stack
+    delta."""
     passed = 0
     for c in sample:
         if check_gadget(image, table, c.start, c.stack_delta, c.pc_slot_index):
@@ -230,11 +261,11 @@ def cmd_eval(args) -> int:
     plain, plain_man = load(args.plain)
     image, manifest = load(args.image)
     rotated = manifest.boots_rotated
-    result = _load_attack(args.attack)
+    result, gadget_count = _load_attack(args.attack)
     report = evaluate_recovery(result, manifest, image)
-    # Once scored, only the catalog of an unrotated image is needed again.
-    catalog = [] if rotated else result.catalog
     del result
+    # Every catalog line is checked; a rotated image runs no gadget sample.
+    sample = _sample_catalog(args.attack, gadget_count, 0 if rotated else 25)
 
     before, after = count_terminators(plain), count_terminators(image)
     if rotated:
@@ -247,8 +278,8 @@ def cmd_eval(args) -> int:
     )
 
     gadget_check = None
-    if catalog:
-        gadget_check = _gadget_check(image, tables[0], catalog)
+    if sample:
+        gadget_check = _gadget_check(image, tables[0], sample)
 
     histogram = None
     if rotated and args.rotation_seeds > 1:

@@ -61,7 +61,7 @@ _LOW_INDICES = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in ran
 _HIGH_INDICES = tuple(tuple(i + 8 for i in low) for low in _LOW_INDICES)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RegisterList:
     """Ordered register set for push/pop, kept as a 16-bit mask.
 
@@ -154,7 +154,10 @@ class RegisterList:
 
 
 class Instruction:
-    """Base class of the closed instruction variant set."""
+    """Base class of the closed instruction variant set.  Every variant is a
+    frozen dataclass with slots, so an instruction carries no ``__dict__``."""
+
+    __slots__ = ()
 
     def text(self) -> str:
         raise NotImplementedError
@@ -166,7 +169,7 @@ class Instruction:
         return self.text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Push(Instruction):
     regs: RegisterList
 
@@ -177,7 +180,7 @@ class Push(Instruction):
         return 2 if self.regs.high_bits == 0 else 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pop(Instruction):
     regs: RegisterList
 
@@ -188,13 +191,13 @@ class Pop(Instruction):
         return 2 if self.regs.high_bits == 0 and not self.regs.has_lr else 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BxLr(Instruction):
     def text(self):
         return "bx lr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LdrLitR0(Instruction):
     """pc-relative literal load into r0; offset is in bytes from Align(pc,4)."""
 
@@ -204,7 +207,7 @@ class LdrLitR0(Instruction):
         return f"ldr r0, [pc, #{self.offset}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddsImmR0(Instruction):
     imm: int
 
@@ -212,13 +215,13 @@ class AddsImmR0(Instruction):
         return f"adds r0, #{self.imm}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MovPcR0(Instruction):
     def text(self):
         return "mov pc, r0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bl(Instruction):
     target: int
 
@@ -229,7 +232,7 @@ class Bl(Instruction):
         return 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchW(Instruction):
     target: int
 
@@ -240,7 +243,7 @@ class BranchW(Instruction):
         return 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MovImm(Instruction):
     rd: int
     imm: int
@@ -249,7 +252,7 @@ class MovImm(Instruction):
         return f"movs {REG_NAMES[self.rd]}, #{self.imm}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MovReg(Instruction):
     rd: int
     rm: int
@@ -258,7 +261,7 @@ class MovReg(Instruction):
         return f"mov {REG_NAMES[self.rd]}, {REG_NAMES[self.rm]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddReg(Instruction):
     rd: int
     rn: int
@@ -268,7 +271,7 @@ class AddReg(Instruction):
         return f"adds {REG_NAMES[self.rd]}, {REG_NAMES[self.rn]}, {REG_NAMES[self.rm]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubReg(Instruction):
     rd: int
     rn: int
@@ -278,7 +281,7 @@ class SubReg(Instruction):
         return f"subs {REG_NAMES[self.rd]}, {REG_NAMES[self.rn]}, {REG_NAMES[self.rm]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrSpRel(Instruction):
     rt: int
     offset: int
@@ -287,7 +290,7 @@ class StrSpRel(Instruction):
         return f"str {REG_NAMES[self.rt]}, [sp, #{self.offset}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LdrSpRel(Instruction):
     rt: int
     offset: int
@@ -296,7 +299,7 @@ class LdrSpRel(Instruction):
         return f"ldr {REG_NAMES[self.rt]}, [sp, #{self.offset}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddSpImm(Instruction):
     imm: int
 
@@ -304,7 +307,7 @@ class AddSpImm(Instruction):
         return f"add sp, #{self.imm}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubSpImm(Instruction):
     imm: int
 
@@ -312,13 +315,13 @@ class SubSpImm(Instruction):
         return f"sub sp, #{self.imm}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nop(Instruction):
     def text(self):
         return "nop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawWord(Instruction):
     """A 32-bit literal datum.  Emission-only: arbitrary words are not
     distinguishable from code, so the decoder never returns this variant."""
@@ -332,7 +335,7 @@ class RawWord(Instruction):
         return 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unknown(Instruction):
     """Marker for a halfword outside the recognized subset."""
 

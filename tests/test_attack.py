@@ -192,7 +192,7 @@ def test_attack_never_raises_on_crafted_images(image):
 
 def _assert_report_round_trips(result):
     report = result.to_json()
-    assert AttackResult.from_json(report, result.catalog).to_json() == report
+    assert AttackResult.from_json(report).to_json() == report
 
 
 @given(crafted_images())

@@ -4,6 +4,7 @@ isolation of the attack command, report golden behavior."""
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -344,6 +345,7 @@ def test_eval_rejects_a_catalog_short_of_the_gadget_count(workdir, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: malformed attack report") and err.count("\n") == 1
     assert "gadget_count" in err
+    assert f"{tmp_path / 'bad.gadgets.jsonl'}: " in err
     assert not (tmp_path / "ev.eval.json").exists()
 
 
@@ -355,17 +357,21 @@ def test_eval_rejects_a_catalog_short_of_the_gadget_count(workdir, tmp_path, cap
 ], ids=lambda edit: "-".join(f"{k}={v!r}" for k, v in edit.items()))
 def test_eval_rejects_a_tampered_gadget_line(workdir, tmp_path, capsys, edit):
     """A gadget line whose stack delta is not a non-negative multiple of 4,
-    or whose pc slot is not one of its words, ends in one error line; the
-    gadget check never runs on it."""
+    or whose pc slot is not one of its words, ends in one error line naming
+    the catalog file and the line, first or last; the gadget check never
+    runs on it."""
     shutil.copy(workdir / "atk.attack.json", tmp_path / "bad.attack.json")
-    lines = (workdir / "atk.gadgets.jsonl").read_text().splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), **edit})
-    (tmp_path / "bad.gadgets.jsonl").write_text("\n".join(lines) + "\n")
-    assert run("eval", "--plain", str(workdir / "corpus"),
-               "--image", str(workdir / "obf"), "--attack", str(tmp_path / "bad"),
-               "--out", str(tmp_path / "ev"), "--key", KEY) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: malformed attack report") and err.count("\n") == 1
+    original = (workdir / "atk.gadgets.jsonl").read_text().splitlines()
+    for index in (0, len(original) - 1):
+        lines = list(original)
+        lines[index] = json.dumps({**json.loads(lines[index]), **edit})
+        (tmp_path / "bad.gadgets.jsonl").write_text("\n".join(lines) + "\n")
+        assert run("eval", "--plain", str(workdir / "corpus"),
+                   "--image", str(workdir / "obf"), "--attack", str(tmp_path / "bad"),
+                   "--out", str(tmp_path / "ev"), "--key", KEY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed attack report") and err.count("\n") == 1
+        assert f"{tmp_path / 'bad.gadgets.jsonl'} line {index + 1}: " in err
 
 
 def test_eval_fails_gadgets_too_deep_for_the_stack(workdir, tmp_path, capsys):
@@ -381,6 +387,69 @@ def test_eval_fails_gadgets_too_deep_for_the_stack(workdir, tmp_path, capsys):
     check = json.loads((tmp_path / "ev.eval.json").read_text())["gadget_check"]
     assert check == {"sampled": min(25, len(lines)), "passed": 0}
     assert capsys.readouterr().err.count("stack delta 100000) failed") == check["sampled"]
+
+
+@pytest.mark.parametrize("transform", ["obfuscate", "harden-kmax-3"])
+def test_eval_runs_the_sample_drawn_from_the_parsed_catalog(workdir, tmp_path, monkeypatch,
+                                                           transform):
+    """Eval builds only the sampled candidates, yet runs exactly the ones
+    ``random.Random(0xCA7).sample`` draws from the fully parsed catalog, in
+    the same order, on an obfuscated and on a padded image."""
+    image = workdir / "obf"
+    if transform != "obfuscate":
+        image = tmp_path / "padded"
+        assert run("harden", "--in", str(workdir / "corpus"), "--out", str(image),
+                   "--key", KEY, "--kmax", "3") == 0
+    assert run("attack", "--in", str(image), "--out", str(tmp_path / "atk")) == 0
+    catalog = [GadgetCandidate.from_json(json.loads(line))
+               for line in (tmp_path / "atk.gadgets.jsonl").read_text().splitlines()]
+    assert len(catalog) > 25
+    runs = []
+    real = cli._gadget_check
+    monkeypatch.setattr(cli, "_gadget_check",
+                        lambda image, table, sample: runs.append(sample) or real(image, table, sample))
+    assert run("eval", "--plain", str(workdir / "corpus"), "--image", str(image),
+               "--attack", str(tmp_path / "atk"), "--out", str(tmp_path / "ev"),
+               "--key", KEY) == 0
+    assert runs == [random.Random(0xCA7).sample(catalog, 25)]
+    check = json.loads((tmp_path / "ev.eval.json").read_text())["gadget_check"]
+    assert check == {"sampled": 25, "passed": 25}
+
+
+def test_eval_builds_only_the_candidates_it_runs(workdir, tmp_path, monkeypatch, capsys):
+    """An unrotated image builds min(25, n) of its n candidates; a rotated
+    image builds none, yet every line of its catalog is still checked."""
+    n = len((workdir / "atk.gadgets.jsonl").read_text().splitlines())
+    built = []
+    real = GadgetCandidate.__init__
+    monkeypatch.setattr(GadgetCandidate, "__init__",
+                        lambda self, *a, **k: built.append(1) or real(self, *a, **k))
+    assert run("eval", "--plain", str(workdir / "corpus"), "--image", str(workdir / "obf"),
+               "--attack", str(workdir / "atk"), "--out", str(tmp_path / "ev"),
+               "--key", KEY) == 0
+    assert len(built) == min(25, n)
+
+    assert run("harden", "--in", str(workdir / "corpus"), "--out", str(tmp_path / "h"),
+               "--key", KEY, "--rotate", "on") == 0
+    assert run("attack", "--in", str(tmp_path / "h"), "--out", str(tmp_path / "hatk")) == 0
+    lines = (tmp_path / "hatk.gadgets.jsonl").read_text().splitlines()
+    assert lines
+    argv = ["eval", "--plain", str(workdir / "corpus"), "--image", str(tmp_path / "h"),
+            "--attack", str(tmp_path / "hatk"), "--out", str(tmp_path / "hev"), "--key", KEY,
+            "--rotation-seeds", "2", "--equivalence-runs", "4"]
+    built.clear()
+    assert run(*argv) == 0
+    assert built == []
+    assert json.loads((tmp_path / "hev.eval.json").read_text())["gadget_check"] is None
+
+    lines[-1] = json.dumps({**json.loads(lines[-1]), "stack_delta": 6})
+    (tmp_path / "hatk.gadgets.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "hev.eval.json").unlink()
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert built == []
+    assert f"{tmp_path / 'hatk.gadgets.jsonl'} line {len(lines)}: " in capsys.readouterr().err
+    assert not (tmp_path / "hev.eval.json").exists()
 
 
 def test_every_emitted_gadget_line_reads_back(workdir):
@@ -624,6 +693,21 @@ def test_dotted_prefixes_keep_their_suffix_through_the_pipeline(tmp_path, capsys
     payload = json.loads((d / "ev.v2.eval.json").read_text())
     assert payload["equivalence"]["passed"] == payload["equivalence"]["runs"] > 0
     assert payload["gadget_terminators"]["after"] == 0
+
+
+@pytest.mark.parametrize("given", ["obf", "obf.bin", "obf.json"])
+def test_init_writes_its_default_table_under_the_prefix(workdir, tmp_path, capsys, given):
+    """Without --out, init names its table by the one prefix rule: the
+    prefix, the .bin and the .json all write <prefix>.table.json."""
+    for name in ("obf.bin", "obf.json"):
+        shutil.copy(workdir / name, tmp_path / name)
+    capsys.readouterr()
+    assert run("init", "--in", str(tmp_path / given), "--key", KEY) == 0
+    out = tmp_path / "obf.table.json"
+    assert capsys.readouterr().out.endswith(f" -> {out}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["obf.bin", "obf.json",
+                                                          "obf.table.json"]
+    assert out.read_bytes() == (workdir / "table.json").read_bytes()
 
 
 def test_harden_full_pipeline(tmp_path):

@@ -2,7 +2,8 @@
 module reaches into another module's private names, the trampoline
 geometry and the RAM map each have one definition, each source of
 trampolines (the rewriter, the byte scan) has one trampoline type, every
-instruction type the interpreter can run has a handler, every function
+instruction type the interpreter can run has a handler, register lists
+and instructions carry no instance dict, every function
 the benchmark's span tracer wraps exists, only the boot pass touches
 the image's boot-plan memo, only the interpreter touches its block memos,
 and indented JSON is written only through ``image.json_text``."""
@@ -10,6 +11,7 @@ and indented JSON is written only through ``image.json_text``."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,11 +129,15 @@ def test_span_targets_resolve(target):
 
 
 def _concrete_instructions():
+    """Every live subclass of ``isa.Instruction``: the class its module
+    binds to its name.  ``dataclass(slots=True)`` replaces each class it
+    decorates, and the replaced class stays in ``__subclasses__()``."""
     pending, found = [isa.Instruction], set()
     while pending:
         for sub in pending.pop().__subclasses__():
-            found.add(sub)
-            pending.append(sub)
+            if getattr(sys.modules[sub.__module__], sub.__qualname__, None) is sub:
+                found.add(sub)
+                pending.append(sub)
     return found
 
 
@@ -152,6 +158,22 @@ def test_every_instruction_type_has_a_handler(monkeypatch):
         with pytest.raises(machine.MachineFault) as err:
             machine.step(state)
         assert err.value.kind == machine.FaultKind.UNDECODABLE
+
+
+def test_isa_values_carry_no_instance_dict():
+    """Register lists and instructions are slotted: the rewriter holds one
+    per instruction of an image, and a ``__dict__`` each would double them."""
+    assert not hasattr(isa.RegisterList(0x4010), "__dict__")
+    examples = [
+        isa.Push(isa.RegisterList.of("r4", "lr")), isa.Pop(isa.RegisterList.of("r4", "pc")),
+        isa.BxLr(), isa.LdrLitR0(8), isa.AddsImmR0(3), isa.MovPcR0(), isa.Bl(0x40100),
+        isa.BranchW(0x40100), isa.MovImm(1, 2), isa.MovReg(8, 1), isa.AddReg(0, 1, 2),
+        isa.SubReg(0, 1, 2), isa.StrSpRel(1, 4), isa.LdrSpRel(1, 4), isa.AddSpImm(8),
+        isa.SubSpImm(8), isa.Nop(), isa.RawWord(0), isa.Unknown(0xDEFF),
+    ]
+    assert {type(insn) for insn in examples} == _concrete_instructions()
+    for insn in examples:
+        assert not hasattr(insn, "__dict__"), type(insn).__name__
 
 
 def test_only_obfuscation_touches_the_boot_plans():
