@@ -5,7 +5,8 @@ methods then reconstruct each hidden return's register list from prologue
 symmetry and from callee-saved register usage, and the catalog builder
 turns predictions into usable gadget entries (stack delta plus the slot the
 next chain address goes in).  Both methods and the catalog read one
-``SegmentSummary`` per code segment, made in a single sweep over its bytes.
+``SegmentSummary`` per code segment, sliced from one whole-image pass of
+effect codes.
 Ground truth enters only in ``evaluate_recovery``, which is the evaluator's
 tool, not the attacker's.
 """
@@ -13,9 +14,13 @@ tool, not the attacker's.
 from __future__ import annotations
 
 import hashlib
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress, count, repeat
+from operator import eq, itemgetter, or_
 from typing import NamedTuple
 
 from . import isa
@@ -60,10 +65,15 @@ METHODS = ("symmetry", "liveness", "combined")
 _REAL, _PUSH_LR, _CALL = 1, 2, 4
 _CALLEE_SAVED = 0x0FF0
 
-#: Effect code of every narrow halfword (high byte below the wide prefixes
-#: at 0xE8), filled from ``decode`` the first time the halfword is swept;
-#: -1 marks one not seen yet.
-_NARROW_EFFECTS = array("h", [-1]) * 0xE800
+#: The only code ``_effect`` gives a push-with-lr.
+_PUSH_WITH_LR = _PUSH_LR | _REAL
+
+#: Effect code of every halfword read as one instruction.  Narrow ones (high
+#: byte below the wide prefixes at 0xE8) are filled from ``decode`` the first
+#: time a summarised segment holds them; -1 marks one not seen yet.  A lone
+#: wide prefix decodes as ``Unknown``, so every entry from 0xE800 up is 0.
+_EFFECTS = array("h", [-1]) * 0x10000
+_EFFECTS[0xE800:] = array("h", [0]) * 0x1800
 
 
 class AttackError(Exception):
@@ -78,6 +88,8 @@ def _effect(insn) -> int:
     """What the recovery methods need of one instruction: the callee-saved
     registers it writes, and whether it is code (not nop or junk), a
     push-with-lr or a call."""
+    if isinstance(insn, (Nop, isa.Unknown)):
+        return 0
     if isinstance(insn, (MovImm, MovReg, AddReg, SubReg)):
         code = 1 << insn.rd & _CALLEE_SAVED
     elif isinstance(insn, LdrSpRel):
@@ -90,9 +102,39 @@ def _effect(insn) -> int:
         code = _CALL
     else:
         code = 0
-    if not isinstance(insn, (Nop, isa.Unknown)):
-        code |= _REAL
-    return code
+    return code | _REAL
+
+
+#: Halfwords looked up in the effect table at once.
+_LOOKUP_CHUNK = 4096
+
+#: Pair codes besides effect codes (see ``_pair_codes``).
+_NO_PAIR, _DECODE = -2, -1
+
+
+def _pair_codes(first: int) -> tuple[int, ...]:
+    """Per high byte of a second halfword, read off ``decode``: ``_NO_PAIR``
+    unless ``first`` and such a halfword are one 4-byte instruction, else
+    the pair's effect code when it is the same at low bytes 0x00 and 0xFF
+    (the tests check every low byte), else ``_DECODE``."""
+    prefix = first.to_bytes(2, "little")
+    codes = []
+    for high in range(256):
+        insn, length = decode(prefix + bytes((0, high)))
+        code = _effect(insn) if length == 4 else _NO_PAIR
+        if length == 4 and code != _effect(decode(prefix + bytes((0xFF, high)))[0]):
+            code = _DECODE
+        codes.append(code)
+    return tuple(codes)
+
+
+#: The halfwords that open a 4-byte instruction, ``(mask, value)``, each with
+#: its pair codes: bl/b.w (high byte 0xF0-0xF7), push.w and pop.w.
+_OPENERS = tuple((mask, value, _pair_codes(value))
+                 for mask, value in ((0xF800, 0xF000), (0xFFFF, 0xE92D), (0xFFFF, 0xE8BD)))
+#: 1 at each high byte some opener has.
+_OPENER_HIGHS = bytes(any(h << 8 & mask == value & mask & 0xFF00 for mask, value, _ in _OPENERS)
+                      for h in range(256))
 
 
 class SegmentSummary(NamedTuple):
@@ -125,6 +167,10 @@ class ImageView:
     starts inside the previous site's region (crafted or corrupted bytes)
     extends that region instead of opening a segment; ``overlaps`` maps it
     to the site it overlaps.
+
+    The first summary looks the whole image up in the effect table: the
+    view keeps one code per halfword (an array) and the halfwords that open
+    a valid 4-byte pair, with their pair codes; both are freed with it.
     """
 
     def __init__(self, image: FirmwareImage):
@@ -143,6 +189,9 @@ class ImageView:
         self._starts = [lo for lo, _ in self.segments]
         self._ending_at = {hi: idx for idx, (_, hi) in enumerate(self.segments)}
         self._summaries: dict[int, SegmentSummary] = {}
+        self._codes: array | None = None
+        self._pairs: list[int] = []
+        self._pair_codes: list[int] = []
 
     def overlap_failure(self, site: RawSighting, method: str) -> Prediction | None:
         """The ``ok=False`` verdict for a site inside another site's core."""
@@ -175,36 +224,81 @@ class ImageView:
             return isa.Unknown(0), hi - addr
         return insn, length
 
+    def _sweep(self) -> None:
+        """Look every halfword of the image up in the effect table, and find
+        each halfword that opens a 4-byte instruction with the next, with
+        its pair code."""
+        data = self.image.data
+        halfwords = array("H", data)
+        if sys.byteorder == "big":
+            halfwords.byteswap()
+        # C-level lookups, a chunk at a time, because each halfword is an int
+        # object while its chunk is looked up; the two extra lookups keep the
+        # result a tuple for a chunk of fewer than two halfwords.
+        codes = array("h")
+        for at in range(0, len(halfwords), _LOOKUP_CHUNK):
+            codes += array("h", itemgetter(*halfwords[at:at + _LOOKUP_CHUNK], 0, 0)(_EFFECTS)[:-2])
+        highs = data[1::2]
+        marks, last = highs.translate(_OPENER_HIGHS), len(highs) - 1
+        pairs, pair_codes = [], []
+        i = marks.find(1)
+        while 0 <= i < last:
+            for mask, value, opener_codes in _OPENERS:
+                if halfwords[i] & mask == value:
+                    code = opener_codes[highs[i + 1]]
+                    if code != _NO_PAIR:
+                        pairs.append(i)
+                        pair_codes.append(code)
+                    break
+            i = marks.find(1, i + 1)
+        self._codes, self._pairs, self._pair_codes = codes, pairs, pair_codes
+
     def summary(self, idx: int) -> SegmentSummary:
-        """The segment's summary, swept once: narrow halfwords through the
-        effect table, wide ones through ``decode_at``."""
-        if idx in self._summaries:
-            return self._summaries[idx]
+        """The segment's summary, read off its slice of the image's codes.
+        Halfwords not seen before are decoded into the table.  The 4-byte
+        pairs in it are walked from its start: each takes its pair code
+        (decoding it where that is ``_DECODE``) and its second halfword is
+        no instruction start."""
+        summary = self._summaries.get(idx)
+        if summary is not None:
+            return summary
+        if self._codes is None:
+            self._sweep()
         lo, hi = self.segments[idx]
-        base, data, effects = self.image.base, self.image.data, _NARROW_EFFECTS
-        pushes, starts = [], []
-        seen = since_push = 0
-        addr = lo
-        while addr < hi:
-            off = addr - base
-            high = data[off + 1]
-            if high < 0xE8:
-                hw = data[off] | high << 8
-                code = effects[hw]
+        base, data, pairs = self.image.base, self.image.data, self._pairs
+        first, end = (lo - base) // 2, (hi - base) // 2
+        codes = self._codes[first:end]
+        if -1 in codes:
+            for i in compress(count(first), map(eq, codes, repeat(-1))):
+                halfword = data[2 * i] | data[2 * i + 1] << 8
+                code = _EFFECTS[halfword]
                 if code < 0:
-                    code = effects[hw] = _effect(decode(data, off, addr)[0])
-                length = 2
-            else:
-                insn, length = self.decode_at(addr, hi)
-                code = _effect(insn)
-            if code & _PUSH_LR:
-                pushes.append(addr)
-                since_push = 0
-            seen |= code
-            since_push |= code
-            starts.append(addr)
-            addr += length
-        self._summaries[idx] = SegmentSummary(
+                    code = _EFFECTS[halfword] = _effect(decode(data, 2 * i)[0])
+                codes[i - first] = code
+        starts = list(range(lo, hi, 2))
+        # A pair whose second halfword is at or past ``hi`` stays Unknown(0).
+        at = bisect_left(pairs, first)
+        stop = bisect_left(pairs, end - 1, at)
+        seconds = []
+        after = first
+        for i, code in zip(pairs[at:stop], self._pair_codes[at:stop]):
+            if i < after:  # the second halfword of the pair before
+                continue
+            if code == _DECODE:
+                code = _effect(decode(data, 2 * i, base + 2 * i)[0])
+            codes[i - first] = code
+            codes[i + 1 - first] = 0
+            seconds.append(i + 1 - first)
+            after = i + 2
+        for second in reversed(seconds):
+            del starts[second]
+        pushes, push = [], -1
+        for _ in range(codes.count(_PUSH_WITH_LR)):
+            push = codes.index(_PUSH_WITH_LR, push + 1)
+            pushes.append(lo + 2 * push)
+        seen = reduce(or_, codes, 0)
+        since_push = reduce(or_, codes[push:], 0) if pushes else seen
+        summary = self._summaries[idx] = SegmentSummary(
             pushes=pushes,
             written=seen & _CALLEE_SAVED,
             written_since_push=since_push & _CALLEE_SAVED,
@@ -212,7 +306,7 @@ class ImageView:
             real_code=bool(seen & _REAL),
             starts=starts,
         )
-        return self._summaries[idx]
+        return summary
 
 
 @dataclass
@@ -708,7 +802,7 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-_BUCKETS = [(0.0, 0.5), (0.5, 0.8), (0.8, 0.95), (0.95, 1.01)]
+_BUCKETS = ((0.0, 0.5), (0.5, 0.8), (0.8, 0.95), (0.95, 1.01))
 
 
 def evaluate_recovery(result: AttackResult, manifest: Manifest, image: FirmwareImage) -> RecoveryReport:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import reference_scans as ref
 from retobf._rewrite import lift
 from retobf.attack import (
-    _NARROW_EFFECTS,
+    _EFFECTS,
+    _NO_PAIR,
+    _OPENERS,
     CONF_EXTENDED,
     CONF_REGION,
     LIVENESS_WINDOW,
@@ -174,6 +176,77 @@ def _check_summaries(image):
 def test_decoded_segments_match_a_linear_sweep(image):
     _check_decoded(image)
     _check_summaries(image)
+
+
+#: The three 4-byte openers, one of them any 0xF0-0xF7 halfword, each with
+#: the second high bytes ``decode`` takes with it (pinned for every second
+#: halfword by ``test_opener_classes_are_exact``).
+OPENER_SECONDS = {
+    opener: [high for high in range(256)
+             if decode(opener.to_bytes(2, "little") + bytes((0, high)))[1] == 4]
+    for opener in (0xE92D, 0xE8BD, 0xF4C3)
+}
+
+
+@st.composite
+def pairs_of(draw, opener):
+    first = draw(st.integers(0xF000, 0xF7FF)) if opener == 0xF4C3 else opener
+    return [first, draw(st.sampled_from(OPENER_SECONDS[opener])) << 8 | draw(st.integers(0, 255))]
+
+
+#: A valid pair, a chain of bl/b.w prefixes (each pairs with the next), or
+#: any halfword.
+PIECES = st.one_of(
+    st.sampled_from(list(OPENER_SECONDS)).flatmap(pairs_of),
+    st.lists(st.integers(0xF000, 0xF7FF), min_size=2, max_size=7),
+    st.integers(0, 0xFFFF).map(lambda hw: [hw]),
+)
+
+
+@st.composite
+def paired_images(draw):
+    """Halfwords packed with valid 4-byte pairs and prefix chains.  Some
+    planted signatures start on a pair's second halfword, cutting it at the
+    site's core, and the image may end on an opener."""
+    base = draw(st.sampled_from([DEFAULT_BASE, 0x08000000]))
+    words, openers = [], []
+    for piece in draw(st.lists(PIECES, min_size=4, max_size=40)):
+        if len(piece) > 1:
+            openers.append(len(words))
+        words += piece
+    words += [0xBF00] * 12  # room for a literal after a late signature
+    data = bytearray(b"".join(w.to_bytes(2, "little") for w in words))
+    for _ in range(draw(st.integers(0, 3))):
+        cut = openers and draw(st.booleans())
+        off = 2 * (draw(st.sampled_from(openers)) + 1 if cut else
+                   draw(st.integers(0, len(words) - 1)))
+        plant_signature(data, base, off, draw(st.integers(0, 255)), draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        data += draw(st.sampled_from([0xE92D, 0xE8BD, 0xF000])).to_bytes(2, "little")
+    return FirmwareImage(base, bytes(data))
+
+
+@given(paired_images())
+@settings(max_examples=200, deadline=None)
+def test_summaries_of_packed_pairs_match_the_reference(image):
+    _check_summaries(image)
+    _check_decoded(image)
+
+
+@pytest.mark.parametrize("first", [0xE92D, 0xE8BD, 0xF4C3], ids=hex)
+def test_opener_classes_are_exact(first):
+    """Every second halfword decodes with ``first`` as one 4-byte
+    instruction exactly when its high byte is in the class the attack
+    derived, and where the class gives the pair's effect code, it is that
+    of the decoded instruction."""
+    [(_, _, codes)] = [o for o in _OPENERS if first & o[0] == o[1]]
+    prefix = first.to_bytes(2, "little")
+    for second in range(0x10000):
+        insn, length = decode(prefix + second.to_bytes(2, "little"), 0, DEFAULT_BASE)
+        code = codes[second >> 8]
+        assert (length == 4) == (code != _NO_PAIR), hex(second)
+        assert code < 0 or code == _effect(insn), hex(second)
+    assert sorted(h for h in range(256) if codes[h] != _NO_PAIR) == OPENER_SECONDS[first]
 
 
 def test_decoded_junk_rules():
@@ -384,12 +457,15 @@ def test_summary_of_a_trailing_wide_prefix():
         [], R("r4").mask, [DEFAULT_BASE, DEFAULT_BASE + 2])
 
 
-def test_effect_table_matches_the_decoder():
-    """Sweeping every narrow halfword once fills the whole table."""
-    image = FirmwareImage(DEFAULT_BASE, b"".join(hw.to_bytes(2, "little") for hw in range(0xE800)))
+def test_effect_table_covers_every_halfword():
+    """One sweep of an image holding every halfword fills the narrow entries
+    from the decoder; every entry from 0xE800 up, a lone wide prefix, is 0."""
+    image = FirmwareImage(DEFAULT_BASE, b"".join(hw.to_bytes(2, "little") for hw in range(0x10000)))
     ImageView(image).summary(0)
+    assert len(_EFFECTS) == 0x10000
     for hw in range(0xE800):
-        assert _NARROW_EFFECTS[hw] == _effect(decode(hw.to_bytes(2, "little"))[0]), hex(hw)
+        assert _EFFECTS[hw] == _effect(decode(hw.to_bytes(2, "little"))[0]), hex(hw)
+    assert not any(_EFFECTS[0xE800:])
 
 
 @given(st.integers(0, 12), st.integers(0, 2**16), st.booleans(), st.data())

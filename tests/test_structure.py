@@ -6,18 +6,21 @@ instruction type the interpreter can run has a handler, register lists
 and instructions carry no instance dict, every function
 the benchmark's span tracer wraps exists, only the boot pass touches
 the image's boot-plan memo, only the interpreter touches its block memos,
-and indented JSON is written only through ``image.json_text``."""
+the attack keeps no module-level memo but its fixed-size effect table, and
+indented JSON is written only through ``image.json_text``."""
 
 import ast
 import importlib
+import random
 import re
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
-from retobf import isa, machine
-from retobf.image import FirmwareImage
+from retobf import attack, isa, machine
+from retobf.image import DEFAULT_BASE, FirmwareImage
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "retobf").glob("*.py"))
@@ -206,6 +209,24 @@ def test_only_machine_touches_the_interpreter_memos():
                   if isinstance(node, ast.Attribute) and node.attr in memos
                   and id(node) not in called]
     assert users == []
+
+
+def _module_containers(module):
+    return {name for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, (list, dict, set, bytearray, array))}
+
+
+def test_attack_keeps_no_module_memo():
+    """What the attack learns of one image lives on its ``ImageView`` and is
+    freed with it.  The one module-level container is the effect table, and
+    attacking images does not grow it: a module-level memo filled per image
+    raised the benchmark's peak RSS through fragmentation in later passes."""
+    assert _module_containers(attack) == {"_EFFECTS"}
+    rng = random.Random(3)
+    for _ in range(5):
+        attack.run_attack(FirmwareImage(DEFAULT_BASE, rng.randbytes(4096)))
+    assert _module_containers(attack) == {"_EFFECTS"}
+    assert len(attack._EFFECTS) == 0x10000
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
