@@ -232,11 +232,9 @@ class Program:
         self.labels: dict = {}
         self.orig_end: int | None = None
 
-    def add(self, item: Item, label=None) -> int:
+    def add(self, item: Item) -> int:
         idx = len(self.items)
         self.items.append(item)
-        if label is not None:
-            self.labels[label] = idx
         if item.orig_addr is not None:
             self.labels.setdefault(item.orig_addr, idx)
         return idx
@@ -278,15 +276,10 @@ class Program:
                 raise RewriteError("item emitted a different size than declared")
             chunks.append(data)
 
-        addr_map = {}
-        for item, item_addr in zip(self.items, addresses):
-            if item.orig_addr is not None:
-                addr_map[item.orig_addr] = item_addr
-        for key, idx in self.labels.items():
-            addr_map.setdefault(key, addresses[idx])
+        # ``add`` labels each item's original address, so the labels map it.
+        addr_map = {key: addresses[idx] for key, idx in self.labels.items()}
         if self.orig_end is not None:
             addr_map.setdefault(self.orig_end, end)
-        addr_map["end"] = end
         return Layout(b"".join(chunks), addresses, addr_map)
 
 

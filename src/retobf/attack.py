@@ -39,7 +39,6 @@ from .isa import (
     RegisterList,
     SubReg,
     decode,
-    is_return,
 )
 from .obfuscation import RawSighting, scan_trampolines, sweep_plaintext, trampoline_data_ranges
 
@@ -586,18 +585,16 @@ def build_gadget_catalog(view: ImageView, predictions: list[Prediction]) -> list
 
 
 def _plaintext_returns(view: ImageView):
-    """The classic sweep's starting points: ``(address, return, segment
-    index)`` for each plaintext hit that decodes as a return inside a code
-    segment.  The view's own sites mask the trampoline data slots."""
+    """The classic sweep's starting points: ``(address, segment index)`` of
+    each plaintext return ``sweep_plaintext`` finds inside a code segment.
+    The view's own sites mask the trampoline data slots."""
     image = view.image
     exclude = trampoline_data_ranges(image, view.sites)
-    for off in sweep_plaintext(image.data, exclude=exclude, want="returns"):
+    for off in sweep_plaintext(image.data, exclude=exclude):
         addr = image.base + off
-        insn, _ = decode(image.data, off, addr)
         seg_idx = view.segment_at(addr)
-        # A raw pattern straddling data is not a decodable return.
-        if is_return(insn) and seg_idx is not None:
-            yield addr, insn, seg_idx
+        if seg_idx is not None:
+            yield addr, seg_idx
 
 
 def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
@@ -607,7 +604,8 @@ def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
     nothing: the starting points are gone."""
     view = ImageView(image)
     catalog = []
-    for addr, insn, seg_idx in _plaintext_returns(view):
+    for addr, seg_idx in _plaintext_returns(view):
+        insn, _ = decode(image.data, addr - image.base, addr)
         terminator = ("pop", insn.regs) if isinstance(insn, Pop) else ("bx_lr", None)
         # Decode only the instructions _candidates_for can read.
         hi = view.segments[seg_idx][1]

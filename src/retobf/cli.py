@@ -260,6 +260,10 @@ def cmd_eval(args) -> int:
     key = _parse_key(args.key)
     plain, plain_man = load(args.plain)
     image, manifest = load(args.image)
+    if (plain.base, plain.sram_base, plain.table_base) != (
+            image.base, image.sram_base, image.table_base):
+        raise CliError(f"{args.image} and its plain corpus {args.plain} disagree on the base, "
+                       "sram_base or table_base, which no transform moves")
     rotated = manifest.boots_rotated
     result, gadget_count = _load_attack(args.attack)
     report = evaluate_recovery(result, manifest, image)

@@ -119,7 +119,7 @@ class FirmwareImage:
 
     def __post_init__(self):
         object.__setattr__(self, "data", bytes(self.data))
-        if self.base % 4 or self.table_base % 4:
+        if self.base % 4 or self.sram_base % 4 or self.table_base % 4:
             raise ImageError("base addresses must be word-aligned")
         if len(self.data) % 2:
             raise ImageError("image length must be even")
@@ -452,7 +452,7 @@ def generate_corpus(params: CorpusParams) -> tuple[FirmwareImage, Manifest]:
             for unit in _body_units(rng, params, (), True, leaf_indices):
                 for insn in unit:
                     prog.add(InsnItem(insn))
-            info["epilogues"].append(prog.add(InsnItem(BxLr()), label=None))
+            info["epilogues"].append(prog.add(InsnItem(BxLr())))
         else:
             push = Push(regs.union(RegisterList.of("lr")))
             pop = Pop(regs.union(RegisterList.of("pc")))

@@ -380,38 +380,6 @@ class RamTable:
         }
 
 
-#: First halfwords of the wide pop and push encodings.
-_WIDE_POP = 0xE8BD
-_WIDE_PUSH = 0xE92D
-
-
-def _classify_halfword(hw: int) -> str | None:
-    """Raw bit-pattern class of one halfword: a pc-popping or lr-pushing
-    narrow pop/push, ``bx lr``, or the prefix of a wide pop/push.  The
-    plaintext sweep asks it of each code halfword; the boot check decodes
-    each decrypted slot with ``isa.decode`` instead (``decode_sealed``)."""
-    if (hw & 0xFF00) == 0xBD00:
-        return "pop-pc"
-    if hw == 0x4770:
-        return "bx-lr"
-    if (hw & 0xFF00) == 0xB500:
-        return "push-lr"
-    if hw in (_WIDE_POP, _WIDE_PUSH):
-        return "wide-prefix"
-    return None
-
-
-def _wide_list_plausible(prefix: int, hw2: int) -> bool:
-    """Raw check of the register-list halfword after a wide prefix: a pop
-    must load pc and not lr, a push must store lr.  Looser than
-    ``isa.decode`` on purpose: the reserved bit and whether the list needs
-    the wide form are not checked, so the plaintext sweep over-reports
-    rather than misses a wide return or push."""
-    if prefix == _WIDE_POP:
-        return hw2 & 0xC000 == 0x8000
-    return bool(hw2 & 0x4000)
-
-
 def decode_sealed(key: int, sighting: RawSighting):
     """Decrypt the sealed slot of one site and decode the hidden instruction.
     ``isa.decode`` is canonical, so encoding the instruction gives back the
@@ -594,31 +562,19 @@ def build_table(image: FirmwareImage, key: int) -> RamTable:
     return table
 
 
-#: What ``sweep_plaintext`` looks for: the narrow classes, the wide prefix,
-#: and every high byte those can have (``_classify_halfword``'s patterns).
-_SWEEPS = {
-    "returns": (("pop-pc", "bx-lr"), _WIDE_POP, b"\xbd\x47\xe8"),
-    "pushes": (("push-lr",), _WIDE_PUSH, b"\xb5\xe9"),
-}
+#: The high bytes of every halfword a return can start with: ``pop {..., pc}``,
+#: ``bx lr`` and the ``pop.w`` prefix (a test checks them against ``isa.decode``).
+_RETURN_HIGH_BYTES = b"\xbd\x47\xe8"
 
 
-def sweep_plaintext(
-    data: bytes,
-    *,
-    exclude: list[tuple[int, int]] = (),
-    want: str = "returns",
-) -> list[int]:
-    """Halfword-aligned offsets of plaintext returns (``want="returns"``) or
-    prologue pushes (``want="pushes"``), ascending.
+def sweep_plaintext(data: bytes, *, exclude: list[tuple[int, int]] = ()) -> list[int]:
+    """Halfword-aligned offsets, ascending, where ``isa.decode`` reads a
+    plaintext return none of whose halfwords ``exclude`` masks.
 
     ``exclude`` masks byte ranges (trampoline data slots hold ciphertext and
-    literals, which are not code).  Wide encodings are matched as raw
-    patterns at any halfword boundary.  Only halfwords whose high byte can
-    match are classified; ``bytes.find`` locates them.
+    literals, which are not code).  Only halfwords whose high byte can start
+    a return are decoded; ``bytes.find`` locates them.
     """
-    if want not in _SWEEPS:
-        raise ValueError(f"want must be one of {', '.join(map(repr, _SWEEPS))}, got {want!r}")
-    narrow, wide, high_bytes = _SWEEPS[want]
     masked = bytearray(len(data))
     for lo, hi in exclude:
         lo = min(max(lo, 0), len(data))
@@ -626,18 +582,17 @@ def sweep_plaintext(
         masked[lo:hi] = b"\1" * (hi - lo)
     highs = data[1::2]
     hits = []
-    for high in high_bytes:
+    for high in _RETURN_HIGH_BYTES:
         idx = highs.find(high)
         while idx >= 0:
             off = 2 * idx
-            hw = data[off] | high << 8
-            if not masked[off] and (_classify_halfword(hw) in narrow or (
-                hw == wide
-                and off + 4 <= len(data)
-                and not masked[off + 2]
-                and _wide_list_plausible(hw, int.from_bytes(data[off + 2 : off + 4], "little"))
-            )):
-                hits.append(off)
+            if not masked[off]:
+                try:
+                    insn, length = isa.decode(data, off)
+                except isa.TruncatedStreamError:  # a wide prefix in the last halfword
+                    insn, length = None, 2
+                if is_return(insn) and not masked[off + length - 2]:
+                    hits.append(off)
             idx = highs.find(high, idx + 1)
     hits.sort()
     return hits

@@ -29,8 +29,19 @@ from retobf.isa import (
     SubSpImm,
     TruncatedStreamError,
     Unknown,
-    _branch_target,
 )
+
+
+def branch_target(hw1, hw2, address):
+    """The bl / b.w target: pc plus SignExtend(S:I1:I2:imm10:imm11:'0'),
+    with I1 = NOT(J1 XOR S) and I2 = NOT(J2 XOR S), spelled out as a bit
+    string."""
+    s = (hw1 >> 10) & 1
+    j1, j2 = (hw2 >> 13) & 1, (hw2 >> 11) & 1
+    i1, i2 = 1 - (j1 ^ s), 1 - (j2 ^ s)
+    bits = f"{s}{i1}{i2}{hw1 & 0x3FF:010b}{hw2 & 0x7FF:011b}0"
+    offset = int(bits, 2) - (1 << 25 if s else 0)
+    return (address + 4 + offset) % (1 << 32)
 
 
 def _is_wide_prefix(hw):
@@ -59,9 +70,9 @@ def decode(data, offset=0, address=0):
                 return Pop(RegisterList(mask)), 4
         elif (hw & 0xF800) == 0xF000:
             if (hw2 & 0xD000) == 0xD000:
-                return Bl(_branch_target(hw, hw2, address)), 4
+                return Bl(branch_target(hw, hw2, address)), 4
             if (hw2 & 0xD000) == 0x9000:
-                return BranchW(_branch_target(hw, hw2, address)), 4
+                return BranchW(branch_target(hw, hw2, address)), 4
         return Unknown(hw), 2
 
     if (hw & 0xF800) == 0x2000:

@@ -8,8 +8,11 @@ lookup, the full filter over a segment for the instructions before a hit,
 the previous decoder, the gadget window builder that re-checks every suffix,
 and the two recovery methods, the gadget catalog and the baseline scan
 walking each segment's instruction objects from that sweep.  Nothing here
-calls the library's window builder or its segment summaries.  The oracle
-tests require the library to give equal results.
+calls the library's window builder or its segment summaries.  The plaintext
+sweep here keeps its own loose raw bit-pattern classifier, which over-reports,
+and ``decoded_returns`` filters it with the previous decoder; no private name
+of the library is imported.  The oracle tests require the library to give
+equal results.
 """
 
 import reference_decode
@@ -45,36 +48,68 @@ from retobf.isa import (
     decode,
     is_return,
 )
-from retobf.obfuscation import (
-    _WIDE_POP,
-    _WIDE_PUSH,
-    _classify_halfword,
-    _wide_list_plausible,
-    trampoline_data_ranges,
-)
+from retobf.obfuscation import trampoline_data_ranges
+
+#: First halfwords of the wide pop and push encodings.
+WIDE_POP = 0xE8BD
+WIDE_PUSH = 0xE92D
+
+
+def classify_halfword(hw):
+    """Raw bit-pattern class of one halfword: a pc-popping or lr-pushing
+    narrow pop/push, ``bx lr``, or the prefix of a wide pop/push."""
+    if (hw & 0xFF00) == 0xBD00:
+        return "pop-pc"
+    if hw == 0x4770:
+        return "bx-lr"
+    if (hw & 0xFF00) == 0xB500:
+        return "push-lr"
+    if hw in (WIDE_POP, WIDE_PUSH):
+        return "wide-prefix"
+    return None
+
+
+def wide_list_plausible(prefix, hw2):
+    """Raw check of the register-list halfword after a wide prefix: a pop
+    must load pc and not lr, a push must store lr.  Looser than
+    ``isa.decode`` on purpose: the reserved bit and whether the list needs
+    the wide form are not checked, so this sweep over-reports rather than
+    misses a wide return or push."""
+    if prefix == WIDE_POP:
+        return hw2 & 0xC000 == 0x8000
+    return bool(hw2 & 0x4000)
 
 
 def sweep_plaintext(data, exclude=(), want="returns"):
+    """The loose raw-pattern sweep: every unmasked halfword offset whose
+    bits look like a return (``want="returns"``) or an lr push
+    (``want="pushes"``), wide ones with their second halfword unmasked."""
     def masked(off):
         return any(lo <= off < hi for lo, hi in exclude)
 
     if want == "returns":
-        narrow, wide = ("pop-pc", "bx-lr"), _WIDE_POP
+        narrow, wide = ("pop-pc", "bx-lr"), WIDE_POP
     else:
-        narrow, wide = ("push-lr",), _WIDE_PUSH
+        narrow, wide = ("push-lr",), WIDE_PUSH
     hits = []
     for off in range(0, len(data) - 1, 2):
         if masked(off):
             continue
         hw = int.from_bytes(data[off : off + 2], "little")
-        if _classify_halfword(hw) in narrow or (
+        if classify_halfword(hw) in narrow or (
             hw == wide
             and off + 4 <= len(data)
             and not masked(off + 2)
-            and _wide_list_plausible(hw, int.from_bytes(data[off + 2 : off + 4], "little"))
+            and wide_list_plausible(hw, int.from_bytes(data[off + 2 : off + 4], "little"))
         ):
             hits.append(off)
     return hits
+
+
+def decoded_returns(data, exclude=()):
+    """The loose sweep's return hits that ``decode`` reads as a return."""
+    return [off for off in sweep_plaintext(data, exclude)
+            if is_return(reference_decode.decode(data, off)[0])]
 
 
 def segment_before(view, addr):
@@ -166,15 +201,11 @@ def candidates_for(window_insns, terminator, site_address):
 
 
 def baseline_gadget_scan(image):
-    exclude = trampoline_data_ranges(image)
-    hits = sweep_plaintext(image.data, exclude=exclude, want="returns")
     view = ImageView(image)
     catalog = []
-    for off in hits:
+    for off in decoded_returns(image.data, trampoline_data_ranges(image)):
         addr = image.base + off
         insn, _ = decode(image.data, off, addr)
-        if not is_return(insn):
-            continue
         terminator = ("pop", insn.regs) if isinstance(insn, Pop) else ("bx_lr", None)
         seg_idx = segment_at(view, addr)
         if seg_idx is None:

@@ -527,6 +527,50 @@ def test_non_leaf_without_prologue_fails_every_stage(tmp_path, capsys):
         assert err.startswith("error: ") and "fn_001" in err and err.count("\n") == 1
 
 
+def test_misaligned_sram_base_is_one_error_line(tmp_path, capsys):
+    """A RAM base off the word grid would misalign the stack top, so every
+    pushing call would fault; ``load`` refuses it in every stage that reads
+    a manifest, as it refuses the other bases."""
+    assert run("gen", "--out", str(tmp_path / "c"), "--functions", "12", "--seed", "2",
+               "--high-reg-prob", "0.5") == 0
+    assert run("obfuscate", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+               "--key", KEY) == 0
+    assert run("attack", "--in", str(tmp_path / "o"), "--out", str(tmp_path / "a")) == 0
+    for name in ("c", "o"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "sram_base": "0x23fffe"}))
+    capsys.readouterr()
+    stages = [
+        ("obfuscate", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o2")),
+        ("init", "--in", str(tmp_path / "o"), "--out", str(tmp_path / "t.json")),
+        ("eval", "--plain", str(tmp_path / "c"), "--image", str(tmp_path / "o"),
+         "--attack", str(tmp_path / "a"), "--out", str(tmp_path / "e")),
+    ]
+    for argv in stages:
+        assert run(*argv, "--key", KEY) == 1, argv[0]
+        assert capsys.readouterr().err == "error: base addresses must be word-aligned\n"
+    assert not (tmp_path / "e.eval.json").exists()
+
+
+def test_eval_refuses_an_image_whose_address_map_moved(workdir, tmp_path, capsys):
+    """A transformed manifest whose base moved up a word still loads, but
+    every function would run from the wrong address: ``eval`` refuses an
+    address map that differs from the plain corpus's rather than report
+    failed runs."""
+    for suffix in (".bin", ".json"):
+        shutil.copyfile(workdir / f"obf{suffix}", tmp_path / f"o{suffix}")
+    manifest = json.loads((tmp_path / "o.json").read_text())
+    manifest["base"] = f"0x{int(manifest['base'], 16) + 4:x}"
+    (tmp_path / "o.json").write_text(json.dumps(manifest))
+    load(tmp_path / "o")
+    capsys.readouterr()
+    assert run("eval", "--plain", str(workdir / "corpus"), "--image", str(tmp_path / "o"),
+               "--attack", str(workdir / "atk"), "--out", str(tmp_path / "e"),
+               "--key", KEY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "disagree on the base" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("edit, path", [
     (lambda m: m["functions"][5].update(name="zz"),
      "transform_log[1].sites[5].fn: ValueError(\"'fn_005' names no function\")"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_scans as ref
 from retobf import isa
 from retobf.attack import evaluate_recovery, run_attack
 from retobf.harden import (
@@ -26,7 +27,6 @@ from retobf.obfuscation import (
     build_table,
     obfuscate_returns,
     plan_rotation,
-    sweep_plaintext,
     trampoline_data_ranges,
 )
 
@@ -233,12 +233,12 @@ def test_pad_example_with_high_register():
 def test_encrypt_pushes_eliminates_plaintext(corpus):
     image, manifest = corpus
     obf, man2, _ = obfuscate_returns(image, manifest, KEY)
-    assert sweep_plaintext(
-        obf.data, exclude=trampoline_data_ranges(obf), want="pushes"
+    assert ref.sweep_plaintext(
+        obf.data, trampoline_data_ranges(obf), want="pushes"
     )  # still visible after return obfuscation alone
     sealed, man3, records = encrypt_pushes(obf, man2, KEY)
-    assert sweep_plaintext(
-        sealed.data, exclude=trampoline_data_ranges(sealed), want="pushes"
+    assert ref.sweep_plaintext(
+        sealed.data, trampoline_data_ranges(sealed), want="pushes"
     ) == []
     non_leaf = sum(1 for fn in man3.functions if not fn.is_leaf)
     assert sum(1 for rec in records if rec.kind == "push") == non_leaf

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_scans as ref
 from retobf import isa
 from retobf.image import (
     DEFAULT_BASE,
@@ -121,19 +122,13 @@ def test_known_ciphertext(corpus):
 def test_plaintext_elimination(obfuscated):
     image, _, _ = obfuscated
     exclude = trampoline_data_ranges(image)
-    assert sweep_plaintext(image.data, exclude=exclude, want="returns") == []
+    assert sweep_plaintext(image.data, exclude=exclude) == []
 
 
 def test_plain_image_has_returns(corpus):
     image, manifest = corpus
-    hits = sweep_plaintext(image.data, want="returns")
+    hits = sweep_plaintext(image.data)
     assert len(hits) >= len(manifest.functions)
-
-
-@pytest.mark.parametrize("want", ["push", "return", "", None])
-def test_sweep_refuses_an_unknown_want(want):
-    with pytest.raises(ValueError, match="'returns', 'pushes'"):
-        sweep_plaintext(bytes(8), want=want)
 
 
 def test_obfuscate_empty_image():
@@ -264,17 +259,21 @@ def test_table_add_checks_every_entry():
 
 
 def test_halfword_validity_census():
-    """Exhaustive 16-bit enumeration of the raw halfword classes the
-    plaintext sweep matches: 256 pc-pops + 256 lr-pushes + bx lr, plus the
-    two wide prefixes.  (The boot check decodes decrypted slots with
-    ``isa.decode`` instead.)"""
-    from retobf.obfuscation import _classify_halfword
-
-    accepted = [hw for hw in range(0x10000) if _classify_halfword(hw) in
+    """Exhaustive 16-bit enumeration of the reference sweep's raw halfword
+    classes: 256 pc-pops + 256 lr-pushes + bx lr, plus the two wide
+    prefixes.  The narrow ones are exactly the halfwords ``isa.decode``
+    reads as a return or an lr push, as the boot check decodes them."""
+    accepted = [hw for hw in range(0x10000) if ref.classify_halfword(hw) in
                 ("pop-pc", "bx-lr", "push-lr")]
     assert len(accepted) == 513
-    wide_prefixes = [hw for hw in range(0x10000) if _classify_halfword(hw) == "wide-prefix"]
-    assert len(wide_prefixes) == 2
+
+    def sealable(hw):
+        insn = decode(hw.to_bytes(2, "little"))[0]
+        return is_return(insn) or isinstance(insn, Push) and insn.regs.has_lr
+
+    assert [hw for hw in range(0xE800) if sealable(hw)] == accepted
+    wide_prefixes = [hw for hw in range(0x10000) if ref.classify_halfword(hw) == "wide-prefix"]
+    assert wide_prefixes == [ref.WIDE_POP, ref.WIDE_PUSH]
     # Per-site acceptance of a random wrong key is therefore below 0.79%.
     assert (513 + 2) / 0x10000 < 0.0079
 

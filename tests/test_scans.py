@@ -51,8 +51,14 @@ from retobf.isa import (
     Unknown,
     decode,
     encode,
+    is_return,
 )
-from retobf.obfuscation import obfuscate_returns, sweep_plaintext, trampoline_data_ranges
+from retobf.obfuscation import (
+    _RETURN_HIGH_BYTES,
+    obfuscate_returns,
+    sweep_plaintext,
+    trampoline_data_ranges,
+)
 
 from conftest import KEY, crafted_images, plant_signature
 
@@ -76,10 +82,7 @@ def _check_lookups(image):
 
 
 def _check_sweeps(data, exclude):
-    for want in ("returns", "pushes"):
-        assert sweep_plaintext(data, exclude=exclude, want=want) == ref.sweep_plaintext(
-            data, exclude, want
-        )
+    assert sweep_plaintext(data, exclude=exclude) == ref.decoded_returns(data, exclude)
 
 
 def _check_baseline(image):
@@ -91,12 +94,13 @@ def _check_baseline(image):
 
 
 def test_terminators_skip_sweep_hits_that_are_not_returns():
-    """The raw ``pop.w {r4, pc}`` pattern is a sweep hit, but it needs no
-    wide form, so it decodes as junk and ends no gadget; the narrow pop and
-    ``bx lr`` after it do."""
+    """The raw ``pop.w {r4, pc}`` pattern is a hit of the loose raw sweep,
+    but it needs no wide form, so it decodes as junk and ends no gadget; the
+    narrow pop and ``bx lr`` after it do."""
     words = (0xE8BD, 0x8010, 0xBD10, 0x4770)
     image = FirmwareImage(DEFAULT_BASE, b"".join(w.to_bytes(2, "little") for w in words))
-    assert sweep_plaintext(image.data) == [0, 4, 6]
+    assert ref.sweep_plaintext(image.data) == [0, 4, 6]
+    assert sweep_plaintext(image.data) == [4, 6]
     assert count_terminators(image) == 2
     _check_baseline(image)
 
@@ -104,11 +108,31 @@ def test_terminators_skip_sweep_hits_that_are_not_returns():
 def test_sweep_matches_reference_on_every_halfword():
     """Each of the 65536 halfwords once (so every high byte a hit can have),
     unmasked, then with some pops masked and the halfword after each wide
-    prefix masked."""
+    prefix masked; then the ``pop.w`` prefix before each of the 65536 second
+    halfwords, unmasked and with a run of second halfwords masked."""
     data = b"".join(hw.to_bytes(2, "little") for hw in range(0x10000))
     _check_sweeps(data, ())
     _check_sweeps(data, [(2 * 0xBD10, 2 * 0xBD20), (2 * 0xE8BD + 2, 2 * 0xE8BD + 4),
                          (2 * 0xE92D + 2, 2 * 0xE92D + 4)])
+    prefix = ref.WIDE_POP.to_bytes(2, "little")
+    pairs = b"".join(prefix + hw2.to_bytes(2, "little") for hw2 in range(0x10000))
+    _check_sweeps(pairs, ())
+    _check_sweeps(pairs, [(4 * 0x8100 + 2, 4 * 0x8200)])
+
+
+def test_return_high_bytes_are_every_return_opener():
+    """The sweep decodes only halfwords whose high byte is in
+    ``_RETURN_HIGH_BYTES``: exactly the high bytes of the first halfwords
+    that ``decode`` reads as a return, over all 65536 of them (a wide one
+    followed by a second halfword of each high byte)."""
+    seconds = [bytes((0x10, high)) for high in range(0x100)]
+    openers = set()
+    for hw in range(0x10000):
+        first = hw.to_bytes(2, "little")
+        tails = seconds if hw >> 8 >= 0xE8 else [b""]
+        if any(is_return(decode(first + tail)[0]) for tail in tails):
+            openers.add(hw >> 8)
+    assert openers == set(_RETURN_HIGH_BYTES)
 
 
 def test_scans_match_references_on_corpora(corpus_image):

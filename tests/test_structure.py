@@ -1,9 +1,9 @@
 """Module-structure rules for the library: imports stay at module top, no
-module reaches into another module's private names, the trampoline
-geometry and the RAM map each have one definition, each source of
-trampolines (the rewriter, the byte scan) has one trampoline type, every
-instruction type the interpreter can run has a handler, register lists
-and instructions carry no instance dict, every function
+module reaches into another module's private names and no test oracle into
+the library's, the trampoline geometry and the RAM map each have one
+definition, each source of trampolines (the rewriter, the byte scan) has
+one trampoline type, every instruction type the interpreter can run has a
+handler, register lists and instructions carry no instance dict, every function
 the benchmark's span tracer wraps exists, only the boot pass touches
 the image's boot-plan memo, only the interpreter touches its block memos,
 the attack keeps no module-level memo but its fixed-size effect table, and
@@ -41,16 +41,31 @@ def test_no_import_inside_functions(path):
     assert lines == [], f"{path.name}: import inside a function body at lines {lines}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_private_names_across_modules(path):
+def _private_imports(path, from_library):
+    """``(line, name)`` of each ``_``-prefixed name ``path`` imports through
+    an ``ImportFrom`` node that ``from_library`` accepts."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    private = [
+    return [
         (node.lineno, f"{node.module}.{alias.name}")
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level > 0
+        if isinstance(node, ast.ImportFrom) and from_library(node)
         for alias in node.names
         if alias.name.startswith("_")
     ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    private = _private_imports(path, lambda node: node.level > 0)
+    assert private == [], f"{path.name}: imports private names {private}"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("reference_*.py")),
+                         ids=lambda p: p.name)
+def test_oracles_import_no_private_library_names(path):
+    """A reference shares no private code with the library it checks."""
+    private = _private_imports(
+        path, lambda node: (node.module or "").partition(".")[0] == "retobf")
     assert private == [], f"{path.name}: imports private names {private}"
 
 
