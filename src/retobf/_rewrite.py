@@ -201,10 +201,9 @@ class TrampolineItem(Item):
         rec = self.record
         rec.item_start = addr
         pad = b"" if addr % 4 == 2 else _NOP
-        core = bytearray()
-        core += encode(LdrLitR0(LDR_LITERAL_IMM))
+        core = bytearray(_SIGNATURE_LDR)
         core += encode(AddsImmR0(rec.adds_imm))
-        core += encode(MovPcR0())
+        core += _SIGNATURE_MOV
         core += rec.enc
         while len(core) < LITERAL_SLOT_OFFSET:
             core += _NOP

@@ -17,7 +17,7 @@ import hashlib
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import compress, count, repeat
 from operator import eq, itemgetter, or_
@@ -442,29 +442,17 @@ def recover_by_liveness(view: ImageView, site: RawSighting) -> Prediction:
     return pops(w0.written, CONF_REGION)
 
 
-def combine_predictions(sym: Prediction | None, live: Prediction | None) -> Prediction:
+def combine_predictions(sym: Prediction, live: Prediction) -> Prediction:
     """Cross-check the two methods; keep honest uncertainty on disagreement."""
-    inputs = [p for p in (sym, live) if p is not None]
-    if not inputs:
-        raise AttackError("combine needs at least one prediction")
-    site = inputs[0].site
-    ok = [p for p in inputs if p.ok]
+    site = sym.site
+    ok = [p for p in (sym, live) if p.ok]
     if not ok:
-        return Prediction(
-            site, "combined", ok=False, reason="; ".join(p.reason for p in inputs)
-        )
+        return Prediction(site, "combined", ok=False, reason=f"{sym.reason}; {live.reason}")
     if len(ok) == 1:
-        p = ok[0]
-        return Prediction(
-            site, "combined", ok=True, kind=p.kind, reglist=p.reglist,
-            confidence=p.confidence, reason=f"single method: {p.method}",
-        )
+        return replace(ok[0], method="combined", reason=f"single method: {ok[0].method}")
     a, b = ok
     if a.kind == b.kind and a.reglist == b.reglist:
-        return Prediction(
-            site, "combined", ok=True, kind=a.kind, reglist=a.reglist,
-            confidence=max(a.confidence, b.confidence),
-        )
+        return replace(a, method="combined", confidence=max(a.confidence, b.confidence))
     penalty = 0.5 * min(a.confidence, b.confidence)
     if a.kind == "pop" and b.kind == "pop":
         return Prediction(

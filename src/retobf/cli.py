@@ -276,7 +276,7 @@ def cmd_eval(args) -> int:
         seeds = range(max(args.rotation_seeds, 1))
         tables = [harden_mod.build_rotated_table(image, manifest, key, s) for s in seeds]
     else:
-        tables = [build_table(image, key) if manifest.has_pass("obfuscate_returns") else None]
+        tables = [build_table(image, key)]
     runs, passed = _equivalence_suite(
         plain, plain_man, image, manifest, tables, runs=args.equivalence_runs
     )

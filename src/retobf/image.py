@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from ._rewrite import (
@@ -350,16 +350,8 @@ class CorpusParams:
             raise ImageError("bad body_len range")
 
     def to_json(self) -> dict:
-        return {
-            "function_count": self.function_count,
-            "callee_count_weights": list(self.callee_count_weights),
-            "high_reg_prob": self.high_reg_prob,
-            "body_len": list(self.body_len),
-            "leaf_ratio": self.leaf_ratio,
-            "multi_epilogue_prob": self.multi_epilogue_prob,
-            "local_frame_prob": self.local_frame_prob,
-            "seed": self.seed,
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
 
 _SCRATCH = (0, 1, 2, 3)
@@ -632,7 +624,7 @@ def commit(
     newest snapshot always describes the current image.
     """
     layout = prog.layout()
-    new_image = FirmwareImage(image.base, layout.data, image.sram_base, image.table_base)
+    new_image = replace(image, data=layout.data)
     new_manifest = remap_manifest(manifest, layout.addr_map)
     records = prog.trampoline_records()
     if records:
@@ -652,23 +644,14 @@ def remap_manifest(manifest: Manifest, addr_map: dict) -> Manifest:
             raise RewriteError(f"address 0x{addr:x} lost during rewrite") from None
 
     functions = [
-        FunctionRecord(
-            name=fn.name,
+        replace(
+            fn,
             start=m(fn.start),
             end=m(fn.end),
             prologue_site=None if fn.prologue_site is None else m(fn.prologue_site),
             epilogue_sites=[m(s) for s in fn.epilogue_sites],
-            true_pop=fn.true_pop,
-            used_callee_saved=fn.used_callee_saved,
-            pad_registers=fn.pad_registers,
         )
         for fn in manifest.functions
     ]
-    return Manifest(
-        base=manifest.base,
-        sram_base=manifest.sram_base,
-        table_base=manifest.table_base,
-        seed=manifest.seed,
-        functions=functions,
-        transform_log=[dict(entry) for entry in manifest.transform_log],
-    )
+    return replace(manifest, functions=functions,
+                   transform_log=[dict(entry) for entry in manifest.transform_log])

@@ -292,11 +292,11 @@ class TableEntry:
 class DrawLayout:
     """What the draws of every rotated table of one boot plan share: each
     push group's register names, and the rows naming the draws,
-    ``(function, group)``.  A row's function is None for an unnamed draw,
-    its group None for a function that draws nothing (a leaf)."""
+    ``(function, group)``.  A row's group is None for a function that draws
+    nothing (a leaf)."""
 
     names: tuple[tuple[str, ...], ...]
-    rows: tuple[tuple[str | None, int | None], ...]
+    rows: tuple[tuple[str, int | None], ...]
 
     def slots(self, group: int | None) -> int:
         """The stack slots a group's return address is drawn from; 0 for
@@ -307,11 +307,9 @@ class DrawLayout:
         """The rows as JSON, each group at its drawn position."""
         out = []
         for fn, group in self.rows:
-            draw = {"slots": self.slots(group), "position": 0}
+            draw = {"fn": fn, "slots": self.slots(group), "position": 0}
             if group is not None:
                 draw.update(position=positions[group], regs=list(self.names[group]))
-            if fn is not None:
-                draw["fn"] = fn
             out.append(draw)
         return out
 
@@ -474,10 +472,9 @@ class BootPlan:
                                   f"{need}-byte rotated sequence; harden with --rotate on")
         return groups, site_groups
 
-    def rotated_table(self, seed: int, functions: tuple | None = None) -> RamTable:
+    def rotated_table(self, seed: int, functions: tuple) -> RamTable:
         """One rotated boot: a ``random.Random(seed)`` draw per push group in
-        core order.  Its draws are unnamed, or named by ``functions`` (see
-        ``draw_layout``)."""
+        core order, its draws named by ``functions`` (see ``draw_layout``)."""
         groups, site_groups = self.push_groups
         rng = random.Random(seed)
         positions = bytes([rng.randint(0, len(plans) - 1) for _, plans in groups])
@@ -514,23 +511,20 @@ class BootPlan:
             self.sites[index + 1][0].entry_address - self.table_base - end)
         self.placed[index][2 * position : 2 * position + 2] = entry, entry.data + bytes(pad)
 
-    def draw_layout(self, functions: tuple | None = None) -> DrawLayout:
+    def draw_layout(self, functions: tuple) -> DrawLayout:
         """The layout every rotated table of this plan shares, made once per
-        naming: one unnamed row per push group, or one row per function of
-        ``functions``, ``(name, is_leaf)`` pairs in order, where a leaf draws
-        nothing and each other function takes the next group."""
+        naming: one row per function of ``functions``, ``(name, is_leaf)``
+        pairs in order, where a leaf draws nothing and each other function
+        takes the next group."""
         layout = self.layouts.get(functions)
         if layout is None:
             groups, _ = self.push_groups
-            if functions is None:
-                rows = tuple((None, group) for group in range(len(groups)))
-            else:
-                non_leaf = sum(not leaf for _, leaf in functions)
-                if non_leaf != len(groups):
-                    raise HardenError(f"{len(groups)} sealed push group(s) in the image for "
-                                      f"{non_leaf} non-leaf function(s) in the manifest")
-                order = iter(range(len(groups)))
-                rows = tuple((name, None if leaf else next(order)) for name, leaf in functions)
+            non_leaf = sum(not leaf for _, leaf in functions)
+            if non_leaf != len(groups):
+                raise HardenError(f"{len(groups)} sealed push group(s) in the image for "
+                                  f"{non_leaf} non-leaf function(s) in the manifest")
+            order = iter(range(len(groups)))
+            rows = tuple((name, None if leaf else next(order)) for name, leaf in functions)
             layout = self.layouts[functions] = DrawLayout(
                 tuple(names for names, _ in groups), rows)
         return layout

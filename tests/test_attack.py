@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from retobf import isa
 from retobf._rewrite import ENC_SLOT_OFFSET
 from retobf.attack import (
-    AttackError,
     AttackResult,
     ImageView,
     LineageError,
@@ -322,10 +321,8 @@ def test_combine_agreement_and_passthrough(obfuscated):
         assert both.confidence == max(sym.confidence, live.confidence)
     failed = Prediction(site, "symmetry", ok=False, reason="x")
     solo = combine_predictions(failed, live)
-    assert solo.ok and solo.reglist == live.reglist
+    assert solo.ok and solo.reglist == live.reglist and solo.method == "combined"
     assert "single method" in solo.reason
-    with pytest.raises(AttackError):
-        combine_predictions(None, None)
 
 
 def test_combine_disagreement_keeps_union_and_intersection():

@@ -42,6 +42,11 @@ def _fresh(image: FirmwareImage) -> FirmwareImage:
     return FirmwareImage(image.base, image.data, image.sram_base, image.table_base)
 
 
+def _non_leaf_functions(count: int) -> tuple:
+    """A naming of ``count`` push groups' draws: one non-leaf function each."""
+    return tuple((f"fn_{i:03d}", False) for i in range(count))
+
+
 def _same_table(table, ref) -> bool:
     return table.to_json() == ref.to_json() and bytes(table.image) == bytes(ref.image)
 
@@ -138,7 +143,8 @@ def test_crafted_images_boot_rotated_or_raise_a_typed_error(image, seed):
     raises a typed integrity, capacity or hardening error."""
     try:
         plan = obfuscation.boot_scan(image, KEY)
-        table = plan.rotated_table(seed)
+        groups, _ = plan.push_groups
+        table = plan.rotated_table(seed, _non_leaf_functions(len(groups)))
     except (IntegrityError, TableCapacityError, HardenError):
         return
     assert [e.site for e in table.entries] == [sighting.core for sighting, _ in plan.sites]
@@ -164,7 +170,7 @@ def test_a_rotated_boot_checks_each_entry_as_the_plain_boot_does(literal, adds_i
         build_table(image, KEY)
     for seed in range(4):
         with pytest.raises(IntegrityError, match=error):
-            obfuscation.boot_scan(image, KEY).rotated_table(seed)
+            obfuscation.boot_scan(image, KEY).rotated_table(seed, _non_leaf_functions(1))
 
 
 def _count_calls(monkeypatch, name: str) -> list:

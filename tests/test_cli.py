@@ -601,6 +601,31 @@ def test_eval_refuses_a_site_that_names_no_function(tmp_path, capsys, edit, path
     assert err.count("\n") == 1
 
 
+def test_eval_boots_the_table_the_image_bytes_call_for(tmp_path, capsys):
+    """``eval`` boots the table of the trampolines in the image's bytes,
+    whatever its transform log calls the pass that sealed them: with the
+    obfuscate entry renamed (the checksum still matches), init, attack and
+    eval exit 0 and every equivalence run passes."""
+    c, o = tmp_path / "c", tmp_path / "o"
+    assert run("gen", "--out", str(c), "--functions", "12", "--seed", "2",
+               "--high-reg-prob", "0.5") == 0
+    assert run("obfuscate", "--in", str(c), "--out", str(o), "--key", KEY) == 0
+    manifest = json.loads(o.with_suffix(".json").read_text())
+    assert [entry["pass"] for entry in manifest["transform_log"]] == [
+        "generate", "obfuscate_returns"]
+    manifest["transform_log"][1]["pass"] = "seal"
+    o.with_suffix(".json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("init", "--in", str(o), "--out", str(tmp_path / "t.json"), "--key", KEY) == 0
+    assert run("attack", "--in", str(o), "--out", str(tmp_path / "a")) == 0
+    assert run("eval", "--plain", str(c), "--image", str(o), "--attack", str(tmp_path / "a"),
+               "--out", str(tmp_path / "e"), "--key", KEY) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "e.eval.json").read_text())
+    assert report["equivalence"] == {"runs": 40, "passed": 40}
+    assert report["gadget_check"]["passed"] == report["gadget_check"]["sampled"] > 0
+
+
 def test_equivalence_suite_reports_each_failed_run(workdir, capsys):
     """With one table entry zeroed, the runs through it fail, each with one
     stderr line naming its function, table and fault kind."""

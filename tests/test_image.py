@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retobf import isa
-from retobf._rewrite import BlobItem, Program, signature_offsets
+from retobf._rewrite import BlobItem, Program, lift, signature_offsets
 from retobf.image import (
     MAX_IMAGE_SIZE,
     CorpusParams,
@@ -19,14 +19,19 @@ from retobf.image import (
     FunctionRecord,
     ImageError,
     artifact_path,
+    commit,
     generate_corpus,
     json_text,
     load,
+    remap_manifest,
     save,
     splice,
 )
 from retobf.isa import Pop, Push, RegisterList, decode
 from retobf.machine import CALLER_STACK_BYTES, call, states_equivalent
+from retobf.obfuscation import build_table
+
+from conftest import KEY
 
 R = RegisterList.of
 
@@ -287,6 +292,57 @@ def test_splice_into_obfuscated_image(small_corpus):
         a = call(image, entry=fn_old.start, regs=regs)
         b = call(spliced, table, entry=fn_new.start, regs=regs)
         assert states_equivalent(a.state, b.state), fn_old.name
+
+
+class _Identity(dict):
+    """The address map of a rewrite that moves nothing."""
+
+    def __missing__(self, addr):
+        return addr
+
+
+@pytest.mark.parametrize("stage", ["corpus", "obfuscated", "hardened"])
+def test_remap_under_the_identity_map_returns_an_equal_manifest(request, stage):
+    """Remapping keeps every field of the manifest and of each function
+    record (a padded function's pad registers too), and copies the records
+    and log entries rather than sharing them with its input."""
+    manifest = request.getfixturevalue(stage)[1]
+    remapped = remap_manifest(manifest, _Identity())
+    assert remapped == manifest
+    assert all(new is not old for new, old in zip(remapped.functions, manifest.functions))
+    assert all(new is not old
+               for new, old in zip(remapped.transform_log, manifest.transform_log))
+    if stage == "hardened":
+        assert any(fn.pad_registers for fn in remapped.functions)
+
+
+def test_commit_starts_the_next_image_with_empty_memos(obfuscated):
+    """The next image keeps the address map and holds the new layout's
+    bytes, with none of the interpreter's or the boot pass's memos of the
+    image it was made from."""
+    obf, manifest, _ = obfuscated
+    image = FirmwareImage(obf.base, obf.data, obf.sram_base, obf.table_base)
+    table = build_table(image, KEY)
+    for fn in manifest.functions:
+        call(image, table, entry=fn.start, keep_trace=False)
+    assert image.blocks and image.table_blocks and image.boot_plans
+    new_image, _ = commit(lift(image, manifest), image, manifest, "relayout")
+    assert (new_image.base, new_image.data, new_image.sram_base, new_image.table_base) == (
+        image.base, image.data, image.sram_base, image.table_base)
+    assert (new_image.blocks, new_image.table_blocks, new_image.boot_plans) == ({}, {}, {})
+
+
+def test_corpus_params_log_every_field():
+    """The generate entry of the transform log holds every corpus parameter,
+    tuples as lists, and reads back as the same parameters."""
+    params = CorpusParams(function_count=3, body_len=(5, 9), high_reg_prob=0.5, seed=4)
+    _, manifest = generate_corpus(params)
+    logged = manifest.transform_log[0]["params"]
+    assert logged == params.to_json()
+    assert set(logged) == {f.name for f in dataclasses.fields(CorpusParams)}
+    assert not any(isinstance(value, tuple) for value in logged.values())
+    assert CorpusParams(**{key: tuple(value) if isinstance(value, list) else value
+                           for key, value in logged.items()}) == params
 
 
 def test_validate_catches_bad_true_pop():

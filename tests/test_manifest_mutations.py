@@ -4,9 +4,11 @@ equivalence, or makes one stage exit 1 with exactly one ``error:`` line.
 
 The mutated fields are the addresses (bases, function bounds, prologue and
 epilogue sites, site records' starts and literals), the register lists, the
-names, the site records' other fields and their ``fn``.  A mutation of the
-plain manifest runs the whole pipeline; one of the obfuscated manifest runs
-``init``, ``attack`` and ``eval`` against the untouched plain corpus."""
+names, the site records' other fields and their ``fn``, and the transform
+log's entries: each pass name, each image checksum (the newest and the older
+ones), the corpus parameters and the obfuscate entry's flags.  A mutation of
+the plain manifest runs the whole pipeline; one of the obfuscated manifest
+runs ``init``, ``attack`` and ``eval`` against the untouched plain corpus."""
 
 import contextlib
 import io
@@ -23,6 +25,8 @@ KEY = "0xa5a5"
 REGISTERS = [f"r{i}" for i in range(13)] + ["sp", "lr", "pc"]
 JUNK = st.sampled_from([None, "zz", "0x", -1, 7, [], {}])
 SITE_COUNTS = ("table_offset", "adds_imm", "capacity")
+PASSES = ["generate", "obfuscate_returns", "encrypt_pushes", "pad_registers", "splice", "seal", ""]
+OBFUSCATE_FLAGS = ("rotation_capable", "leaf_returns_obfuscated", "init_stub_bytes")
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +55,8 @@ def _fields(manifest) -> dict[str, list[tuple[tuple, str]]]:
     """``(path, kind)`` of every field the property mutates, by group, so
     that the three bases are drawn as often as the many function fields."""
     groups = {"bases": [((key,), "address") for key in ("base", "sram_base", "table_base")],
-              "addresses": [], "registers": [], "names": [], "sites": []}
+              "addresses": [], "registers": [], "names": [], "sites": [],
+              "passes": [], "checksums": [], "params": [], "flags": []}
     for i, fn in enumerate(manifest["functions"]):
         groups["addresses"] += [(("functions", i, key), "address")
                                 for key in ("start", "end", "prologue_site")]
@@ -61,6 +66,12 @@ def _fields(manifest) -> dict[str, list[tuple[tuple, str]]]:
                                 for key in ("true_pop", "used_callee_saved", "pad_registers")]
         groups["names"].append((("functions", i, "name"), "name"))
     for k, entry in enumerate(manifest["transform_log"]):
+        groups["passes"].append((("transform_log", k, "pass"), "pass"))
+        groups["checksums"].append((("transform_log", k, "image_sha256"), "sha"))
+        groups["params"] += [(("transform_log", k, "params", key), "param")
+                             for key in entry.get("params", ())]
+        groups["flags"] += [(("transform_log", k, key), "flag")
+                            for key in OBFUSCATE_FLAGS if key in entry]
         for j, _ in enumerate(entry.get("sites", ())):
             site = ("transform_log", k, "sites", j)
             groups["names"].append(((*site, "fn"), "name"))
@@ -84,6 +95,17 @@ def _values(kind: str, current, manifest):
         return st.one_of(st.sampled_from(names + ["return", "push", "zz", ""]), JUNK)
     if kind == "enc":
         return st.one_of(st.binary(max_size=6).map(bytes.hex), JUNK)
+    if kind == "pass":
+        return st.one_of(st.sampled_from(PASSES), JUNK)
+    if kind == "sha":
+        shas = [entry["image_sha256"] for entry in manifest["transform_log"]]
+        flipped = [("0" if sha[0] != "0" else "1") + sha[1:] for sha in shas]
+        return st.one_of(st.sampled_from(shas + flipped), JUNK)
+    if kind == "param":
+        return st.one_of(st.integers(-4, 100), st.floats(-1.0, 2.0),
+                         st.lists(st.floats(0.0, 1.0), max_size=3), JUNK)
+    if kind == "flag":
+        return st.one_of(st.booleans(), st.integers(-4, 0x10004), JUNK)
     return st.one_of(st.integers(-4, 0x10004), JUNK)
 
 

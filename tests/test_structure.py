@@ -6,8 +6,9 @@ one trampoline type, every instruction type the interpreter can run has a
 handler, register lists and instructions carry no instance dict, every function
 the benchmark's span tracer wraps exists, only the boot pass touches
 the image's boot-plan memo, only the interpreter touches its block memos,
-the attack keeps no module-level memo but its fixed-size effect table, and
-indented JSON is written only through ``image.json_text``."""
+the attack keeps no module-level memo but its fixed-size effect table nor
+any of the boot pass's key material, and indented JSON is written only
+through ``image.json_text``."""
 
 import ast
 import importlib
@@ -258,3 +259,31 @@ def test_no_indented_json_dumps(path):
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert calls == [], f"{path.name}: json.dump(s) with indent= at lines {calls}"
+
+
+#: What only the boot pass may hold: the key check, decryption and tables.
+KEY_MATERIAL = {"decode_sealed", "boot_scan", "BootPlan", "build_table", "encrypt_bytes",
+                "encrypt_halfword", "check_key"}
+
+
+def test_attack_imports_no_key_material():
+    """The attack reads image bytes only: it takes no decryption, boot scan
+    or table builder from ``obfuscation``, by name or through the module."""
+    tree = ast.parse((ROOT / "src" / "retobf" / "attack.py").read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            for alias in node.names:
+                if source.split(".")[-1] == "obfuscation":
+                    names.add(alias.name)
+                elif alias.name == "obfuscation":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[-1] == "obfuscation")
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules}
+    assert names, "attack takes its byte scan from obfuscation"
+    assert names & KEY_MATERIAL == set()
