@@ -1,10 +1,9 @@
 """Lift/layout machinery for image rewriting.
 
-Transforms never patch bytes in place: the image is lifted to a list of
-items (instructions, opaque blobs, trampolines), edited at the item level,
-and laid out again.  Layout reassigns addresses, re-encodes pc-relative
-branches against the moved targets, and keeps every trampoline's literal
-word reachable by its fixed pc-relative load.
+Transforms never patch bytes in place: the image is lifted to items at cut
+points, edited at the item level, and laid out again.  Layout reassigns
+addresses, re-encodes only branches and edited items (straight runs keep their
+bytes), and keeps every trampoline's literal reachable by its pc-relative load.
 
 Trampoline shape (the core starts at an address ≡ 2 mod 4 so that the
 ``ldr r0, [pc, #12]`` reaches the literal):
@@ -150,17 +149,20 @@ class Item:
 
 
 class InsnItem(Item):
-    __slots__ = ("insn", "target_key", "orig_addr")
+    __slots__ = ("insn", "target_key", "orig_addr", "data")
 
-    def __init__(self, insn, target_key=None, orig_addr=None):
+    def __init__(self, insn, target_key=None, orig_addr=None, data=None):
         self.insn = insn
         self.target_key = target_key
         self.orig_addr = orig_addr
+        self.data = data
 
     def size(self) -> int:
         return self.insn.byte_length()
 
     def emit(self, addr: int, resolve) -> bytes:
+        if self.data is not None:
+            return self.data
         insn = self.insn
         if self.target_key is not None:
             target = resolve(self.target_key)
@@ -225,11 +227,11 @@ class Layout:
 class Program:
     """An ordered item list with symbolic branch targets."""
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, orig_end: int | None = None):
         self.base = base
         self.items: list[Item] = []
         self.labels: dict = {}
-        self.orig_end: int | None = None
+        self.orig_end = orig_end
 
     def add(self, item: Item) -> int:
         idx = len(self.items)
@@ -282,42 +284,56 @@ class Program:
         return Layout(b"".join(chunks), addresses, addr_map)
 
 
-def lift(image, manifest) -> Program:
+def lift(image, manifest, *cuts: int) -> Program:
     """Decode an image back into a Program, guided by the manifest.
 
-    Function ranges are decoded instruction by instruction, planted
-    trampolines are reconstructed from the latest transform-log snapshot,
-    and everything else is preserved as opaque blobs.
-    """
+    Function code is decoded once.  Its manifest sites and branches become
+    ``InsnItem``s, planted trampolines are rebuilt from the latest
+    transform-log snapshot, and each straight run between cut points
+    (function edges, branch targets, the extra ``cuts``) and everything
+    outside the functions are ``BlobItem``s of their bytes."""
     records = {rec.item_start: rec for rec in manifest.trampoline_records()}
     # Sorted and non-overlapping, as ``Manifest.validate`` requires.
     starts = [fn.start for fn in manifest.functions]
     ends = [fn.end for fn in manifest.functions]
-    prog = Program(image.base)
-    end = image.base + len(image.data)
-    prog.orig_end = end
-    boundaries = sorted({image.base, end, *starts, *ends, *records})
+    sites = {site for fn in manifest.functions for site in (fn.prologue_site, *fn.epilogue_sites)}
+    base, data, end = image.base, image.data, image.end
+    boundaries = sorted({base, end, *starts, *ends, *records})
+    cut_at = {*boundaries, *cuts}
+    items = {}  # address -> the item there, for all but straight runs
+    run_starts = bytearray(len(data))  # 1 at each instruction of a straight run
 
     def in_function(addr: int) -> bool:
         idx = bisect_right(starts, addr) - 1
         return idx >= 0 and addr < ends[idx]
 
-    addr = image.base
+    addr = base
     while addr < end:
         if addr in records:
-            rec = records[addr]
-            prog.add(TrampolineItem(rec, orig_addr=addr))
-            addr += TRAMPOLINE_FOOTPRINT
-            continue
-        if not in_function(addr):
+            item = TrampolineItem(records[addr], orig_addr=addr)
+        elif not in_function(addr):
             stop = boundaries[bisect_right(boundaries, addr)]
-            prog.add(BlobItem(image.data[addr - image.base : stop - image.base], orig_addr=addr))
-            addr = stop
-            continue
-        insn, length = decode(image.data, addr - image.base, addr)
-        if isinstance(insn, isa.Unknown):
-            raise RewriteError(f"cannot lift unknown halfword at 0x{addr:x}")
-        target_key = insn.target if isinstance(insn, (Bl, BranchW)) else None
-        prog.add(InsnItem(insn, target_key=target_key, orig_addr=addr))
-        addr += length
+            item = BlobItem(data[addr - base : stop - base], orig_addr=addr)
+        else:
+            insn, length = decode(data, addr - base, addr)
+            if isinstance(insn, isa.Unknown):
+                raise RewriteError(f"cannot lift unknown halfword at 0x{addr:x}")
+            if isinstance(insn, (Bl, BranchW)):
+                cut_at.add(insn.target)
+                item = InsnItem(insn, target_key=insn.target, orig_addr=addr)
+            elif addr in sites:
+                item = InsnItem(insn, orig_addr=addr, data=data[addr - base : addr - base + length])
+            else:
+                run_starts[addr - base] = 1
+                addr += length
+                continue
+        items[addr] = item
+        addr += item.size()
+        cut_at.add(addr)
+
+    prog = Program(base, end)
+    # A cut inside an instruction or a blob starts nothing, so it labels nothing.
+    kept = sorted({*items, *(a for a in cut_at if base <= a < end and run_starts[a - base])})
+    for addr, stop in zip(kept, kept[1:] + [end]):
+        prog.add(items.get(addr) or BlobItem(data[addr - base : stop - base], orig_addr=addr))
     return prog

@@ -39,11 +39,6 @@ class CliError(Exception):
     pass
 
 
-def _dump_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_text(obj))
-
-
 def _parse_key(value: str | None) -> int:
     raw = value if value is not None else os.environ.get(KEY_ENV)
     if raw is None:
@@ -95,7 +90,7 @@ def cmd_obfuscate(args) -> int:
     obf, man2, records = obfuscation.obfuscate_returns(image, manifest, key)
     bin_path, _ = save(obf, man2, args.out)
     sites = image_mod.artifact_path(args.out, ".sites.json")
-    _dump_json(sites, {"sites": [rec.to_json() for rec in records]})
+    image_mod.write_json(sites, {"sites": [rec.to_json() for rec in records]})
     print(f"sealed {len(records)} return(s); wrote {bin_path} and {sites}")
     return 0
 
@@ -103,14 +98,14 @@ def cmd_obfuscate(args) -> int:
 def cmd_init(args) -> int:
     key = _parse_key(args.key)
     image, manifest = load(args.input)
-    if args.seed is not None and manifest.boots_rotated:
+    if args.seed is not None and harden_mod.boots_rotated(image, manifest, key):
         table = harden_mod.build_rotated_table(image, manifest, key, args.seed)
     else:
         table = build_table(image, key)
     out = Path(args.out) if args.out else image_mod.artifact_path(args.input, ".table.json")
     payload = table.to_json()
     payload["image_sha256"] = image.sha256()
-    _dump_json(out, payload)
+    image_mod.write_json(out, payload)
     print(f"rebuilt {len(table.entries)} table entrie(s) -> {out}")
     return 0
 
@@ -120,18 +115,19 @@ def cmd_attack(args) -> int:
     image = FirmwareImage(base=args.base, data=bin_path.read_bytes())
     result = run_attack(image)
     out = Path(args.out)
+    # The catalog is written and dropped before the report is built.
+    image_mod.write_json(Path(str(out) + ".gadgets.jsonl"),
+                         (cand.to_json() for cand in result.catalog), lines=True)
+    gadgets, result.catalog = len(result.catalog), []
     report = result.to_json()
     report["config"] = _echo(args)
-    report["gadget_count"] = len(result.catalog)
+    report["gadget_count"] = gadgets
     if not result.sites:
         report["note"] = "no trampolines located; image looks unobfuscated"
-    _dump_json(Path(str(out) + ".attack.json"), report)
-    encode = json.JSONEncoder(sort_keys=True).encode
-    Path(str(out) + ".gadgets.jsonl").write_text(
-        "".join([encode(cand.to_json()) + "\n" for cand in result.catalog]))
+    image_mod.write_json(Path(str(out) + ".attack.json"), report)
     lines = [
         f"sites located: {len(result.sites)}",
-        f"gadget candidates: {len(result.catalog)}",
+        f"gadget candidates: {gadgets}",
     ]
     for method, preds in result.predictions.items():
         ok = sum(p.ok for p in preds)
@@ -169,9 +165,8 @@ def _load_attack(prefix) -> tuple[AttackResult, object]:
     """The result ``<prefix>.attack.json`` holds, and its ``gadget_count``
     as read: ``_sample_catalog`` checks it against the catalog."""
     path = Path(str(prefix) + ".attack.json")
-    text = path.read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(path.read_text())
         return AttackResult.from_json(obj), obj["gadget_count"]
     except MALFORMED_INPUT as exc:
         raise CliError(f"malformed attack report {path}: {exc!r}") from exc
@@ -258,14 +253,15 @@ def _gadget_check(image, table, sample) -> dict:
 def cmd_eval(args) -> int:
     _check_counts(args, "equivalence_runs", "rotation_seeds")
     key = _parse_key(args.key)
+    # The report is parsed first, while the least else is held.
+    result, gadget_count = _load_attack(args.attack)
     plain, plain_man = load(args.plain)
     image, manifest = load(args.image)
     if (plain.base, plain.sram_base, plain.table_base) != (
             image.base, image.sram_base, image.table_base):
         raise CliError(f"{args.image} and its plain corpus {args.plain} disagree on the base, "
                        "sram_base or table_base, which no transform moves")
-    rotated = manifest.boots_rotated
-    result, gadget_count = _load_attack(args.attack)
+    rotated = harden_mod.boots_rotated(image, manifest, key)
     report = evaluate_recovery(result, manifest, image)
     del result
     # Every catalog line is checked; a rotated image runs no gadget sample.
@@ -303,7 +299,7 @@ def cmd_eval(args) -> int:
         "position_histogram": histogram,
     }
     out = Path(args.out)
-    _dump_json(Path(str(out) + ".eval.json"), payload)
+    image_mod.write_json(Path(str(out) + ".eval.json"), payload)
     text_lines = [
         f"gadget terminators: {before} before, {after} after",
         f"equivalence: {passed}/{runs} runs",

@@ -141,6 +141,13 @@ def harden(
     return image, manifest, pad_plans
 
 
+def boots_rotated(image: FirmwareImage, manifest: Manifest, key: int) -> bool:
+    """Whether each boot draws a rotated table: the sites reserve rotation room
+    and the image's boot plan holds a sealed push (or no sealed pop: all leaves)."""
+    sealed = {type(insn) for _, insn in boot_scan(image, key).sites}
+    return manifest.rotation_capable and (Push in sealed or Pop not in sealed)
+
+
 def build_rotated_table(image: FirmwareImage, manifest: Manifest, key: int, seed: int) -> RamTable:
     """One boot's table with per-function rotated pair sequences, drawn and
     placed by the image's boot plan from the bytes and the key.  The manifest

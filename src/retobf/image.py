@@ -13,6 +13,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 from ._rewrite import (
@@ -296,12 +297,6 @@ class Manifest:
         replacement sequence (``obfuscate_returns(rotation_capable=True)``)."""
         return any(entry.get("rotation_capable") for entry in self.transform_log)
 
-    @property
-    def boots_rotated(self) -> bool:
-        """Whether each boot draws a rotated table: the pushes are sealed and
-        the sites reserve room for every rotated sequence."""
-        return self.has_pass("encrypt_pushes") and self.rotation_capable
-
     def to_json(self) -> dict:
         return {
             "base": f"0x{self.base:x}",
@@ -521,9 +516,8 @@ def save(image: FirmwareImage, manifest: Manifest, prefix) -> tuple[Path, Path]:
     """Write ``<prefix>.bin`` (raw little-endian image) and ``<prefix>.json``."""
     manifest.validate(image)
     bin_path, json_path = artifact_path(prefix, ".bin"), artifact_path(prefix, ".json")
-    bin_path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(json_path, manifest.to_json())
     bin_path.write_bytes(image.data)
-    json_path.write_text(json_text(manifest.to_json()))
     return bin_path, json_path
 
 
@@ -553,28 +547,55 @@ def _json_value(obj, newline: str) -> str:
         return float.__repr__(obj)
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(
-            [_json_value(v, inner) for v in obj]
-        ) + newline + "]"
+        items = [_json_value(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         # A key that is not a str fails here, in sorted() or _encode_str.
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _json_value(v, inner) for k, v in sorted(obj.items())]
-        ) + newline + "}"
+        items = [_encode_str(k) + ": " + _json_value(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _is_record(obj) -> bool:
+    """Whether no value of the list or dict ``obj`` is a dict or a list that starts with one."""
+    return not any(
+        isinstance(v, dict) or isinstance(v, (list, tuple)) and v and isinstance(v[0], dict)
+        for v in (obj.values() if isinstance(obj, dict) else obj))
+
+
+def _json_chunks(obj, newline: str, head: str = "", tail: str = ""):
+    """``head + _json_value(obj, newline) + tail`` in chunks, one per ``_is_record``."""
+    if not isinstance(obj, (dict, list, tuple)) or _is_record(obj):
+        yield head + _json_value(obj, newline) + tail
+        return
+    inner = newline + "  "
+    is_dict = isinstance(obj, dict)
+    sep = head + ("{" if is_dict else "[") + inner
+    for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
+        yield from _json_chunks(value, inner, sep + (_encode_str(key) + ": " if is_dict else ""))
+        sep = "," + inner
+    yield newline + ("}" if is_dict else "]") + tail
 
 
 def json_text(obj) -> str:
     """The one text form of every JSON artifact the CLI writes: exactly
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.  Built by a direct
-    join with the C string encoder, because ``indent`` sends ``json.dumps``
-    through its pure-Python encoder.  Raises TypeError on a value json
-    rejects and on a dict key that is not a str."""
-    return _json_value(obj, "\n") + "\n"
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, joined with the C string
+    encoder (``indent`` sends ``json.dumps`` through its pure-Python one) from the
+    chunks ``write_json`` writes.  Raises TypeError on what json rejects or a non-str key."""
+    return "".join(_json_chunks(obj, "\n", tail="\n"))
+
+
+_json_line = json.JSONEncoder(sort_keys=True).encode
+
+
+def write_json(path: Path, obj, *, lines: bool = False) -> None:
+    """Write ``json_text(obj)``, or with ``lines`` each item of ``obj`` as one compact
+    line (JSON Lines), to ``path`` in batches of records, never as one whole text."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    chunks = (_json_line(r) + "\n" for r in obj) if lines else _json_chunks(obj, "\n", tail="\n")
+    with path.open("w") as out:
+        while batch := list(islice(chunks, 256)):
+            out.write("".join(batch))
 
 
 def load(prefix) -> tuple[FirmwareImage, Manifest]:
@@ -608,7 +629,7 @@ def splice(
         raise ImageError(f"splice point 0x{at:x} outside image")
     if not insert:
         return image, manifest
-    prog = lift(image, manifest)
+    prog = lift(image, manifest, at)
     prog.insert(len(prog.items) if at == image.end else prog.index_at(at), BlobItem(insert))
     return commit(prog, image, manifest, "splice", at=f"0x{at:x}", length=len(insert))
 

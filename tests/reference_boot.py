@@ -106,10 +106,11 @@ def reference_table(image, key) -> ReferenceTable:
 
 
 def reference_rotated_table(image, manifest, key, seed) -> ReferenceTable:
-    if not manifest.boots_rotated:
+    scanned = _scan(image, key)
+    sealed = {type(insn) for _, insn in scanned}
+    if not (manifest.rotation_capable and (Push in sealed or Pop not in sealed)):
         raise HardenError("rotation needs sealed pushes and rotation room")
     records = {rec.core: rec for rec in manifest.trampoline_records()}
-    scanned = _scan(image, key)
     unmatched = records.keys() ^ {sighting.core for sighting, _ in scanned}
     if unmatched:
         raise HardenError(

@@ -17,6 +17,7 @@ from retobf import cli
 from retobf.attack import GadgetCandidate, run_attack
 from retobf.cli import _equivalence_suite, _gadget_check, main
 from retobf.image import MAX_IMAGE_SIZE, load
+from retobf.isa import Pop, decode
 from retobf.obfuscation import build_table
 
 KEY = "0xa5a5"
@@ -626,6 +627,36 @@ def test_eval_boots_the_table_the_image_bytes_call_for(tmp_path, capsys):
     assert report["gadget_check"]["passed"] == report["gadget_check"]["sampled"] > 0
 
 
+def test_a_renamed_push_pass_still_boots_rotated(tmp_path, capsys):
+    """Whether boots rotate is read from the sealed pushes in the image's
+    bytes, not from the transform log's pass names: with the
+    ``encrypt_pushes`` entry renamed (the checksum still matches), ``init
+    --seed`` writes the same rotated table and ``eval`` the same report as
+    with the intact manifest."""
+    c, h = tmp_path / "c", tmp_path / "h"
+    assert run("gen", "--out", str(c), "--functions", "40", "--seed", "2") == 0
+    assert run("harden", "--in", str(c), "--out", str(h), "--key", KEY, "--kmax", "3",
+               "--rotate", "on") == 0
+    assert run("attack", "--in", str(h), "--out", str(tmp_path / "a")) == 0
+    manifest = h.with_suffix(".json").read_text()
+    renamed = json.loads(manifest)
+    entry = renamed["transform_log"][-1]
+    assert entry["pass"] == "encrypt_pushes"
+    entry["pass"] = "seal_prologues"
+    outputs = []
+    for text in (manifest, json.dumps(renamed)):
+        h.with_suffix(".json").write_text(text)
+        capsys.readouterr()
+        assert run("init", "--in", str(h), "--key", KEY, "--seed", "3",
+                   "--out", str(tmp_path / "t.json")) == 0
+        assert run("eval", "--plain", str(c), "--image", str(h), "--attack",
+                   str(tmp_path / "a"), "--out", str(tmp_path / "e"), "--key", KEY) == 0
+        assert capsys.readouterr().err == ""
+        outputs.append([(tmp_path / name).read_bytes() for name in ("t.json", "e.eval.json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][0])["draws"]
+
+
 def test_equivalence_suite_reports_each_failed_run(workdir, capsys):
     """With one table entry zeroed, the runs through it fail, each with one
     stderr line naming its function, table and fault kind."""
@@ -697,6 +728,26 @@ def test_malformed_manifest_names_the_field(tmp_path, capsys, edit, path):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed manifest ") and err.endswith(f": {path}\n")
     assert err.count("\n") == 1
+
+
+def test_a_site_inside_a_wide_pop_is_one_error_line(tmp_path, capsys):
+    """An epilogue site moved from a 4-byte ``pop.w`` to its second halfword
+    starts no instruction, so it is no cut point of the lift: obfuscate and
+    harden refuse it in one line, with no traceback."""
+    c = tmp_path / "c"
+    assert run("gen", "--out", str(c), "--functions", "20", "--seed", "1",
+               "--high-reg-prob", "0.9") == 0
+    manifest = json.loads(c.with_suffix(".json").read_text())
+    fn = manifest["functions"][2]
+    assert (fn["name"], fn["epilogue_sites"]) == ("fn_002", ["0x4003a"])
+    insn, length = decode(c.with_suffix(".bin").read_bytes(), 0x3A, 0x4003A)
+    assert isinstance(insn, Pop) and length == 4
+    fn["epilogue_sites"] = ["0x4003c"]
+    c.with_suffix(".json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    for stage in ("obfuscate", "harden"):
+        assert run(stage, "--in", str(c), "--out", str(tmp_path / stage), "--key", KEY) == 1
+        assert capsys.readouterr().err == "error: 0x4003c is not an item boundary\n", stage
 
 
 def test_init_rejects_odd_epilogue_site(tmp_path, capsys):

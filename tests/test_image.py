@@ -14,6 +14,7 @@ from retobf import isa
 from retobf._rewrite import BlobItem, Program, lift, signature_offsets
 from retobf.image import (
     MAX_IMAGE_SIZE,
+    _json_chunks,
     CorpusParams,
     FirmwareImage,
     FunctionRecord,
@@ -26,6 +27,7 @@ from retobf.image import (
     remap_manifest,
     save,
     splice,
+    write_json,
 )
 from retobf.isa import Pop, Push, RegisterList, decode
 from retobf.machine import CALLER_STACK_BYTES, call, states_equivalent
@@ -394,6 +396,38 @@ def test_json_text_equals_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_written_json_equals_json_dumps(tmp_path_factory, obj):
+    """The bytes ``write_json`` streams to a file are the one text form, and
+    in ``lines`` form each item is one ``json.dumps(..., sort_keys=True)``
+    line."""
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    if isinstance(obj, (list, tuple)):
+        write_json(path, iter(obj), lines=True)
+        assert path.read_bytes() == "".join(
+            json.dumps(item, sort_keys=True) + "\n" for item in obj).encode()
+
+
+def test_json_is_written_one_record_per_chunk():
+    """The walker descends only into lists and dicts that hold records, so
+    each record, a list or dict with no dict or list of dicts among its
+    values, is one chunk."""
+    fn = {"name": "f", "sites": ["0x1", "0x2"], "pop": None}
+    obj = {"functions": [fn, fn], "log": [{"pass": "p", "sites": [{"fn": "f"}]}], "seed": 1}
+    chunks = list(_json_chunks(obj, "\n"))
+    assert "".join(chunks) + "\n" == json_text(obj)
+    record = json_text(fn)[:-1].replace("\n", "\n    ")
+    assert chunks == [
+        '{\n  "functions": [\n    ' + record, ",\n    " + record, "\n  ]",
+        ',\n  "log": [\n    {\n      "pass": "p"', ',\n      "sites": [\n        {\n'
+        '          "fn": "f"\n        }', "\n      ]", "\n    }", "\n  ]",
+        ',\n  "seed": 1', "\n}",
+    ]
+
+
 def test_saved_manifest_is_json_text(small_corpus, tmp_path):
     _, json_path = save(*small_corpus, tmp_path / "c")
     manifest = small_corpus[1].to_json()
@@ -412,8 +446,11 @@ class Opaque:
     {1, 2}, Path("x"), b"bytes", {"a": [1, Opaque()]}, {1: "int key"}, {None: 0},
     {"a": 1, 2: "mixed keys"}, [{(1, 2): 3}],
 ], ids=repr)
-def test_json_text_refuses_what_json_rejects(obj):
+def test_json_text_refuses_what_json_rejects(obj, tmp_path):
     """Types json cannot encode raise TypeError, and so does any key that is
-    not a str (json would have converted it)."""
+    not a str (json would have converted it), whether the text is joined or
+    written to a file."""
     with pytest.raises(TypeError):
         json_text(obj)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "out.json", obj)

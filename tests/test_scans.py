@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scans as ref
-from retobf._rewrite import lift
+from retobf._rewrite import BlobItem, InsnItem, lift
 from retobf.attack import (
     _EFFECTS,
     _NO_PAIR,
@@ -32,11 +32,12 @@ from retobf.attack import (
     run_attack,
 )
 from retobf.harden import encrypt_pushes
-from retobf.image import DEFAULT_BASE, CorpusParams, FirmwareImage, generate_corpus
+from retobf.image import DEFAULT_BASE, CorpusParams, FirmwareImage, generate_corpus, splice
 from retobf.isa import (
     AddReg,
     AddSpImm,
     Bl,
+    BranchW,
     BxLr,
     LdrSpRel,
     MovImm,
@@ -141,7 +142,7 @@ def test_scans_match_references_on_corpora(corpus_image):
     _check_sweeps(image.data, ())
     _check_lookups(image)
     _check_baseline(image)
-    assert ref.program_items(lift(image, manifest)) == ref.program_items(ref.lift(image, manifest))
+    _check_lift(image, manifest)
 
 
 @given(crafted_images(), st.data())
@@ -492,19 +493,98 @@ def test_effect_table_covers_every_halfword():
     assert not any(_EFFECTS[0xE800:])
 
 
+def _expanded(prog, manifest):
+    """``ref.program_items(prog)`` with each blob inside a function decoded
+    back into the instructions it keeps: the per-instruction lift it stands
+    for.  They carry no branch target, so a branch left in a blob, which
+    layout would not move, does not match the reference."""
+    ranges = [(fn.start, fn.end) for fn in manifest.functions]
+    out = []
+    for item, entry in zip(prog.items, ref.program_items(prog)):
+        addr = item.orig_addr
+        if not (isinstance(item, BlobItem) and any(s <= addr < e for s, e in ranges)):
+            out.append(entry)
+            continue
+        off = 0
+        while off < len(item.data):
+            insn, length = decode(item.data, off, addr + off)
+            out.append(("insn", addr + off, insn, None))
+            off += length
+    return out
+
+
+def _check_lift(image, manifest, *cuts):
+    """``lift`` expands to the per-instruction reference lift, makes an
+    ``InsnItem`` for every manifest site and otherwise only for a branch,
+    and never splits a straight run: two adjacent blobs always meet at a
+    cut point."""
+    prog = lift(image, manifest, *cuts)
+    want = ref.program_items(ref.lift(image, manifest))
+    assert _expanded(prog, manifest) == want
+    sites = {s for fn in manifest.functions for s in (fn.prologue_site, *fn.epilogue_sites)}
+    targets = {e[3] for e in want if e[0] == "insn" and e[3] is not None}
+    cut_points = {image.base, *cuts, *targets}
+    cut_points.update(a for fn in manifest.functions for a in (fn.start, fn.end))
+    cut_points.update(rec.item_start for rec in manifest.trampoline_records())
+    for item in prog.items:
+        if isinstance(item, InsnItem):
+            assert item.orig_addr in sites or isinstance(item.insn, (Bl, BranchW)), item.insn
+    at = {item.orig_addr: item for item in prog.items}
+    for entry in want:
+        if entry[0] == "insn" and entry[1] in sites:
+            assert isinstance(at.get(entry[1]), InsnItem), hex(entry[1])
+    for before, after in zip(prog.items, prog.items[1:]):
+        if isinstance(before, BlobItem) and isinstance(after, BlobItem):
+            assert after.orig_addr in cut_points, hex(after.orig_addr)
+    return prog, want
+
+
 @given(st.integers(0, 12), st.integers(0, 2**16), st.booleans(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_lift_matches_reference_and_lays_out_the_image(count, seed, obfuscate, data):
     image, manifest = generate_corpus(CorpusParams(function_count=count, seed=seed))
     if obfuscate:
         image, manifest, _ = obfuscate_returns(image, manifest, KEY)
-    prog = lift(image, manifest)
-    assert ref.program_items(prog) == ref.program_items(ref.lift(image, manifest))
+    prog, want = _check_lift(image, manifest)
     assert prog.layout().data == image.data
+    # An extra cut (a splice point) at any instruction starts an item there.
+    addrs = [e[1] for e in want if e[0] == "insn"]
+    if addrs:
+        cut = data.draw(st.sampled_from(addrs))
+        prog, _ = _check_lift(image, manifest, cut)
+        assert prog.items[prog.index_at(cut)].orig_addr == cut
+        assert prog.layout().data == image.data
     # Functions left out of the manifest lift as blobs between the kept ones.
     keep = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
     partial = replace(manifest, functions=[f for f, k in zip(manifest.functions, keep) if k])
-    assert ref.program_items(lift(image, partial)) == ref.program_items(ref.lift(image, partial))
+    _check_lift(image, partial)
+
+
+def test_a_branch_into_a_straight_run_keeps_its_target_through_a_splice():
+    """A ``bl`` retargeted at an instruction inside a straight run cuts the
+    run there, so a splice before both moves the target and re-aims the
+    branch at it."""
+    image, manifest = generate_corpus(CorpusParams(function_count=12, seed=3))
+    insns = [e for e in ref.program_items(ref.lift(image, manifest)) if e[0] == "insn"]
+    sites = {s for fn in manifest.functions for s in (fn.prologue_site, *fn.epilogue_sites)}
+    edges = {a for fn in manifest.functions for a in (fn.start, fn.end)}
+    source = next(e[1] for e in insns if isinstance(e[2], Bl))
+    target = next(e[1] for e in reversed(insns)
+                  if e[1] not in sites | edges and not isinstance(e[2], Bl))
+    assert target not in lift(image, manifest).labels
+    data = bytearray(image.data)
+    data[source - image.base : source - image.base + 4] = encode(Bl(target), address=source)
+    image = FirmwareImage(image.base, bytes(data))
+    manifest = replace(manifest, transform_log=list(manifest.transform_log))
+    manifest.record_pass(image, "retarget")
+    prog, _ = _check_lift(image, manifest)
+    assert target in prog.labels and prog.layout().data == image.data
+    at = manifest.functions[0].start
+    assert at <= source < target
+    spliced, _ = splice(image, manifest, at, encode(Nop()))
+    moved, _ = decode(spliced.data, source + 2 - image.base, source + 2)
+    assert moved == Bl(target + 2)
+    assert spliced.data[target + 2 - image.base :] == image.data[target - image.base :]
 
 
 # ---------------------------------------------------------------------------

@@ -247,8 +247,10 @@ def test_attack_keeps_no_module_memo():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_indented_json_dumps(path):
-    """Indented JSON has one writer, ``image.json_text``: no module passes
-    ``indent=`` to ``json.dump`` or ``json.dumps``."""
+    """Indented JSON has one writer, ``image``'s chunk walker behind
+    ``json_text`` and ``write_json``: no module passes ``indent=`` to
+    ``json.dump`` or ``json.dumps``, and only ``image`` builds a
+    ``JSONEncoder`` (the JSON Lines form ``write_json`` writes)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [
         node.lineno
@@ -259,6 +261,9 @@ def test_no_indented_json_dumps(path):
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert calls == [], f"{path.name}: json.dump(s) with indent= at lines {calls}"
+    encoders = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "JSONEncoder"]
+    assert path.name == "image.py" or encoders == [], f"{path.name}: JSONEncoder at {encoders}"
 
 
 #: What only the boot pass may hold: the key check, decryption and tables.
