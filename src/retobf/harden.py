@@ -36,24 +36,20 @@ from .obfuscation import (
 @dataclass
 class PadPlan:
     fn: str
-    k_drawn: int
     extra: RegisterList
-
-    def to_json(self) -> dict:
-        return {"fn": self.fn, "k_drawn": self.k_drawn, "extra": list(self.extra.names())}
 
 
 def pad_registers(fn: FunctionRecord, rng: random.Random, kmax: int) -> PadPlan:
     """Draw 0..kmax additional unused callee-saved registers for one
     function's push/pop pair (truncated to what is available)."""
     if fn.is_leaf:
-        return PadPlan(fn.name, 0, RegisterList(0))
+        return PadPlan(fn.name, RegisterList(0))
     taken = fn.used_callee_saved.union(fn.pad_registers)
     available = [r for r in isa.CALLEE_SAVED if r not in taken]
     k = rng.randint(0, kmax) if kmax > 0 else 0
     k = min(k, len(available))
     extra = RegisterList.of(*rng.sample(available, k)) if k else RegisterList(0)
-    return PadPlan(fn.name, k, extra)
+    return PadPlan(fn.name, extra)
 
 
 def pad_corpus(
@@ -82,15 +78,8 @@ def pad_corpus(
             prog.items[idx] = InsnItem(
                 Pop(new_list.union(RegisterList.of("pc"))), orig_addr=site
             )
-    new_image, new_manifest = commit(
-        prog,
-        image,
-        manifest,
-        "pad_registers",
-        kmax=kmax,
-        seed=key_seed,
-        draws=[plan.to_json() for plan in plans],
-    )
+    new_image, new_manifest = commit(prog, image, manifest, "pad_registers",
+                                     kmax=kmax, seed=key_seed)
     for fn, plan in zip(new_manifest.functions, plans):
         if not plan.extra.is_empty:
             fn.pad_registers = fn.pad_registers.union(plan.extra)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
@@ -522,55 +521,44 @@ def save(image: FirmwareImage, manifest: Manifest, prefix) -> tuple[Path, Path]:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_json_line = json.JSONEncoder(sort_keys=True).encode
+#: Types ``_json_line`` writes with no dict key inside.
+_LEAVES = frozenset({str, int, float, bool, type(None)})
 
 
-def _json_value(obj, newline: str) -> str:
-    """``obj`` in ``json_text``'s form; ``newline`` starts its inner lines'
-    parent level."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        items = [_json_value(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
+def _str_keys(obj) -> None:
+    """Raise TypeError on a key of a dict in ``obj``, at any depth, that is not
+    a str: ``_json_line`` would write it as one."""
     if isinstance(obj, dict):
-        # A key that is not a str fails here, in sorted() or _encode_str.
-        items = [_encode_str(k) + ": " + _json_value(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        "".join(obj)  # str.join raises TypeError on an item that is not a str
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return
+    if not _LEAVES.issuperset(map(type, obj)):
+        for value in obj:
+            if type(value) not in _LEAVES:
+                _str_keys(value)
 
 
 def _is_record(obj) -> bool:
     """Whether no value of the list or dict ``obj`` is a dict or a list that starts with one."""
-    return not any(
-        isinstance(v, dict) or isinstance(v, (list, tuple)) and v and isinstance(v[0], dict)
-        for v in (obj.values() if isinstance(obj, dict) else obj))
+    for v in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(v, dict) or isinstance(v, (list, tuple)) and v and isinstance(v[0], dict):
+            return False
+    return True
 
 
 def _json_chunks(obj, newline: str, head: str = "", tail: str = ""):
-    """``head + _json_value(obj, newline) + tail`` in chunks, one per ``_is_record``."""
+    """``obj`` in ``json_text``'s form, between ``head`` and ``tail``, in
+    chunks, one per record."""
     if not isinstance(obj, (dict, list, tuple)) or _is_record(obj):
-        yield head + _json_value(obj, newline) + tail
+        _str_keys(obj)
+        yield head + _json_line(obj) + tail
         return
     inner = newline + "  "
     is_dict = isinstance(obj, dict)
     sep = head + ("{" if is_dict else "[") + inner
+    # A key that is not a str fails here, in sorted() or _encode_str.
     for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
         yield from _json_chunks(value, inner, sep + (_encode_str(key) + ": " if is_dict else ""))
         sep = "," + inner
@@ -578,14 +566,12 @@ def _json_chunks(obj, newline: str, head: str = "", tail: str = ""):
 
 
 def json_text(obj) -> str:
-    """The one text form of every JSON artifact the CLI writes: exactly
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, joined with the C string
-    encoder (``indent`` sends ``json.dumps`` through its pure-Python one) from the
-    chunks ``write_json`` writes.  Raises TypeError on what json rejects or a non-str key."""
+    """The one text form of every JSON artifact the CLI writes: each record
+    (``_is_record``) on one line as ``json.dumps(record, sort_keys=True)``, and
+    the lists and dicts that hold records indented by two spaces per level,
+    keys sorted, with a final newline.  Joined from the chunks ``write_json``
+    writes.  Raises TypeError on what json rejects or a non-str key."""
     return "".join(_json_chunks(obj, "\n", tail="\n"))
-
-
-_json_line = json.JSONEncoder(sort_keys=True).encode
 
 
 def write_json(path: Path, obj, *, lines: bool = False) -> None:
@@ -641,14 +627,16 @@ def commit(
 
     The manifest's addresses follow the layout, and the transform log gains
     one entry for pass ``name`` with ``params``.  The entry carries the
-    ``sites`` snapshot whenever the program holds trampolines, so the
-    newest snapshot always describes the current image.
+    ``sites`` snapshot whenever the program holds trampolines, and then the
+    older entries lose theirs, so the one snapshot describes the current image.
     """
     layout = prog.layout()
     new_image = replace(image, data=layout.data)
     new_manifest = remap_manifest(manifest, layout.addr_map)
     records = prog.trampoline_records()
     if records:
+        for entry in new_manifest.transform_log:
+            entry.pop("sites", None)
         params["sites"] = [rec.to_json() for rec in records]
     new_manifest.record_pass(new_image, name, **params)
     new_manifest.validate(new_image)

@@ -177,6 +177,11 @@ def test_pad_rewrites_pairs_and_preserves_behavior(corpus):
     image, manifest = corpus
     padded, man2, plans = pad_corpus(image, manifest, key_seed=11, kmax=3)
     assert any(not plan.extra.is_empty for plan in plans)
+    # The function records hold the draws; the log entry restates none.
+    assert man2.transform_log[-1] == {
+        "pass": "pad_registers", "kmax": 3, "seed": 11, "image_sha256": padded.sha256()}
+    for fn_old, fn_new, plan in zip(manifest.functions, man2.functions, plans):
+        assert fn_new.pad_registers == fn_old.pad_registers.union(plan.extra)
     from retobf.isa import decode
 
     for fn in man2.functions:

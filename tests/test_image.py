@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from retobf import isa
 from retobf._rewrite import BlobItem, Program, lift, signature_offsets
+from retobf.harden import encrypt_pushes, pad_corpus
 from retobf.image import (
     MAX_IMAGE_SIZE,
+    _is_record,
     _json_chunks,
     CorpusParams,
     FirmwareImage,
@@ -31,7 +33,7 @@ from retobf.image import (
 )
 from retobf.isa import Pop, Push, RegisterList, decode
 from retobf.machine import CALLER_STACK_BYTES, call, states_equivalent
-from retobf.obfuscation import build_table
+from retobf.obfuscation import build_table, obfuscate_returns
 
 from conftest import KEY
 
@@ -392,46 +394,79 @@ JSON_VALUES = st.recursive(
 
 @given(JSON_VALUES)
 @settings(max_examples=400, deadline=None)
-def test_json_text_equals_json_dumps(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def test_json_text_reads_back_as_the_object(obj):
+    """``json.loads`` gives back ``obj``, tuples as lists; comparing through
+    ``json.dumps`` tells NaN from NaN and True from 1."""
+    assert json.dumps(json.loads(json_text(obj)), sort_keys=True) == json.dumps(obj, sort_keys=True)
+
+
+def _record_lines(obj, indent="", key=None):
+    """The line of each record in ``obj``, in text order: its indent, its
+    key, and ``json.dumps(record, sort_keys=True)``."""
+    head = indent + ("" if key is None else json.dumps(key) + ": ")
+    if not isinstance(obj, (dict, list, tuple)) or _is_record(obj):
+        yield head + json.dumps(obj, sort_keys=True)
+        return
+    for k, value in sorted(obj.items()) if isinstance(obj, dict) else ((None, v) for v in obj):
+        yield from _record_lines(value, indent + "  ", k)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_json_text_puts_each_record_on_one_line(obj):
+    """Each record sits on its own line, with an optional trailing comma;
+    every other line opens or closes a list or dict that holds records.
+    ``write_json`` takes each record, and each closing line, as one chunk."""
+    lines = [line.removesuffix(",") for line in json_text(obj).split("\n")]
+    assert lines.pop() == ""
+    closing = [line for line in lines if line.strip() in ("]", "}")]
+    structure = closing + [line for line in lines if line[-1] in "[{"]
+    records = [line for line in lines if line not in structure]
+    assert records == list(_record_lines(obj))
+    assert len(list(_json_chunks(obj, "\n"))) == len(records) + len(closing)
+
+
+def test_saved_manifest_puts_each_function_on_one_line(small_corpus, tmp_path):
+    _, json_path = save(*small_corpus, tmp_path / "c")
+    text = json_path.read_text()
+    assert text == json_text(small_corpus[1].to_json())
+    lines = [line.removesuffix(",") for line in text.split("\n")]
+    for fn in small_corpus[1].functions:
+        assert "    " + json.dumps(fn.to_json(), sort_keys=True) in lines
 
 
 @given(JSON_VALUES)
 @settings(max_examples=200, deadline=None)
-def test_written_json_equals_json_dumps(tmp_path_factory, obj):
+def test_written_json_is_json_text(tmp_path_factory, obj):
     """The bytes ``write_json`` streams to a file are the one text form, and
     in ``lines`` form each item is one ``json.dumps(..., sort_keys=True)``
     line."""
     path = tmp_path_factory.mktemp("json") / "out.json"
     write_json(path, obj)
-    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert path.read_bytes() == json_text(obj).encode()
     if isinstance(obj, (list, tuple)):
         write_json(path, iter(obj), lines=True)
         assert path.read_bytes() == "".join(
             json.dumps(item, sort_keys=True) + "\n" for item in obj).encode()
 
 
-def test_json_is_written_one_record_per_chunk():
-    """The walker descends only into lists and dicts that hold records, so
-    each record, a list or dict with no dict or list of dicts among its
-    values, is one chunk."""
-    fn = {"name": "f", "sites": ["0x1", "0x2"], "pop": None}
-    obj = {"functions": [fn, fn], "log": [{"pass": "p", "sites": [{"fn": "f"}]}], "seed": 1}
-    chunks = list(_json_chunks(obj, "\n"))
-    assert "".join(chunks) + "\n" == json_text(obj)
-    record = json_text(fn)[:-1].replace("\n", "\n    ")
-    assert chunks == [
-        '{\n  "functions": [\n    ' + record, ",\n    " + record, "\n  ]",
-        ',\n  "log": [\n    {\n      "pass": "p"', ',\n      "sites": [\n        {\n'
-        '          "fn": "f"\n        }', "\n      ]", "\n    }", "\n  ]",
-        ',\n  "seed": 1', "\n}",
-    ]
-
-
-def test_saved_manifest_is_json_text(small_corpus, tmp_path):
-    _, json_path = save(*small_corpus, tmp_path / "c")
-    manifest = small_corpus[1].to_json()
-    assert json_path.read_text() == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+def test_an_indented_manifest_with_older_snapshots_loads(corpus, tmp_path):
+    """A manifest in the earlier form, indented by ``json.dumps`` and with a
+    ``sites`` snapshot in every log entry that sealed sites, loads and
+    reads the same trampoline records as the manifest that keeps one."""
+    image, manifest = corpus
+    image, manifest, _ = pad_corpus(image, manifest, key_seed=3, kmax=2)
+    image, manifest, _ = obfuscate_returns(image, manifest, KEY, rotation_capable=True)
+    older = manifest.transform_log[-1]["sites"]
+    image, manifest, _ = encrypt_pushes(image, manifest, KEY)
+    assert ["sites" in entry for entry in manifest.transform_log] == [False] * 3 + [True]
+    old = manifest.to_json()
+    old["transform_log"][2]["sites"] = older
+    _, json_path = save(image, manifest, tmp_path / "h")
+    json_path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    _, loaded = load(tmp_path / "h")
+    assert loaded.trampoline_records() == manifest.trampoline_records()
+    assert loaded.transform_log[2]["sites"] == older
 
 
 class Opaque:
@@ -454,3 +489,13 @@ def test_json_text_refuses_what_json_rejects(obj, tmp_path):
         json_text(obj)
     with pytest.raises(TypeError):
         write_json(tmp_path / "out.json", obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": [1, {2: "x"}]}, [[{None: 1}]], {"a": [[], [{1.5: 0}]]}, ({True: 1},),
+], ids=repr)
+def test_json_text_refuses_a_non_str_key_inside_a_record(obj):
+    """A dict key that is not a str raises TypeError also where the dict is
+    nested inside a record, which one line of json's C encoder writes."""
+    with pytest.raises(TypeError):
+        json_text(obj)

@@ -247,10 +247,11 @@ def test_attack_keeps_no_module_memo():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_indented_json_dumps(path):
-    """Indented JSON has one writer, ``image``'s chunk walker behind
+    """JSON artifacts have one writer, ``image``'s chunk walker behind
     ``json_text`` and ``write_json``: no module passes ``indent=`` to
-    ``json.dump`` or ``json.dumps``, and only ``image`` builds a
-    ``JSONEncoder`` (the JSON Lines form ``write_json`` writes)."""
+    ``json.dump`` or ``json.dumps``, and ``image`` builds the one
+    ``JSONEncoder``, which writes every record of ``.json`` and ``.jsonl``
+    artifacts alike, beside no hand-written value encoder."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [
         node.lineno
@@ -263,7 +264,9 @@ def test_no_indented_json_dumps(path):
     assert calls == [], f"{path.name}: json.dump(s) with indent= at lines {calls}"
     encoders = [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "JSONEncoder"]
-    assert path.name == "image.py" or encoders == [], f"{path.name}: JSONEncoder at {encoders}"
+    assert len(encoders) == (path.name == "image.py"), f"{path.name}: JSONEncoder at {encoders}"
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_json_value" not in defined
 
 
 #: What only the boot pass may hold: the key check, decryption and tables.
