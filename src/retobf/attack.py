@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import compress, count, repeat
-from operator import eq, itemgetter, or_
+from operator import eq, itemgetter, lt, or_
 from typing import NamedTuple
 
 from . import isa
@@ -480,31 +480,86 @@ class GadgetCandidate:
     stack_delta: int
     pc_slot_index: int | None
 
+
+#: The return shapes a gadget can end in: a pc-popping pop, or bx lr.
+GADGET_KINDS = ("pop", "bx_lr")
+
+
+@dataclass(slots=True)
+class GadgetSite:
+    """One site's gadget candidates, as one record of the catalog file: the
+    longest admissible window ending at the site, once, in address order,
+    the address each of its instructions starts at, and one stack delta per
+    candidate.
+
+    The candidate with ``j`` instructions is the window's last ``j``, entered
+    at ``starts[K - j]`` (``K`` the window's length), or at the site itself
+    for ``j = 0``; its delta is ``stack_delta[j]``.  A pop's next chain
+    address sits in the last word it consumes, ``stack_delta[j] // 4 - 1``; a
+    bx-lr return takes none from the stack."""
+
+    site: int
+    kind: str
+    instructions: list[str]
+    starts: list[int]
+    stack_delta: list[int]
+
+    def __len__(self) -> int:
+        return len(self.stack_delta)
+
+    def candidate(self, j: int) -> GadgetCandidate:
+        """The candidate with ``j`` instructions."""
+        k = len(self.instructions) - j
+        delta = self.stack_delta[j]
+        return GadgetCandidate(
+            start=self.starts[k] if j else self.site,
+            site_address=self.site,
+            instructions=self.instructions[k:],
+            stack_delta=delta,
+            pc_slot_index=delta // 4 - 1 if self.kind == "pop" else None,
+        )
+
+    def candidates(self) -> list[GadgetCandidate]:
+        """Every candidate, the bare return first."""
+        return [self.candidate(j) for j in range(len(self))]
+
     def to_json(self) -> dict:
         return {
-            "start": f"0x{self.start:x}",
-            "site": f"0x{self.site_address:x}",
+            "site": f"0x{self.site:x}",
+            "kind": self.kind,
             "instructions": self.instructions,
+            "starts": [f"0x{a:x}" for a in self.starts],
             "stack_delta": self.stack_delta,
-            "pc_slot_index": self.pc_slot_index,
         }
 
-    @staticmethod
-    def json_fields(obj: dict) -> tuple:
-        """Every check ``from_json`` makes, without building the candidate:
-        its constructor arguments, in field order.  Raises ValueError unless
-        ``stack_delta`` is a non-negative multiple of 4 and ``pc_slot_index``
-        is None or one of its words."""
-        delta, slot = obj["stack_delta"], obj["pc_slot_index"]
-        if type(delta) is not int or delta < 0 or delta % 4:
-            raise ValueError(f"stack_delta {delta!r} is not a non-negative multiple of 4")
-        if slot is not None and (type(slot) is not int or not 0 <= slot < delta // 4):
-            raise ValueError(f"pc_slot_index {slot!r} is not one of {delta // 4} stack words")
-        return int(obj["start"], 16), int(obj["site"], 16), obj["instructions"], delta, slot
-
     @classmethod
-    def from_json(cls, obj: dict) -> "GadgetCandidate":
-        return cls(*cls.json_fields(obj))
+    def from_json(cls, obj: dict) -> "GadgetSite":
+        """Read a record, checked so that every candidate it expands to is
+        one ``check_gadget`` can run.  Raises ValueError unless ``kind`` is
+        one of ``GADGET_KINDS``, the window's instructions are strings with
+        one start each and one delta more, the starts ascend below the site,
+        and every delta is a non-negative multiple of 4, and above 0 for a
+        pop (its pc slot is one of its words)."""
+        kind, texts, deltas = obj["kind"], obj["instructions"], obj["stack_delta"]
+        if kind not in GADGET_KINDS:
+            raise ValueError(f"kind {kind!r} is not one of {GADGET_KINDS}")
+        if type(texts) is not list or not all(type(t) is str for t in texts):
+            raise ValueError(f"instructions {texts!r} is not a list of strings")
+        if type(obj["starts"]) is not list:
+            raise ValueError(f"starts {obj['starts']!r} is not a list")
+        site = int(obj["site"], 16)
+        starts = [int(a, 16) for a in obj["starts"]]
+        if not len(texts) == len(starts) == len(deltas) - 1:
+            raise ValueError(f"{len(texts)} instructions, {len(starts)} starts and "
+                             f"{len(deltas)} stack deltas: want n, n and n + 1")
+        if not all(map(lt, starts, starts[1:] + [site])):
+            raise ValueError(f"starts {obj['starts']} do not ascend below site 0x{site:x}")
+        least = 4 if kind == "pop" else 0
+        for delta in deltas:
+            if type(delta) is not int or delta < least or delta % 4:
+                raise ValueError(f"stack_delta {delta!r} is not a multiple of 4 "
+                                 f"of at least {least} for a {kind} return")
+        return cls(site, kind, texts, starts, deltas)
 
 
 def _admissible(insn, kind: str) -> bool:
@@ -528,47 +583,38 @@ def _sp_words(insn) -> int:
     return 0
 
 
-def _candidates_for(
+def _gadget_site(
     window_insns: list, terminator: tuple[str, RegisterList | None], site_address: int
-) -> list[GadgetCandidate]:
+) -> GadgetSite:
     """The bare return, then each longer admissible window ending at it, up
     to ``GADGET_WINDOW`` instructions.  One backward walk: every longer
     window holds the first inadmissible instruction met, so it stops there."""
     kind, reglist = terminator
-    popped = len(reglist) if kind == "pop" else 0
-
-    def candidate(start: int, texts: list[str], words: int) -> GadgetCandidate:
-        return GadgetCandidate(
-            start=start,
-            site_address=site_address,
-            instructions=texts[::-1],
-            stack_delta=4 * (words + popped),
-            pc_slot_index=words + popped - 1 if kind == "pop" else None,
-        )
-
+    words = len(reglist) if kind == "pop" else 0
     texts: list[str] = []
-    words = 0
-    out = [candidate(site_address, texts, words)]
+    starts: list[int] = []
+    deltas = [4 * words]
     for addr, insn in reversed(window_insns[-GADGET_WINDOW:]):
         if not _admissible(insn, kind):
             break
         words += _sp_words(insn)
         texts.append(insn.text())
-        out.append(candidate(addr, texts, words))
-    return out
+        starts.append(addr)
+        deltas.append(4 * words)
+    return GadgetSite(site_address, kind, texts[::-1], starts[::-1], deltas)
 
 
-def build_gadget_catalog(view: ImageView, predictions: list[Prediction]) -> list[GadgetCandidate]:
-    """Expand each usable prediction into gadget candidates: the bare return
-    plus every admissible instruction window leading into it."""
+def build_gadget_catalog(view: ImageView, predictions: list[Prediction]) -> list[GadgetSite]:
+    """One gadget record per usable prediction: the bare return plus every
+    admissible instruction window leading into it."""
     catalog = []
     for pred in predictions:
-        if not pred.ok or pred.kind not in ("pop", "bx_lr"):
+        if not pred.ok or pred.kind not in GADGET_KINDS:
             continue
         core = pred.site.core
         window = [(a, view.decode_at(a, core)[0])
                   for a in view.summary(view.segment_before(core)).starts[-GADGET_WINDOW:]]
-        catalog.extend(_candidates_for(window, (pred.kind, pred.reglist), core))
+        catalog.append(_gadget_site(window, (pred.kind, pred.reglist), core))
     return catalog
 
 
@@ -595,12 +641,12 @@ def baseline_gadget_scan(image: FirmwareImage) -> list[GadgetCandidate]:
     for addr, seg_idx in _plaintext_returns(view):
         insn, _ = decode(image.data, addr - image.base, addr)
         terminator = ("pop", insn.regs) if isinstance(insn, Pop) else ("bx_lr", None)
-        # Decode only the instructions _candidates_for can read.
+        # Decode only the instructions _gadget_site can read.
         hi = view.segments[seg_idx][1]
         starts = view.summary(seg_idx).starts
         stop = bisect_left(starts, addr)
         window = [(a, view.decode_at(a, hi)[0]) for a in starts[max(0, stop - GADGET_WINDOW):stop]]
-        catalog.extend(_candidates_for(window, terminator, addr))
+        catalog.extend(_gadget_site(window, terminator, addr).candidates())
     return catalog
 
 
@@ -616,7 +662,15 @@ class AttackResult:
     image_sha256: str
     sites: list[RawSighting]
     predictions: dict[str, list[Prediction]]
-    catalog: list[GadgetCandidate]
+    #: The gadget catalog as its file holds it: one record per site with a
+    #: usable verdict, in site order.
+    gadget_sites: list[GadgetSite]
+
+    @property
+    def catalog(self) -> list[GadgetCandidate]:
+        """Every gadget candidate, each site's bare return first: the
+        records' expansion, built on each read."""
+        return [c for site in self.gadget_sites for c in site.candidates()]
 
     def predictions_at(self, method: str) -> dict[int, Prediction]:
         return {p.site.core: p for p in self.predictions[method]}
@@ -648,8 +702,8 @@ class AttackResult:
     @classmethod
     def from_json(cls, obj: dict) -> "AttackResult":
         """Rebuild a result from its ``to_json`` form.  The catalog is not
-        part of it (it is stored one ``GadgetCandidate`` per line, apart), so
-        the rebuilt result's catalog is empty.  A rebuilt site's
+        part of it (it is stored one ``GadgetSite`` per line, apart), so the
+        rebuilt result's catalog is empty.  A rebuilt site's
         ``enc_window`` holds only the encrypted halfword, and
         ``inferred_table_offset`` is derived again when the result is
         written."""
@@ -674,7 +728,7 @@ class AttackResult:
                 ]
                 for method in METHODS
             },
-            catalog=[],
+            gadget_sites=[],
         )
 
 
@@ -685,12 +739,11 @@ def run_attack(image: FirmwareImage) -> AttackResult:
     sym = [recover_by_symmetry(view, s) for s in view.sites]
     live = [recover_by_liveness(view, s) for s in view.sites]
     combined = [combine_predictions(a, b) for a, b in zip(sym, live)]
-    catalog = build_gadget_catalog(view, combined)
     return AttackResult(
         image_sha256=hashlib.sha256(image.data).hexdigest(),
         sites=view.sites,
         predictions={"symmetry": sym, "liveness": live, "combined": combined},
-        catalog=catalog,
+        gadget_sites=build_gadget_catalog(view, combined),
     )
 
 

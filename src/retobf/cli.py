@@ -24,6 +24,7 @@ from .attack import (
     AttackError,
     AttackResult,
     GadgetCandidate,
+    GadgetSite,
     count_terminators,
     evaluate_recovery,
     run_attack,
@@ -115,10 +116,12 @@ def cmd_attack(args) -> int:
     image = FirmwareImage(base=args.base, data=bin_path.read_bytes())
     result = run_attack(image)
     out = Path(args.out)
-    # The catalog is written and dropped before the report is built.
+    # The catalog is written, one record per site, and dropped before the
+    # report is built; no candidate is expanded from it.
     image_mod.write_json(Path(str(out) + ".gadgets.jsonl"),
-                         (cand.to_json() for cand in result.catalog), lines=True)
-    gadgets, result.catalog = len(result.catalog), []
+                         (site.to_json() for site in result.gadget_sites), lines=True)
+    gadgets = sum(map(len, result.gadget_sites))
+    result.gadget_sites = []
     report = result.to_json()
     report["config"] = _echo(args)
     report["gadget_count"] = gadgets
@@ -176,27 +179,30 @@ def _sample_catalog(prefix, count, size: int) -> list[GadgetCandidate]:
     """Check ``<prefix>.gadgets.jsonl`` in one pass and build the sample of
     up to ``size`` candidates the gadget check runs.
 
-    Every line is checked as ``GadgetCandidate.from_json`` reads it, and the
-    file (none counts as empty) must hold ``count`` lines.  Only the lines
-    at the indices ``random.Random(0xCA7).sample`` draws from ``range(count)``
-    are built, in draw order: the sample it draws from the parsed list.  A
-    refused line is named by its 1-based number."""
+    Every line is checked as ``GadgetSite.from_json`` reads it, and the
+    file (none counts as empty) must expand to ``count`` candidates, site
+    after site, each site's bare return first.  Only the candidates at the
+    indices ``random.Random(0xCA7).sample`` draws from ``range(count)`` are
+    built, in draw order: the sample it draws from the expanded catalog.  A
+    refused record is named by its 1-based line number."""
     path = Path(str(prefix) + ".gadgets.jsonl")
     counted = type(count) is int and count >= 0
     picks = random.Random(0xCA7).sample(range(count), min(size, count)) if counted else []
     sample = dict.fromkeys(picks)
-    n = 0
+    n = records = 0
     try:
         with path.open("rb") if path.exists() else io.BytesIO() as lines:
             for raw in lines:
                 # Split as str.splitlines does, which also breaks at \r, \v, \f.
                 for line in raw.decode().splitlines():
-                    fields = GadgetCandidate.json_fields(json.loads(line))
-                    if n in sample:
-                        sample[n] = GadgetCandidate(*fields)
-                    n += 1
+                    site = GadgetSite.from_json(json.loads(line))
+                    for i in range(n, n + len(site)):
+                        if i in sample:
+                            sample[i] = site.candidate(i - n)
+                    n += len(site)
+                    records += 1
     except MALFORMED_INPUT as exc:
-        raise CliError(f"malformed attack report {path} line {n + 1}: {exc!r}") from exc
+        raise CliError(f"malformed attack report {path} line {records + 1}: {exc!r}") from exc
     if not counted or count != n:
         raise CliError(f"malformed attack report {path}: gadget_count {count!r} "
                        f"but the catalog holds {n} candidate(s)")

@@ -540,6 +540,12 @@ def _str_keys(obj) -> None:
                 _str_keys(value)
 
 
+def _line(record) -> str:
+    """``record`` on one line, keys sorted; raises TypeError as ``json_text`` does."""
+    _str_keys(record)
+    return _json_line(record)
+
+
 def _is_record(obj) -> bool:
     """Whether no value of the list or dict ``obj`` is a dict or a list that starts with one."""
     for v in obj.values() if isinstance(obj, dict) else obj:
@@ -552,8 +558,7 @@ def _json_chunks(obj, newline: str, head: str = "", tail: str = ""):
     """``obj`` in ``json_text``'s form, between ``head`` and ``tail``, in
     chunks, one per record."""
     if not isinstance(obj, (dict, list, tuple)) or _is_record(obj):
-        _str_keys(obj)
-        yield head + _json_line(obj) + tail
+        yield head + _line(obj) + tail
         return
     inner = newline + "  "
     is_dict = isinstance(obj, dict)
@@ -576,9 +581,10 @@ def json_text(obj) -> str:
 
 def write_json(path: Path, obj, *, lines: bool = False) -> None:
     """Write ``json_text(obj)``, or with ``lines`` each item of ``obj`` as one compact
-    line (JSON Lines), to ``path`` in batches of records, never as one whole text."""
+    line (JSON Lines), to ``path`` in batches of records, never as one whole text.
+    Both forms raise TypeError on what json rejects or a non-str key."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    chunks = (_json_line(r) + "\n" for r in obj) if lines else _json_chunks(obj, "\n", tail="\n")
+    chunks = (_line(r) + "\n" for r in obj) if lines else _json_chunks(obj, "\n", tail="\n")
     with path.open("w") as out:
         while batch := list(islice(chunks, 256)):
             out.write("".join(batch))

@@ -38,11 +38,11 @@ def plant_signature(data: bytearray, base: int, off: int, adds_imm: int, literal
 
 
 @st.composite
-def crafted_images(draw):
-    """Arbitrary bytes with planted signatures: some start inside the
-    previous one's core, most seal a plausible payload under ``KEY``, and
-    literals point into, around, or far from the table."""
-    size = 2 * draw(st.integers(16, 512))
+def crafted_images(draw, halfwords=st.integers(16, 512)):
+    """Arbitrary bytes, ``halfwords`` long, with planted signatures: some
+    start inside the previous one's core, most seal a plausible payload
+    under ``KEY``, and literals point into, around, or far from the table."""
+    size = 2 * draw(halfwords)
     data = bytearray(draw(st.binary(min_size=size, max_size=size)))
     base = draw(st.sampled_from([DEFAULT_BASE, 0x08000000]))
     offsets = []

@@ -11,14 +11,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retobf
 from retobf import cli
-from retobf.attack import GadgetCandidate, run_attack
+from retobf.attack import GADGET_KINDS, GadgetCandidate, GadgetSite, run_attack
 from retobf.cli import _equivalence_suite, _gadget_check, main
-from retobf.image import MAX_IMAGE_SIZE, load
+from retobf.harden import harden
+from retobf.image import MAX_IMAGE_SIZE, CorpusParams, generate_corpus, load
 from retobf.isa import Pop, decode
-from retobf.obfuscation import build_table
+from retobf.obfuscation import build_table, obfuscate_returns
+
+from conftest import crafted_images
 
 KEY = "0xa5a5"
 
@@ -329,17 +334,48 @@ def test_eval_rejects_malformed_attack_report(workdir, tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("damage", ["deleted", "truncated", "extended"])
+def _records(path) -> list[dict]:
+    """The records of a gadget catalog file, one per line."""
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def _write_records(path, records) -> None:
+    Path(path).write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def _candidate_count(records) -> int:
+    """How many candidates ``records`` expand to: one per stack delta."""
+    return sum(len(r["stack_delta"]) for r in records)
+
+
+def _expand(path) -> list:
+    """The catalog a gadget file holds: every record's candidates, in order."""
+    return [c for r in _records(path) for c in GadgetSite.from_json(r).candidates()]
+
+
+def _one_candidate_short(records):
+    """The last record without its longest candidate, or without itself if
+    it holds only the bare return."""
+    last = records[-1]
+    if not last["starts"]:
+        return records[:-1]
+    return records[:-1] + [{**last, "instructions": last["instructions"][1:],
+                            "starts": last["starts"][1:], "stack_delta": last["stack_delta"][:-1]}]
+
+
+@pytest.mark.parametrize("damage", ["deleted", "truncated", "extended", "one-candidate-short"])
 def test_eval_rejects_a_catalog_short_of_the_gadget_count(workdir, tmp_path, capsys, damage):
-    """A gadget file that is missing, or holds fewer or more lines than the
-    report's gadget_count, ends in one error line: the gadget check is never
-    skipped silently."""
+    """A gadget file that is missing, or expands to fewer or more candidates
+    than the report's gadget_count, ends in one error line: the gadget check
+    is never skipped silently."""
     shutil.copy(workdir / "atk.attack.json", tmp_path / "bad.attack.json")
-    lines = (workdir / "atk.gadgets.jsonl").read_text().splitlines(keepends=True)
-    assert json.loads((workdir / "atk.attack.json").read_text())["gadget_count"] == len(lines)
+    records = _records(workdir / "atk.gadgets.jsonl")
+    count = json.loads((workdir / "atk.attack.json").read_text())["gadget_count"]
+    assert count == _candidate_count(records) > len(records)
     if damage != "deleted":
-        kept = lines[:-1] if damage == "truncated" else lines + lines[:1]
-        (tmp_path / "bad.gadgets.jsonl").write_text("".join(kept))
+        kept = {"truncated": records[:-1], "extended": records + records[:1],
+                "one-candidate-short": _one_candidate_short(records)}[damage]
+        _write_records(tmp_path / "bad.gadgets.jsonl", kept)
     assert run("eval", "--plain", str(workdir / "corpus"),
                "--image", str(workdir / "obf"), "--attack", str(tmp_path / "bad"),
                "--out", str(tmp_path / "ev"), "--key", KEY) == 1
@@ -350,23 +386,47 @@ def test_eval_rejects_a_catalog_short_of_the_gadget_count(workdir, tmp_path, cap
     assert not (tmp_path / "ev.eval.json").exists()
 
 
-@pytest.mark.parametrize("edit", [
-    {"stack_delta": "8"}, {"stack_delta": -4},
-    {"stack_delta": 6}, {"stack_delta": True}, {"stack_delta": 4.0},
-    {"stack_delta": 8, "pc_slot_index": 2}, {"stack_delta": 8, "pc_slot_index": -1},
-    {"stack_delta": 8, "pc_slot_index": "1"}, {"stack_delta": 0, "pc_slot_index": 0},
-], ids=lambda edit: "-".join(f"{k}={v!r}" for k, v in edit.items()))
+def _with_delta(value, at=-1, kind=None):
+    """An edit setting one stack delta of a record (and its kind)."""
+    def edit(record):
+        deltas = list(record["stack_delta"])
+        deltas[at] = value
+        return {**record, "stack_delta": deltas, "kind": kind or record["kind"]}
+    return edit
+
+
+#: Each per-candidate edit of the former one-line-per-candidate catalog, by
+#: its old id, as the record form expresses it.  A delta edit sets the
+#: longest candidate's delta.  A pop's pc slot is no longer written but
+#: derived, ``delta // 4 - 1``: a slot outside its words is a pop delta of 0,
+#: and a slot of the wrong value or type has no record form left, so those
+#: two become the field the slot is derived from, a kind the reader does not
+#: know.
+TAMPERED = {
+    "stack_delta='8'": _with_delta("8"),
+    "stack_delta=-4": _with_delta(-4),
+    "stack_delta=6": _with_delta(6),
+    "stack_delta=True": _with_delta(True),
+    "stack_delta=4.0": _with_delta(4.0),
+    "stack_delta=8-pc_slot_index=2": lambda r: {**r, "kind": "ambiguous"},
+    "stack_delta=8-pc_slot_index=-1": _with_delta(0, kind="pop"),
+    "stack_delta=8-pc_slot_index='1'": lambda r: {**r, "kind": 1},
+    "stack_delta=0-pc_slot_index=0": _with_delta(0, at=0, kind="pop"),
+}
+
+
+@pytest.mark.parametrize("edit", list(TAMPERED))
 def test_eval_rejects_a_tampered_gadget_line(workdir, tmp_path, capsys, edit):
-    """A gadget line whose stack delta is not a non-negative multiple of 4,
-    or whose pc slot is not one of its words, ends in one error line naming
-    the catalog file and the line, first or last; the gadget check never
-    runs on it."""
+    """A gadget record with a stack delta that is not a non-negative
+    multiple of 4, a pop delta of 0 (no word for its pc slot) or an unknown
+    kind ends in one error line naming the catalog file and the record's
+    line, first or last; the gadget check never runs on it."""
     shutil.copy(workdir / "atk.attack.json", tmp_path / "bad.attack.json")
-    original = (workdir / "atk.gadgets.jsonl").read_text().splitlines()
+    original = _records(workdir / "atk.gadgets.jsonl")
     for index in (0, len(original) - 1):
-        lines = list(original)
-        lines[index] = json.dumps({**json.loads(lines[index]), **edit})
-        (tmp_path / "bad.gadgets.jsonl").write_text("\n".join(lines) + "\n")
+        records = list(original)
+        records[index] = TAMPERED[edit](records[index])
+        _write_records(tmp_path / "bad.gadgets.jsonl", records)
         assert run("eval", "--plain", str(workdir / "corpus"),
                    "--image", str(workdir / "obf"), "--attack", str(tmp_path / "bad"),
                    "--out", str(tmp_path / "ev"), "--key", KEY) == 1
@@ -375,18 +435,81 @@ def test_eval_rejects_a_tampered_gadget_line(workdir, tmp_path, capsys, edit):
         assert f"{tmp_path / 'bad.gadgets.jsonl'} line {index + 1}: " in err
 
 
+def _window(*offsets):
+    """An edit giving a record a window of one nop per start, each start at
+    ``site + offset``, with the record's bare-return delta for every candidate."""
+    def edit(record):
+        site = int(record["site"], 16)
+        return {**record, "instructions": ["nop"] * len(offsets),
+                "starts": [f"0x{site + d:x}" for d in offsets],
+                "stack_delta": record["stack_delta"][:1] * (len(offsets) + 1)}
+    return edit
+
+
+def _then(first, **fields):
+    """``first``, then each field replaced by what its function makes of it."""
+    def edit(record):
+        record = first(record)
+        return {**record, **{k: f(record[k]) for k, f in fields.items()}}
+    return edit
+
+
+MALFORMED_RECORDS = {
+    "one-start-short": _then(_window(-4, -2), starts=lambda a: a[1:]),
+    "one-delta-short": _then(_window(-4, -2), stack_delta=lambda a: a[1:]),
+    "one-instruction-over": _then(_window(-4, -2), instructions=lambda a: a + ["nop"]),
+    "starts-descending": _window(-2, -4),
+    "starts-repeated": _window(-4, -4),
+    "start-at-site": _window(-2, 0),
+    "start-above-site": _window(2),
+    "kind-missing": lambda r: {k: v for k, v in r.items() if k != "kind"},
+    "instruction-not-a-string": _then(_window(-2), instructions=lambda a: [1]),
+    # One-character strings, which would otherwise read as one-item lists.
+    "instructions-not-a-list": _then(_window(-2), instructions=lambda a: "n"),
+    "starts-not-a-list": _then(_window(-2), starts=lambda a: "1"),
+    "start-not-hex": _then(_window(-2), starts=lambda a: ["-"]),
+    "not-an-object": lambda r: list(r),
+}
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED_RECORDS))
+def test_sample_catalog_refuses_a_malformed_record(workdir, tmp_path, edit):
+    """A record whose lists disagree in length, whose starts do not ascend
+    below its site, or whose fields or types are wrong is refused, named by
+    its line, first or last.  (An unknown kind and a pop delta of 0 are
+    among ``TAMPERED``.)"""
+    original = _records(workdir / "atk.gadgets.jsonl")
+    for index in (0, len(original) - 1):
+        records = list(original)
+        records[index] = MALFORMED_RECORDS[edit](records[index])
+        _write_records(tmp_path / "bad.gadgets.jsonl", records)
+        with pytest.raises(cli.CliError, match=f"gadgets.jsonl line {index + 1}: "):
+            cli._sample_catalog(tmp_path / "bad", _candidate_count(original), 25)
+
+
+def test_a_window_that_ascends_below_its_site_reads_back(workdir, tmp_path):
+    """The windows the refusals above bend are themselves accepted."""
+    records = _records(workdir / "atk.gadgets.jsonl")
+    records[0] = _window(-6, -4, -2)(records[0])
+    _write_records(tmp_path / "ok.gadgets.jsonl", records)
+    n = _candidate_count(records)
+    assert len(cli._sample_catalog(tmp_path / "ok", n, 25)) == min(25, n)
+
+
 def test_eval_fails_gadgets_too_deep_for_the_stack(workdir, tmp_path, capsys):
-    """Gadget lines asking for more stack words than the stack holds are
-    well formed: each sampled one fails its check instead of faulting."""
+    """Gadget records asking for more stack words than the stack holds are
+    well formed: each sampled candidate fails its check instead of
+    faulting."""
     shutil.copy(workdir / "atk.attack.json", tmp_path / "deep.attack.json")
-    lines = [json.dumps({**json.loads(line), "stack_delta": 100000})
-             for line in (workdir / "atk.gadgets.jsonl").read_text().splitlines()]
-    (tmp_path / "deep.gadgets.jsonl").write_text("\n".join(lines) + "\n")
+    records = [{**r, "stack_delta": [100000] * len(r["stack_delta"])}
+               for r in _records(workdir / "atk.gadgets.jsonl")]
+    _write_records(tmp_path / "deep.gadgets.jsonl", records)
     assert run("eval", "--plain", str(workdir / "corpus"),
                "--image", str(workdir / "obf"), "--attack", str(tmp_path / "deep"),
                "--out", str(tmp_path / "ev"), "--key", KEY, "--format", "json") == 0
     check = json.loads((tmp_path / "ev.eval.json").read_text())["gadget_check"]
-    assert check == {"sampled": min(25, len(lines)), "passed": 0}
+    n = _candidate_count(records)
+    assert check == {"sampled": min(25, n), "passed": 0}
     assert capsys.readouterr().err.count("stack delta 100000) failed") == check["sampled"]
 
 
@@ -394,16 +517,15 @@ def test_eval_fails_gadgets_too_deep_for_the_stack(workdir, tmp_path, capsys):
 def test_eval_runs_the_sample_drawn_from_the_parsed_catalog(workdir, tmp_path, monkeypatch,
                                                            transform):
     """Eval builds only the sampled candidates, yet runs exactly the ones
-    ``random.Random(0xCA7).sample`` draws from the fully parsed catalog, in
-    the same order, on an obfuscated and on a padded image."""
+    ``random.Random(0xCA7).sample`` draws from the fully expanded catalog,
+    in the same order, on an obfuscated and on a padded image."""
     image = workdir / "obf"
     if transform != "obfuscate":
         image = tmp_path / "padded"
         assert run("harden", "--in", str(workdir / "corpus"), "--out", str(image),
                    "--key", KEY, "--kmax", "3") == 0
     assert run("attack", "--in", str(image), "--out", str(tmp_path / "atk")) == 0
-    catalog = [GadgetCandidate.from_json(json.loads(line))
-               for line in (tmp_path / "atk.gadgets.jsonl").read_text().splitlines()]
+    catalog = _expand(tmp_path / "atk.gadgets.jsonl")
     assert len(catalog) > 25
     runs = []
     real = cli._gadget_check
@@ -419,8 +541,8 @@ def test_eval_runs_the_sample_drawn_from_the_parsed_catalog(workdir, tmp_path, m
 
 def test_eval_builds_only_the_candidates_it_runs(workdir, tmp_path, monkeypatch, capsys):
     """An unrotated image builds min(25, n) of its n candidates; a rotated
-    image builds none, yet every line of its catalog is still checked."""
-    n = len((workdir / "atk.gadgets.jsonl").read_text().splitlines())
+    image builds none, yet every record of its catalog is still checked."""
+    n = _candidate_count(_records(workdir / "atk.gadgets.jsonl"))
     built = []
     real = GadgetCandidate.__init__
     monkeypatch.setattr(GadgetCandidate, "__init__",
@@ -433,8 +555,8 @@ def test_eval_builds_only_the_candidates_it_runs(workdir, tmp_path, monkeypatch,
     assert run("harden", "--in", str(workdir / "corpus"), "--out", str(tmp_path / "h"),
                "--key", KEY, "--rotate", "on") == 0
     assert run("attack", "--in", str(tmp_path / "h"), "--out", str(tmp_path / "hatk")) == 0
-    lines = (tmp_path / "hatk.gadgets.jsonl").read_text().splitlines()
-    assert lines
+    records = _records(tmp_path / "hatk.gadgets.jsonl")
+    assert records
     argv = ["eval", "--plain", str(workdir / "corpus"), "--image", str(tmp_path / "h"),
             "--attack", str(tmp_path / "hatk"), "--out", str(tmp_path / "hev"), "--key", KEY,
             "--rotation-seeds", "2", "--equivalence-runs", "4"]
@@ -443,23 +565,68 @@ def test_eval_builds_only_the_candidates_it_runs(workdir, tmp_path, monkeypatch,
     assert built == []
     assert json.loads((tmp_path / "hev.eval.json").read_text())["gadget_check"] is None
 
-    lines[-1] = json.dumps({**json.loads(lines[-1]), "stack_delta": 6})
-    (tmp_path / "hatk.gadgets.jsonl").write_text("\n".join(lines) + "\n")
+    records[-1] = _with_delta(6)(records[-1])
+    _write_records(tmp_path / "hatk.gadgets.jsonl", records)
     (tmp_path / "hev.eval.json").unlink()
     capsys.readouterr()
     assert run(*argv) == 1
     assert built == []
-    assert f"{tmp_path / 'hatk.gadgets.jsonl'} line {len(lines)}: " in capsys.readouterr().err
+    assert f"{tmp_path / 'hatk.gadgets.jsonl'} line {len(records)}: " in capsys.readouterr().err
     assert not (tmp_path / "hev.eval.json").exists()
 
 
 def test_every_emitted_gadget_line_reads_back(workdir):
-    """The attack's own candidates meet the rules a gadget line is read
-    under, so a report the attack wrote always loads."""
-    lines = (workdir / "atk.gadgets.jsonl").read_text().splitlines()
-    assert lines
-    for line in lines:
-        assert GadgetCandidate.from_json(json.loads(line)).to_json() == json.loads(line)
+    """The attack's own records meet the rules a gadget record is read
+    under, so a catalog the attack wrote always loads, and it expands to
+    the attack's catalog."""
+    records = _records(workdir / "atk.gadgets.jsonl")
+    assert records
+    for record in records:
+        assert GadgetSite.from_json(record).to_json() == record
+    image, _ = load(workdir / "obf")
+    assert _expand(workdir / "atk.gadgets.jsonl") == run_attack(image).catalog
+
+
+@st.composite
+def attacked_images(draw):
+    """A generated corpus, plain, obfuscated or padded as ``harden --kmax 3``
+    pads it, or a random 4 KiB image with planted signatures."""
+    source = draw(st.sampled_from(["plain", "obfuscate", "harden-kmax-3", "random-4k"]))
+    if source == "random-4k":
+        return draw(crafted_images(halfwords=st.just(2048)))
+    image, manifest = generate_corpus(CorpusParams(function_count=draw(st.integers(1, 24)),
+                                                   seed=draw(st.integers(0, 1 << 16))))
+    if source == "obfuscate":
+        image = obfuscate_returns(image, manifest, int(KEY, 16))[0]
+    elif source == "harden-kmax-3":
+        image = harden(image, manifest, int(KEY, 16), kmax=3)[0]
+    return image
+
+
+@pytest.fixture(scope="module")
+def lair(tmp_path_factory):
+    return tmp_path_factory.mktemp("lair")
+
+
+@given(attacked_images())
+@settings(max_examples=80, deadline=None)
+def test_the_written_catalog_expands_to_the_attack_catalog(lair, image):
+    """The gadget file holds one record per site with an ok pop or bx-lr
+    verdict, in site order, and expands to ``run_attack``'s catalog,
+    candidate for candidate; ``gadget_count`` counts it, and eval's sample
+    is the one drawn from it."""
+    (lair / "img.bin").write_bytes(image.data)
+    assert run("attack", "--in", str(lair / "img"), "--out", str(lair / "atk"),
+               "--base", hex(image.base)) == 0
+    result = run_attack(image)
+    sites = [GadgetSite.from_json(r) for r in _records(lair / "atk.gadgets.jsonl")]
+    assert [c for site in sites for c in site.candidates()] == result.catalog
+    usable = [p for p in result.predictions["combined"] if p.ok and p.kind in GADGET_KINDS]
+    assert [(s.site, s.kind) for s in sites] == [(p.site.core, p.kind) for p in usable]
+    count = json.loads((lair / "atk.attack.json").read_text())["gadget_count"]
+    assert count == len(result.catalog)
+    assert cli._sample_catalog(lair / "atk", count, 25) == random.Random(0xCA7).sample(
+        result.catalog, min(25, count))
 
 
 def _edited_corpus(tmp_path, edit, functions=20):

@@ -484,18 +484,22 @@ class Opaque:
 def test_json_text_refuses_what_json_rejects(obj, tmp_path):
     """Types json cannot encode raise TypeError, and so does any key that is
     not a str (json would have converted it), whether the text is joined or
-    written to a file."""
+    written to a file, indented or as one JSON Lines record."""
     with pytest.raises(TypeError):
         json_text(obj)
     with pytest.raises(TypeError):
         write_json(tmp_path / "out.json", obj)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "out.jsonl", [{"ok": 1}, obj], lines=True)
 
 
 @pytest.mark.parametrize("obj", [
     {"a": [1, {2: "x"}]}, [[{None: 1}]], {"a": [[], [{1.5: 0}]]}, ({True: 1},),
 ], ids=repr)
-def test_json_text_refuses_a_non_str_key_inside_a_record(obj):
+def test_json_text_refuses_a_non_str_key_inside_a_record(obj, tmp_path):
     """A dict key that is not a str raises TypeError also where the dict is
     nested inside a record, which one line of json's C encoder writes."""
     with pytest.raises(TypeError):
         json_text(obj)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "out.jsonl", [obj], lines=True)

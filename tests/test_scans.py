@@ -23,8 +23,8 @@ from retobf.attack import (
     GADGET_WINDOW,
     AttackError,
     ImageView,
-    _candidates_for,
     _effect,
+    _gadget_site,
     baseline_gadget_scan,
     combine_predictions,
     count_terminators,
@@ -326,7 +326,7 @@ WINDOW_INSNS = st.one_of(
 def test_window_builder_matches_the_reference(insns, terminator):
     site = DEFAULT_BASE + 4 * len(insns)
     window = [(DEFAULT_BASE + 4 * i, insn) for i, insn in enumerate(insns)]
-    assert _candidates_for(window, terminator, site) == ref.candidates_for(
+    assert _gadget_site(window, terminator, site).candidates() == ref.candidates_for(
         window, terminator, site)
 
 
@@ -339,7 +339,7 @@ def test_window_builder_stops_at_an_inadmissible_instruction(bad, kind):
     insns[len(insns) - 1 - bad] = Push(RegisterList.of("r4", "lr"))
     window = [(DEFAULT_BASE + 2 * i, insn) for i, insn in enumerate(insns)]
     terminator = (kind, RegisterList.of("r4", "pc") if kind == "pop" else None)
-    got = _candidates_for(window, terminator, DEFAULT_BASE + 2 * len(insns))
+    got = _gadget_site(window, terminator, DEFAULT_BASE + 2 * len(insns)).candidates()
     assert got == ref.candidates_for(window, terminator, DEFAULT_BASE + 2 * len(insns))
     assert len(got) == min(bad, GADGET_WINDOW) + 1
 

@@ -7,8 +7,9 @@ handler, register lists and instructions carry no instance dict, every function
 the benchmark's span tracer wraps exists, only the boot pass touches
 the image's boot-plan memo, only the interpreter touches its block memos,
 the attack keeps no module-level memo but its fixed-size effect table nor
-any of the boot pass's key material, and indented JSON is written only
-through ``image.json_text``."""
+any of the boot pass's key material, indented JSON is written only
+through ``image.json_text``, and the gadget catalog's record is spelled
+only in ``attack``."""
 
 import ast
 import importlib
@@ -295,3 +296,21 @@ def test_attack_imports_no_key_material():
               and node.value.id in modules}
     assert names, "attack takes its byte scan from obfuscation"
     assert names & KEY_MATERIAL == set()
+
+
+#: The fields of a gadget catalog record that say what each candidate is.
+CATALOG_FIELDS = {"stack_delta", "starts", "instructions"}
+
+
+def test_the_catalog_record_is_spelled_only_in_attack():
+    """``attack.GadgetSite`` writes and reads the catalog file's record, and
+    expands it to candidates; the CLI, which writes the file and checks it,
+    names none of its fields, and neither does any other module."""
+    users = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "attack.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value in CATALOG_FIELDS
+    )
+    assert users == []
