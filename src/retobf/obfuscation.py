@@ -7,20 +7,19 @@ flash right behind each trampoline, followed by the word holding the table
 base for that site, which is exactly what the boot pass (and any attacker)
 uses to find them again.
 
-The boot pass is modeled offline and split in two.  The per-image half,
-``boot_scan``, walks the image like the in-firmware initialization would
-and decrypts every sealed slot; its ``BootPlan`` is memoised on the image
-per key and encodes each table entry the first time a boot needs it.  The
-per-boot half only places those entries, and neither kind reads a
-manifest.  A plain table (``build_table``) adds them with ``RamTable.add``,
-which checks each against the entry before it.  A rotated boot
-(``BootPlan.rotated_table``) draws positions and joins the drawn entries'
-bytes, each entry checked and padded to the next site once per plan.
-Rotated tables of one plan share their entries and the layout naming their
-draws; each holds only its drawn positions, its entry list and its bytes.
+A table entry is defined once per sealed instruction: ``entry_templates``
+gives its bytes and text per rotation position, ``EntryTemplates`` memoises
+them and the room the longest takes (sealing reserves it, the rotated boot
+checks it), and a site's entry is its template plus a push's branch back.
 
-Rotation planning lives here too: a rotation-capable site reserves table
-room for the longest rotated sequence, and the rotated boot checks it.
+The boot pass is modeled offline and split in two.  The per-image half,
+``boot_scan``, walks the image like the in-firmware initialization would and
+decrypts every sealed slot into a ``BootPlan``, memoised on the image per
+key.  The per-boot half places the entries; neither half reads a manifest.
+A plain table (``build_table``) adds them with ``RamTable.add``, which checks
+each against the entry before it.  A rotated boot (``BootPlan.rotated_table``)
+draws positions and joins the drawn entries, each placed, checked and padded
+to the next site once per plan, so the tables of one plan share them.
 """
 
 from __future__ import annotations
@@ -145,21 +144,36 @@ def plan_rotation(regs: RegisterList, position: int) -> RotationPlan:
                         [Push(head), Push(tail_lr)])
 
 
-def rotation_plans(insn) -> list[RotationPlan]:
-    """Every rotation plan of the sealed pop or push ``insn``; none for ``bx lr``."""
-    if not isinstance(insn, (Pop, Push)):
-        return []
-    regs = insn.regs.without_flags()
-    return [plan_rotation(regs, position) for position in range(len(regs) + 1)]
+def _template(seq) -> tuple[bytes, str]:
+    return b"".join(map(encode, seq)), "; ".join(map(str, seq))
 
 
-def _entry_capacity(insn, plans: list[RotationPlan]) -> int:
-    """Table bytes a sealed return or push reserves: its own entry or, given
-    its ``rotation_plans``, the longest entry any of them produces.  A push's
-    entry ends in a 4-byte branch back to the function."""
-    sequences = [p.push_sequence if isinstance(insn, Push) else p.pop_sequence for p in plans]
-    size = max(sum(i.byte_length() for i in seq) for seq in sequences or [[insn]])
-    return size if is_return(insn) else size + 4
+def entry_templates(insn, rotated: bool) -> tuple[tuple[bytes, str], ...]:
+    """The bytes and text of the sealed ``insn``'s table entry at each
+    rotation position, before a push's branch back.  Rotated, a pop or push
+    has one template per ``plan_rotation`` position; otherwise the one
+    template is ``insn`` alone.  No template depends on its site."""
+    sequences = [[insn]]
+    if rotated and isinstance(insn, (Pop, Push)):
+        regs = insn.regs.without_flags()
+        plans = [plan_rotation(regs, position) for position in range(len(regs) + 1)]
+        sequences = [p.push_sequence if isinstance(insn, Push) else p.pop_sequence for p in plans]
+    return tuple(map(_template, sequences))
+
+
+class EntryTemplates(dict):
+    """``entry_templates`` by ``(insn, rotated)``, built once per memo: one
+    per sealing pass and per boot plan, freed with it."""
+
+    def __missing__(self, key):
+        templates = self[key] = entry_templates(*key)
+        return templates
+
+    def room(self, insn, rotated: bool) -> int:
+        """Table bytes any entry of the sealed ``insn`` takes at most: its
+        longest template, plus a push's 4-byte branch back to the function."""
+        room = max(len(data) for data, _ in self[insn, rotated])
+        return room + 4 if isinstance(insn, Push) else room
 
 
 def plaintext_site(prog: Program, kind: str, fn_name: str, site: int) -> int:
@@ -185,31 +199,27 @@ def seal_sites(
     ``image`` (lifted as ``prog``) with a trampoline sealing it.  ``kind`` is
     "return" or "push".  Table room is reserved at stride granularity after
     every trampoline ``prog`` holds, within ``image.table_room``."""
-    next_offset = max(
-        (rec.table_offset + rec.capacity for rec in prog.trampoline_records()), default=0
-    )
+    records = prog.trampoline_records()
+    next_offset = max((rec.table_offset + rec.capacity for rec in records), default=0)
+    templates = EntryTemplates()
     for fn_name, site in sites:
         idx = plaintext_site(prog, kind, fn_name, site)
         insn = prog.items[idx].insn
-        plain = encode(insn)
         offset = next_offset
-        plans = rotation_plans(insn) if rotation_capable else []
-        size = -(-_entry_capacity(insn, plans) // TABLE_STRIDE) * TABLE_STRIDE
-        next_offset += size
+        next_offset += -(-templates.room(insn, rotation_capable) // TABLE_STRIDE) * TABLE_STRIDE
         if next_offset > image.table_room:
             raise TableCapacityError(
-                f"table needs {next_offset} bytes, capacity {image.table_room}"
-            )
+                f"table needs {next_offset} bytes, capacity {image.table_room}")
         block = offset // OFFSET_BLOCK
         record = TrampolineRecord(
             kind=kind,
             fn=fn_name,
             item_start=0,  # assigned at layout
-            enc=encrypt_bytes(plain, key),
+            enc=encrypt_bytes(encode(insn), key),
             adds_imm=offset - block * OFFSET_BLOCK,
             literal_value=image.table_base + block * OFFSET_BLOCK,
             table_offset=offset,
-            capacity=size,
+            capacity=next_offset - offset,
         )
         prog.items[idx] = TrampolineItem(record, orig_addr=site)
 
@@ -399,25 +409,24 @@ def decode_sealed(key: int, sighting: RawSighting):
     )
 
 
+def _entry(template: tuple[bytes, str], push: bool, sighting: RawSighting, base: int) -> TableEntry:
+    """``template``, an entry's bytes and text, at the sighting's entry address
+    in a table at ``base``.  A ``push`` entry (a sealed prologue) branches back
+    to the sighting's resume; an IntegrityError names a site out of reach."""
+    data, text = template
+    if push:
+        branch = BranchW(sighting.resume)
+        try:
+            data += encode(branch, address=sighting.entry_address + len(data))
+        except isa.EncodingError as exc:  # the branch back cannot reach the site
+            raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
+        text = f"{text}; {branch.text()}"
+    return TableEntry(sighting.entry_address - base, data, text, sighting.core)
+
+
 def entry_bytes_for(seq, sighting: RawSighting, table_base: int) -> TableEntry:
-    """The entry for the instruction sequence ``seq`` at the sighting's entry
-    address, in a table at ``table_base``.  A sequence ending in a push (a
-    sealed prologue) branches back to the sighting's resume address; an
-    IntegrityError names the site when that branch cannot be encoded."""
-    if isinstance(seq[-1], Push):
-        seq = [*seq, BranchW(sighting.resume)]
-    data = bytearray()
-    try:
-        for insn in seq:
-            data += encode(insn, address=sighting.entry_address + len(data))
-    except isa.EncodingError as exc:  # the branch back cannot reach the site
-        raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
-    return TableEntry(
-        sighting.entry_address - table_base,
-        bytes(data),
-        "; ".join(insn.text() for insn in seq),
-        sighting.core,
-    )
+    """``_entry`` of the position-independent instructions ``seq``."""
+    return _entry(_template(seq), isinstance(seq[-1], Push), sighting, table_base)
 
 
 @dataclass
@@ -425,48 +434,42 @@ class BootPlan:
     """The per-image half of the boot pass for one key.
 
     ``sites`` holds every trampoline in entry-address order with its sealed
-    instruction.  ``placed`` fills as rotated boots draw positions: one row
-    per site holds, per position (only 0 for an unrotated site), the site's
-    entry, checked once, then its bytes padded up to the next site's entry,
-    so a boot is one join.  ``layouts`` maps each naming of the draws that
-    boots asked for to its ``DrawLayout``.  Nothing here depends on a
-    manifest."""
+    instruction, and ``templates`` their entry templates.  ``placed`` fills
+    as rotated boots draw positions: one row per site holds, per template,
+    the site's entry, placed and checked once, then its bytes padded up to
+    the next site's entry, so a boot is one join.  ``layouts`` maps each
+    naming of the draws that boots asked for to its ``DrawLayout``."""
 
     table_base: int
     table_room: int
     sites: list[tuple[RawSighting, isa.Instruction]]
     placed: list = field(default_factory=list, repr=False)
     layouts: dict = field(default_factory=dict, repr=False)
+    templates: EntryTemplates = field(default_factory=EntryTemplates, repr=False)
 
     @cached_property
-    def push_groups(self) -> tuple[list[tuple[tuple[str, ...], list[RotationPlan]]], list]:
-        """Each push group's register names and rotation plans, and each
-        site's group index (None: an unrotated ``bx lr``).  In core order a
-        sealed push opens a group and a sealed pop joins it.  Each site's
-        room, up to the next entry, must hold its longest rotated sequence,
-        found once per distinct sealed instruction (a pop restores its
-        push's registers)."""
-        groups, group_of, pushes = [], {}, {}
+    def push_groups(self) -> tuple[list[Push], list]:
+        """Each push group's sealed push, and each site's group index (None:
+        an unrotated ``bx lr``).  In core order a sealed push opens a group
+        and a sealed pop, which must restore its registers, joins it.  Each
+        site's gap to the next entry must hold its rotated ``room``."""
+        groups, group_of = [], {}
         for sighting, insn in sorted(self.sites, key=lambda site: site[0].core):
             if isinstance(insn, Push):
-                if insn not in pushes:
-                    pushes[insn] = insn.regs.without_flags().names(), rotation_plans(insn)
-                groups.append(pushes[insn])
+                groups.append(insn)
             elif not isinstance(insn, Pop):
                 continue
             elif not groups:
                 raise HardenError(f"site 0x{sighting.core:x}: no sealed push before this "
                                   "return; harden with --rotate on")
-            elif insn.regs.without_flags() != groups[-1][1][0].regs:
+            elif insn.regs.without_flags() != groups[-1].regs.without_flags():
                 raise IntegrityError(f"site 0x{sighting.core:x}: {insn.text()} does not "
                                      "restore the registers of the sealed push before it")
             group_of[sighting.core] = len(groups) - 1
         site_groups = [group_of.get(s.core) for s, _ in self.sites]
         ends = [s.entry_address for s, _ in self.sites[1:]] + [self.table_base + self.table_room]
-        needs = {}
-        for (sighting, insn), group, end in zip(self.sites, site_groups, ends):
-            need = needs.get(insn) or needs.setdefault(
-                insn, _entry_capacity(insn, [] if group is None else groups[group][1]))
+        for (sighting, insn), end in zip(self.sites, ends):
+            need = self.templates.room(insn, True)
             if need > end - sighting.entry_address:
                 raise HardenError(f"site 0x{sighting.core:x}: no table room for its "
                                   f"{need}-byte rotated sequence; harden with --rotate on")
@@ -477,10 +480,9 @@ class BootPlan:
         core order, its draws named by ``functions`` (see ``draw_layout``)."""
         groups, site_groups = self.push_groups
         rng = random.Random(seed)
-        positions = bytes([rng.randint(0, len(plans) - 1) for _, plans in groups])
+        positions = bytes([rng.randint(0, len(self.templates[p, True]) - 1) for p in groups])
         if not self.placed:
-            self.placed = [[None] * (2 if group is None else 2 * len(groups[group][1]))
-                           for group in site_groups]
+            self.placed = [[None] * 2 * len(self.templates[insn, True]) for _, insn in self.sites]
         placed, place = self.placed, self._place
         entries, chunks = [], [b""]
         for index, group in enumerate(site_groups):
@@ -498,13 +500,9 @@ class BootPlan:
         its bytes padded to the next site's entry.  The sites are in entry
         order and ``push_groups`` bounds each entry by the next site's, so
         rotated entries never overlap the one before."""
-        groups, site_groups = self.push_groups
         sighting, insn = self.sites[index]
-        seq = [insn]
-        if site_groups[index] is not None:
-            plan = groups[site_groups[index]][1][position]
-            seq = plan.push_sequence if isinstance(insn, Push) else plan.pop_sequence
-        entry = entry_bytes_for(seq, sighting, self.table_base)
+        entry = _entry(self.templates[insn, True][position], isinstance(insn, Push),
+                       sighting, self.table_base)
         _check_entry(entry, 0, self.table_room)
         end = entry.offset + len(entry.data)
         pad = 0 if index + 1 == len(self.sites) else (
@@ -526,7 +524,7 @@ class BootPlan:
             order = iter(range(len(groups)))
             rows = tuple((name, None if leaf else next(order)) for name, leaf in functions)
             layout = self.layouts[functions] = DrawLayout(
-                tuple(names for names, _ in groups), rows)
+                tuple(push.regs.without_flags().names() for push in groups), rows)
         return layout
 
 
@@ -552,7 +550,8 @@ def build_table(image: FirmwareImage, key: int) -> RamTable:
     plan = boot_scan(image, key)
     table = RamTable(image.table_base, image.table_room)
     for sighting, insn in plan.sites:
-        table.add(entry_bytes_for([insn], sighting, image.table_base))
+        table.add(_entry(plan.templates[insn, False][0], isinstance(insn, Push),
+                         sighting, image.table_base))
     return table
 
 

@@ -1,9 +1,11 @@
 """The boot plan: each image is scanned and decrypted once per key, each
-entry encoded once, and every table still equals the uncached reference
-boot pass, whatever order the tables are built in."""
+entry template built and each entry placed once, and every table still
+equals the uncached reference boot pass, whatever order the tables are
+built in."""
 
 import copy
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,15 +23,19 @@ from retobf.image import (
 )
 from retobf.isa import Pop, Push, RegisterList, encode
 from retobf.obfuscation import (
+    EntryTemplates,
     IntegrityError,
+    RawSighting,
     TableCapacityError,
     build_table,
     encrypt_bytes,
+    entry_templates,
     plan_rotation,
 )
 
 from conftest import KEY, crafted_images, plant_signature
 from reference_boot import (
+    ReferenceTable,
     reference_plan_rotation,
     reference_position_distribution,
     reference_rotated_table,
@@ -173,16 +179,16 @@ def test_a_rotated_boot_checks_each_entry_as_the_plain_boot_does(literal, adds_i
             obfuscation.boot_scan(image, KEY).rotated_table(seed, _non_leaf_functions(1))
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """Record the arguments of every call to ``obfuscation.<name>``."""
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call to ``owner.<name>``."""
     calls = []
-    original = getattr(obfuscation, name)
+    original = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(obfuscation, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -190,7 +196,7 @@ def test_a_wrong_key_fails_every_call_and_leaves_nothing(hardened, monkeypatch):
     himg, hman, _ = hardened
     image = _fresh(himg)
     wrong = next(k for k in range(1, 0x10000) if k != KEY and _reference_fails(image, k))
-    scans = _count_calls(monkeypatch, "scan_trampolines")
+    scans = _count_calls(monkeypatch, obfuscation, "scan_trampolines")
     for attempt in range(1, 4):
         with pytest.raises(IntegrityError):
             build_table(image, wrong)
@@ -260,18 +266,26 @@ def test_a_pop_unlike_its_push_fails_every_rotated_boot(hardened):
     build_table(image, KEY)
 
 
-def test_fifty_boots_scan_once_and_encode_each_entry_once(hardened, monkeypatch):
+def test_fifty_boots_scan_once_plan_once_and_place_each_entry_once(hardened, monkeypatch):
+    """Fifty rotated boots of a fresh image, whose plan starts with an empty
+    template memo, scan it once, call ``plan_rotation`` once per distinct
+    (sealed pop or push, position), and place each (site, position) entry
+    once: fewer placements than the fifty tables hold entries."""
     himg, hman, _ = hardened
     image = _fresh(himg)
-    scans = _count_calls(monkeypatch, "scan_trampolines")
-    encodings = _count_calls(monkeypatch, "entry_bytes_for")
+    scans = _count_calls(monkeypatch, obfuscation, "scan_trampolines")
+    plans = _count_calls(monkeypatch, obfuscation, "plan_rotation")
+    placements = _count_calls(monkeypatch, obfuscation.BootPlan, "_place")
     tables = [build_rotated_table(image, hman, KEY, seed) for seed in range(50)]
     assert len(scans) == 1
-    encoded = [
-        (sighting.core, tuple(insn.text() for insn in seq)) for seq, sighting, _ in encodings
-    ]
-    assert len(encoded) == len(set(encoded))
-    assert len(encoded) < sum(len(t.entries) for t in tables)
+    sealed = {insn for _, insn in obfuscation.boot_scan(image, KEY).sites
+              if isinstance(insn, (Pop, Push))}
+    assert Counter(plans) == Counter(
+        (insn.regs.without_flags(), position)
+        for insn in sealed for position in range(len(insn.regs.without_flags()) + 1))
+    placed = [(index, position) for _, index, position in placements]
+    assert len(placed) == len(set(placed))
+    assert len(placed) < sum(len(t.entries) for t in tables)
 
 
 def test_rotation_plans_equal_the_reference_for_every_register_set():
@@ -285,3 +299,35 @@ def test_rotation_plans_equal_the_reference_for_every_register_set():
             for position in (-1, len(regs.without_flags()) + 1):
                 with pytest.raises(HardenError):
                     plan_rotation(regs, position)
+
+
+def test_templates_and_room_equal_the_reference_for_every_register_set():
+    """Every r4-r11 register set, with and without lr (pc for a pop), sealed
+    as a push and as a pop, rotated and not: each template is the encoding
+    of the reference plan's sequence (the instruction alone unrotated), and
+    the room is the longest entry ``ReferenceTable.add`` encodes for it,
+    with a push's branch back."""
+    sighting = RawSighting(core=DEFAULT_BASE, adds_imm=0, literal_value=DEFAULT_TABLE_BASE)
+    for mask in range(1 << 8):
+        for flagged in (False, True):
+            regs = RegisterList(mask << 4)
+            for kind, flag in ((Push, "lr"), (Pop, "pc")):
+                insn = kind(regs.union(RegisterList.of(flag)) if flagged else regs)
+                for rotated in (False, True) if not insn.regs.is_empty else (True,):
+                    if rotated:
+                        plans = [reference_plan_rotation(regs, position)
+                                 for position in range(len(regs) + 1)]
+                        seqs = [p.push_sequence if kind is Push else p.pop_sequence
+                                for p in plans]
+                    else:
+                        seqs = [[insn]]
+                    assert entry_templates(insn, rotated) == tuple(
+                        (b"".join(encode(i) for i in seq), "; ".join(i.text() for i in seq))
+                        for seq in seqs
+                    ), (insn, rotated)
+                    longest = 0
+                    for seq in seqs:
+                        table = ReferenceTable(DEFAULT_TABLE_BASE, 0x100)
+                        table.add(sighting, seq)
+                        longest = max(longest, len(table.entries[0][1]))
+                    assert EntryTemplates().room(insn, rotated) == longest, (insn, rotated)

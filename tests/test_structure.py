@@ -1,13 +1,14 @@
 """Module-structure rules for the library: imports stay at module top, no
-module reaches into another module's private names and no test oracle into
-the library's, the trampoline geometry and the RAM map each have one
-definition, each source of trampolines (the rewriter, the byte scan) has
-one trampoline type, every instruction type the interpreter can run has a
-handler, register lists and instructions carry no instance dict, every function
-the benchmark's span tracer wraps exists, only the boot pass touches
-the image's boot-plan memo, only the interpreter touches its block memos,
-the attack keeps no module-level memo but its fixed-size effect table nor
-any of the boot pass's key material, indented JSON is written only
+module reaches into another module's private names and no test oracle
+into the library's, the trampoline geometry, the RAM map and a sealed
+instruction's table entry and room each have one definition, each source
+of trampolines (the rewriter, the byte scan) has one trampoline type,
+every instruction type the interpreter can run has a handler, register
+lists and instructions carry no instance dict, every function the
+benchmark's span tracer wraps exists, only the boot pass touches the
+image's boot-plan memo, only the interpreter touches its block memos,
+the attack keeps no module-level memo but its fixed-size effect table
+nor any of the boot pass's key material, indented JSON is written only
 through ``image.json_text``, and the gadget catalog's record is spelled
 only in ``attack``."""
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from retobf import attack, isa, machine
+from retobf import attack, isa, machine, obfuscation
 from retobf.image import DEFAULT_BASE, FirmwareImage
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +123,34 @@ def test_one_trampoline_type_per_source():
                 for base in node.bases)
     )
     assert users == ["_rewrite.TrampolineRecord", "obfuscation.RawSighting"]
+
+
+def _references(name: str) -> list[str]:
+    """``module.function`` of each place the library reads ``name``, by the
+    innermost function around it (``ast.walk`` reaches outer ones first)."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scope = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((id(node), func.name) for node in ast.walk(func))
+        found += [f"{path.stem}.{scope.get(id(node), '<module>')}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.Attribute) and node.attr == name]
+    return found
+
+
+def test_a_table_entry_and_its_room_are_defined_once():
+    """A sealed instruction's entry templates are built in one place, the
+    only reader of ``plan_rotation``, and its room is read from their
+    lengths: the per-site capacity helpers are gone, and ``obfuscation``
+    sums no ``byte_length()`` to size table room."""
+    assert _references("plan_rotation") == ["obfuscation.entry_templates"]
+    for gone in ("_entry_capacity", "rotation_plans"):
+        assert _references(gone) == [] and not hasattr(obfuscation, gone)
+    assert [ref for ref in _references("byte_length") if ref.startswith("obfuscation.")] == []
 
 
 def _span_targets() -> list[str]:
