@@ -313,9 +313,10 @@ class Prediction:
     """One method's verdict for one site.
 
     ``kind`` is "pop" (with ``reglist``), "bx_lr" (a link-register return:
-    nothing is popped), or "ambiguous" (methods disagreed; see ``union`` and
-    ``intersection``).  A method that could not run yields ``ok=False`` with
-    a reason, which is distinct from a wrong prediction.
+    nothing is popped), or "ambiguous" (methods disagreed; ``union`` holds
+    both pop verdicts' registers).  A method that could not run yields
+    ``ok=False`` with a reason, which is distinct from a wrong prediction.
+    Its JSON record omits ``method``: the report files it under that key.
     """
 
     site: RawSighting
@@ -326,38 +327,32 @@ class Prediction:
     confidence: float = 0.0
     reason: str = ""
     union: RegisterList | None = None
-    intersection: RegisterList | None = None
 
     def to_json(self) -> dict:
         return {
             "site": f"0x{self.site.core:x}",
-            "method": self.method,
             "ok": self.ok,
             "kind": self.kind,
             "reglist": None if self.reglist is None else list(self.reglist.names()),
             "confidence": round(self.confidence, 4),
             "reason": self.reason,
             "union": None if self.union is None else list(self.union.names()),
-            "intersection": None
-            if self.intersection is None
-            else list(self.intersection.names()),
         }
 
     @classmethod
-    def from_json(cls, obj: dict, site: RawSighting) -> "Prediction":
+    def from_json(cls, obj: dict, site: RawSighting, method: str) -> "Prediction":
         def regs(names):
             return None if names is None else RegisterList.from_names(names)
 
         return cls(
             site=site,
-            method=obj["method"],
+            method=method,
             ok=obj["ok"],
             kind=obj["kind"],
             reglist=regs(obj["reglist"]),
             confidence=obj["confidence"],
             reason=obj["reason"],
             union=regs(obj["union"]),
-            intersection=regs(obj["intersection"]),
         )
 
 
@@ -458,7 +453,6 @@ def combine_predictions(sym: Prediction, live: Prediction) -> Prediction:
         return Prediction(
             site, "combined", ok=True, kind="ambiguous",
             union=a.reglist.union(b.reglist),
-            intersection=a.reglist.intersection(b.reglist),
             confidence=penalty,
             reason="methods disagree on the register list",
         )
@@ -706,7 +700,8 @@ class AttackResult:
         rebuilt result's catalog is empty.  A rebuilt site's
         ``enc_window`` holds only the encrypted halfword, and
         ``inferred_table_offset`` is derived again when the result is
-        written."""
+        written.  A prediction's method is the key it is filed under; the
+        ``method`` and ``intersection`` keys of older reports go unread."""
         sites = {}
         for site in obj["sites"]:
             core, halfword = int(site["address"], 16), int(site["encrypted_halfword"], 16)
@@ -723,7 +718,7 @@ class AttackResult:
             sites=sorted(sites.values(), key=lambda s: s.core),
             predictions={
                 method: [
-                    Prediction.from_json(p, sites[int(p["site"], 16)])
+                    Prediction.from_json(p, sites[int(p["site"], 16)], method)
                     for p in obj["predictions"][method]
                 ]
                 for method in METHODS

@@ -302,8 +302,8 @@ class TableEntry:
 class DrawLayout:
     """What the draws of every rotated table of one boot plan share: each
     push group's register names, and the rows naming the draws,
-    ``(function, group)``.  A row's group is None for a function that draws
-    nothing (a leaf)."""
+    ``(function, group)``, one per function.  A row's group is None for a
+    function that draws nothing (a leaf)."""
 
     names: tuple[tuple[str, ...], ...]
     rows: tuple[tuple[str, int | None], ...]
@@ -314,14 +314,11 @@ class DrawLayout:
         return 0 if group is None else len(self.names[group]) + 1
 
     def draws(self, positions: bytes) -> list[dict]:
-        """The rows as JSON, each group at its drawn position."""
-        out = []
-        for fn, group in self.rows:
-            draw = {"fn": fn, "slots": self.slots(group), "position": 0}
-            if group is not None:
-                draw.update(position=positions[group], regs=list(self.names[group]))
-            out.append(draw)
-        return out
+        """``{"fn", "position"}`` per function that draws, in row order.  A
+        group's registers are its function's ``true_pop`` without pc and its
+        slots one more than their count, so neither is written."""
+        return [{"fn": fn, "position": positions[group]}
+                for fn, group in self.rows if group is not None]
 
 
 def _check_entry(entry: TableEntry, start: int, room: int) -> None:
@@ -347,7 +344,7 @@ class RamTable:
     ``image`` holds the table's bytes from ``base`` to the end of the last
     entry, zero between entries, as the boot pass leaves RAM.  A rotated
     table also holds its drawn position per push group, and the layout its
-    plan's tables share."""
+    plan's tables share; its JSON ``draws`` are ``DrawLayout.draws``."""
 
     base: int
     room: int
@@ -368,7 +365,8 @@ class RamTable:
 
     @property
     def draws(self) -> list[dict]:
-        """Each draw as JSON: none for a plain table."""
+        """Each drawing function and its position as JSON: none for a plain
+        table."""
         return [] if self.layout is None else self.layout.draws(self.positions)
 
     def install(self, state) -> None:
@@ -422,11 +420,6 @@ def _entry(template: tuple[bytes, str], push: bool, sighting: RawSighting, base:
             raise IntegrityError(f"site 0x{sighting.core:x}: {exc}") from None
         text = f"{text}; {branch.text()}"
     return TableEntry(sighting.entry_address - base, data, text, sighting.core)
-
-
-def entry_bytes_for(seq, sighting: RawSighting, table_base: int) -> TableEntry:
-    """``_entry`` of the position-independent instructions ``seq``."""
-    return _entry(_template(seq), isinstance(seq[-1], Push), sighting, table_base)
 
 
 @dataclass

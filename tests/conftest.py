@@ -18,7 +18,7 @@ from retobf.image import (
     generate_corpus,
 )
 from retobf.isa import AddsImmR0, BxLr, LdrLitR0, MovPcR0, Pop, Push, RegisterList, encode
-from retobf.obfuscation import encrypt_bytes, obfuscate_returns
+from retobf.obfuscation import _entry, _template, encrypt_bytes, obfuscate_returns
 
 KEY = 0xA5A5
 
@@ -35,6 +35,13 @@ def plant_signature(data: bytearray, base: int, off: int, adds_imm: int, literal
     data[off + ENC_SLOT_OFFSET : off + ENC_SLOT_OFFSET + len(sealed)] = sealed
     data[lit : lit + 4] = literal.to_bytes(4, "little")
     return True
+
+
+def entry_bytes_for(seq, sighting, table_base: int):
+    """The table entry of the position-independent instructions ``seq`` at
+    ``sighting``'s entry address, built as the boot pass builds one from a
+    template; a push at the end branches back to the site."""
+    return _entry(_template(seq), isinstance(seq[-1], Push), sighting, table_base)
 
 
 @st.composite

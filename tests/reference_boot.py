@@ -2,7 +2,7 @@
 
 Every call scans the image, decrypts every slot and encodes every entry
 afresh, with no state kept between calls, and every table keeps its own
-draw dicts.  ``tests/test_boot_plan.py`` checks that the memoised
+draw dicts and slot counts.  ``tests/test_boot_plan.py`` checks that the memoised
 ``build_table`` and ``build_rotated_table`` give the same tables, in JSON
 and in RAM bytes, whatever order they run in, and that
 ``position_distribution`` counts what ``reference_position_distribution``
@@ -32,6 +32,8 @@ class ReferenceTable:
         self.base, self.room = base, room
         self.entries: list[tuple[int, bytes, str]] = []
         self.draws: list[dict] = []
+        #: Stack slots per function, 0 for a leaf; not part of the JSON.
+        self.slots: dict[str, int] = {}
         self.image = bytearray()
 
     def add(self, sighting, seq, capacity=None) -> None:
@@ -123,16 +125,11 @@ def reference_rotated_table(image, manifest, key, seed) -> ReferenceTable:
     rng = random.Random(seed)
     table = ReferenceTable(image.table_base, image.table_room)
     for fn, regs in pushes.items():
-        if regs is None:
-            table.draws.append({"fn": fn, "slots": 0, "position": 0})
-            continue
-        position = rng.randint(0, len(regs))
-        table.draws.append(
-            {"fn": fn, "slots": len(regs) + 1, "position": position, "regs": list(regs.names())}
-        )
+        table.slots[fn] = 0 if regs is None else len(regs) + 1
+        if regs is not None:
+            table.draws.append({"fn": fn, "position": rng.randint(0, len(regs))})
     plans = {
-        d["fn"]: reference_plan_rotation(pushes[d["fn"]], d["position"])
-        for d in table.draws if d["slots"]
+        d["fn"]: reference_plan_rotation(pushes[d["fn"]], d["position"]) for d in table.draws
     }
     for sighting, insn in scanned:
         rec = records[sighting.core]
@@ -148,15 +145,14 @@ def reference_rotated_table(image, manifest, key, seed) -> ReferenceTable:
 def reference_position_distribution(tables) -> dict[str, dict]:
     """The position histogram counted from each table's own draw dicts."""
     hist = {
-        d["fn"]: {
-            "slots": d["slots"],
-            "counts": [0] * max(d["slots"], 1),
-            "degenerate": d["slots"] <= 1 or len(tables) == 1,
+        fn: {
+            "slots": slots,
+            "counts": [0] * max(slots, 1),
+            "degenerate": slots <= 1 or len(tables) == 1,
         }
-        for d in tables[0].draws
+        for fn, slots in tables[0].slots.items()
     }
     for table in tables:
         for d in table.draws:
-            if d["slots"]:
-                hist[d["fn"]]["counts"][d["position"]] += 1
+            hist[d["fn"]]["counts"][d["position"]] += 1
     return hist

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import retobf
 from retobf import cli
-from retobf.attack import GADGET_KINDS, GadgetCandidate, GadgetSite, run_attack
+from retobf import image as image_mod
+from retobf.attack import GADGET_KINDS, AttackResult, GadgetCandidate, GadgetSite, run_attack
 from retobf.cli import _equivalence_suite, _gadget_check, main
 from retobf.harden import harden
 from retobf.image import MAX_IMAGE_SIZE, CorpusParams, generate_corpus, load
@@ -332,6 +333,46 @@ def test_eval_rejects_malformed_attack_report(workdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: malformed attack report") and err.count("\n") == 1
 
+
+
+def _with_method_and_intersection(report: dict) -> dict:
+    """``report`` in the form attack reports had before their prediction
+    records dropped two keys: each record names its ``method``, and an
+    ambiguous pop verdict's ``intersection`` holds the registers its
+    symmetry and liveness verdicts share (None on every other record)."""
+    old = json.loads(json.dumps(report))
+    preds = old["predictions"]
+    reglists = {m: {p["site"]: p["reglist"] for p in preds[m]} for m in ("symmetry", "liveness")}
+    for method, records in preds.items():
+        for rec in records:
+            rec["method"], rec["intersection"] = method, None
+            if rec["kind"] == "ambiguous" and rec["union"] is not None:
+                live = reglists["liveness"][rec["site"]]
+                rec["intersection"] = [r for r in reglists["symmetry"][rec["site"]] if r in live]
+    return old
+
+
+def test_a_report_with_method_and_intersection_still_loads(tmp_path):
+    """An attack report whose records still carry ``method`` and
+    ``intersection`` loads to the same result and evaluates to the same
+    ``eval.json`` bytes as the report the attack writes now."""
+    assert run("gen", "--out", str(tmp_path / "c"), "--seed", "5", "--functions", "16") == 0
+    assert run("harden", "--in", str(tmp_path / "c"), "--out", str(tmp_path / "h"),
+               "--key", KEY, "--kmax", "3", "--seed", "4") == 0
+    assert run("attack", "--in", str(tmp_path / "h"), "--out", str(tmp_path / "a")) == 0
+    report_path, eval_path = tmp_path / "a.attack.json", tmp_path / "e.eval.json"
+    argv = ["eval", "--plain", str(tmp_path / "c"), "--image", str(tmp_path / "h"),
+            "--attack", str(tmp_path / "a"), "--out", str(tmp_path / "e"), "--key", KEY]
+    evals = []
+    report = json.loads(report_path.read_text())
+    old = _with_method_and_intersection(report)
+    assert any(rec["intersection"] for rec in old["predictions"]["combined"])
+    assert AttackResult.from_json(old) == AttackResult.from_json(report)
+    for written in (report, old):
+        image_mod.write_json(report_path, written)
+        assert run(*argv) == 0
+        evals.append(eval_path.read_bytes())
+    assert evals[0] == evals[1]
 
 
 def _records(path) -> list[dict]:

@@ -355,14 +355,17 @@ def test_position_distribution(hardened):
 
 
 def test_position_distribution_counts_the_tables_draws(hardened):
+    """The histogram counts the positions the tables' JSON draws name, over
+    each function's slots as its manifest ``true_pop`` sets them."""
     himg, hman, _ = hardened
     tables = [build_rotated_table(himg, hman, KEY, seed) for seed in (3, 8, 8, 21)]
-    counts = {}
+    counts = {fn.name: [0] * (1 if fn.is_leaf else len(fn.true_pop.without_flags()) + 1)
+              for fn in hman.functions}
     for table in tables:
+        assert [d["fn"] for d in table.draws] == [f.name for f in hman.functions
+                                                  if not f.is_leaf]
         for draw in table.draws:
-            row = counts.setdefault(draw["fn"], [0] * max(draw["slots"], 1))
-            if draw["slots"]:
-                row[draw["position"]] += 1
+            counts[draw["fn"]][draw["position"]] += 1
     hist = position_distribution(tables)
     assert {fn: entry["counts"] for fn, entry in hist.items()} == counts
     assert list(hist) == [fn.name for fn in hman.functions]

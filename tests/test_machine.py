@@ -7,7 +7,7 @@ import gc
 import types
 
 import pytest
-from conftest import KEY, crafted_images
+from conftest import KEY, crafted_images, entry_bytes_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_machine import reference_check_gadget, reference_run, reference_step
@@ -51,7 +51,6 @@ from retobf.obfuscation import (
     RawSighting,
     TableEntry,
     build_table,
-    entry_bytes_for,
     scan_trampolines,
 )
 
@@ -381,12 +380,10 @@ def test_each_table_runs_its_own_bytes(hardened):
     table's entries: no decode of one table is reused under the other."""
     image, manifest, _ = hardened
     tables = [build_rotated_table(image, manifest, KEY, seed) for seed in (0, 1)]
-    differs = [
-        i for i, (a, b) in enumerate(zip(tables[0].draws, tables[1].draws))
-        if a["slots"] and a["position"] != b["position"]
-    ]
+    differs = [a["fn"] for a, b in zip(tables[0].draws, tables[1].draws)
+               if a["position"] != b["position"]]
     assert differs
-    entry = manifest.functions[differs[0]].start
+    entry = next(fn.start for fn in manifest.functions if fn.name == differs[0])
     traces = []
     for table in (*tables, tables[0]):
         result = call(image, table, entry)

@@ -32,14 +32,13 @@ from retobf.obfuscation import (
     decode_sealed,
     encrypt_bytes,
     encrypt_halfword,
-    entry_bytes_for,
     obfuscate_returns,
     scan_trampolines,
     sweep_plaintext,
     trampoline_data_ranges,
 )
 
-from conftest import KEY, crafted_images, plant_signature
+from conftest import KEY, crafted_images, entry_bytes_for, plant_signature
 
 R = RegisterList.of
 
