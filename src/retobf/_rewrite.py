@@ -76,6 +76,8 @@ class TrampolineGeometry:
     ``adds_imm`` and ``literal_value``: the one definition the planted
     record, the scanned sighting and the located site share."""
 
+    __slots__ = ()
+
     @property
     def enc_slot(self) -> int:
         return self.core + ENC_SLOT_OFFSET
@@ -95,9 +97,9 @@ class TrampolineGeometry:
         return self.literal_value + self.adds_imm
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TrampolineRecord(TrampolineGeometry):
-    """One planted trampoline; serialized into the manifest transform log."""
+    """One planted trampoline, as ``Manifest.sites`` holds it; layout never writes one."""
 
     kind: str  # "return" or "push"
     fn: str
@@ -201,7 +203,6 @@ class TrampolineItem(Item):
 
     def emit(self, addr: int, resolve) -> bytes:
         rec = self.record
-        rec.item_start = addr
         pad = b"" if addr % 4 == 2 else _NOP
         core = bytearray(_SIGNATURE_LDR)
         core += encode(AddsImmR0(rec.adds_imm))
@@ -288,11 +289,11 @@ def lift(image, manifest, *cuts: int) -> Program:
     """Decode an image back into a Program, guided by the manifest.
 
     Function code is decoded once.  Its manifest sites and branches become
-    ``InsnItem``s, planted trampolines are rebuilt from the latest
-    transform-log snapshot, and each straight run between cut points
-    (function edges, branch targets, the extra ``cuts``) and everything
-    outside the functions are ``BlobItem``s of their bytes."""
-    records = {rec.item_start: rec for rec in manifest.trampoline_records()}
+    ``InsnItem``s, planted trampolines hold the manifest's ``sites`` records,
+    and each straight run between cut points (function edges, branch targets,
+    the extra ``cuts``) and everything outside the functions are
+    ``BlobItem``s of their bytes."""
+    records = {rec.item_start: rec for rec in manifest.sites}
     # Sorted and non-overlapping, as ``Manifest.validate`` requires.
     starts = [fn.start for fn in manifest.functions]
     ends = [fn.end for fn in manifest.functions]

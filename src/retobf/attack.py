@@ -844,12 +844,8 @@ def evaluate_recovery(result: AttackResult, manifest: Manifest, image: FirmwareI
     recorded = manifest.latest_sha()
     if recorded != result.image_sha256 or image.sha256() != result.image_sha256:
         raise LineageError("attack output and manifest describe different images")
-    records = manifest.trampoline_records()
-    truth_by_addr = {}
     fn_by_name = {fn.name: fn for fn in manifest.functions}
-    for rec in records:
-        fn = fn_by_name[rec.fn]
-        truth_by_addr[rec.core] = (rec, fn)
+    truth_by_addr = {rec.core: (rec, fn_by_name[rec.fn]) for rec in manifest.sites}
     found_addrs = {s.core for s in result.sites}
     truth_addrs = set(truth_by_addr)
     recall = None

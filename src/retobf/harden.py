@@ -104,7 +104,7 @@ def encrypt_pushes(
     new_image, new_manifest = commit(
         prog, image, manifest, "encrypt_pushes", rotation_capable=rotation_capable
     )
-    return new_image, new_manifest, prog.trampoline_records()
+    return new_image, new_manifest, new_manifest.sites
 
 
 def harden(

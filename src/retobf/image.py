@@ -20,6 +20,7 @@ from ._rewrite import (
     InsnItem,
     Program,
     RewriteError,
+    TrampolineItem,
     TrampolineRecord,
     lift,
     signature_offsets,
@@ -87,7 +88,11 @@ def _field(obj, key: str | int, parse=lambda value: value):
 
 def _items(parse):
     """A parser for a JSON list whose failures name the item's index."""
-    return lambda items: [_field(items, i, parse) for i in range(len(items))]
+    def items(value) -> list:
+        if type(value) is not list:
+            raise TypeError("not a list")
+        return [_field(value, i, parse) for i in range(len(value))]
+    return items
 
 
 def _hex(text: str) -> int:
@@ -226,31 +231,17 @@ class Manifest:
     seed: int
     functions: list[FunctionRecord]
     transform_log: list[dict] = field(default_factory=list)
+    #: The image's trampolines; ``to_json`` puts them on the newest log entry.
+    sites: list[TrampolineRecord] = field(default_factory=list)
 
     def validate(self, image: FirmwareImage | None = None) -> None:
-        """Function names are unique strings and site records name functions
-        (else a FieldError); given ``image``, the manifest describes it."""
-        names = {}
-        for i, fn in enumerate(self.functions):
-            if not isinstance(fn.name, str) or names.setdefault(fn.name, i) != i:
-                raise FieldError(f".functions[{i}].name", ValueError("not a unique string"))
-        for k, entry in enumerate(self.transform_log):
-            sites = entry.get("sites", [])
-            if not isinstance(sites, list):
-                raise FieldError(f".transform_log[{k}].sites", TypeError("not a list"))
-            for j, site in enumerate(sites):
-                fn = site.get("fn") if isinstance(site, dict) else None
-                if not isinstance(fn, str) or fn not in names:
-                    raise FieldError(f".transform_log[{k}].sites[{j}].fn",
-                                     ValueError(f"{fn!r} names no function"))
+        """The functions are well formed, disjoint and in address order; given
+        ``image``, the manifest describes it."""
         prev_end = None
-        ordered = sorted(self.functions, key=lambda f: f.start)
-        if [f.name for f in ordered] != [f.name for f in self.functions]:
-            raise ImageError("functions not sorted by address")
         for fn in self.functions:
             fn.validate()
             if prev_end is not None and fn.start < prev_end:
-                raise ImageError(f"{fn.name}: overlaps previous function")
+                raise ImageError(f"{fn.name}: starts before the previous function ends")
             prev_end = fn.end
         if image is not None:
             for fn in self.functions:
@@ -277,15 +268,8 @@ class Manifest:
         return None
 
     def trampoline_records(self) -> list[TrampolineRecord]:
-        """The newest ``sites`` snapshot in the transform log."""
-        log = self.transform_log
-        for k in range(len(log) - 1, -1, -1):
-            if "sites" in log[k]:
-                try:
-                    return _field(log[k], "sites", _items(TrampolineRecord.from_json))
-                except FieldError as exc:
-                    raise FieldError(f"transform_log[{k}]{exc.path}", exc.cause) from exc.cause
-        return []
+        """``sites``, by the name perfbench reads."""
+        return self.sites
 
     def has_pass(self, name: str) -> bool:
         return any(entry.get("pass") == name for entry in self.transform_log)
@@ -297,25 +281,45 @@ class Manifest:
         return any(entry.get("rotation_capable") for entry in self.transform_log)
 
     def to_json(self) -> dict:
+        log = self.transform_log
+        if self.sites:
+            log = [*log[:-1], {**log[-1], "sites": [rec.to_json() for rec in self.sites]}]
         return {
             "base": f"0x{self.base:x}",
             "sram_base": f"0x{self.sram_base:x}",
             "table_base": f"0x{self.table_base:x}",
             "seed": self.seed,
             "functions": [fn.to_json() for fn in self.functions],
-            "transform_log": self.transform_log,
+            "transform_log": log,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Manifest":
-        return cls(
+        """Parse and check once: function names are unique strings and the newest
+        ``sites`` snapshot's records name functions (else a FieldError); older go unread."""
+        manifest = cls(
             base=_field(obj, "base", _hex),
             sram_base=_field(obj, "sram_base", _hex),
             table_base=_field(obj, "table_base", _hex),
             seed=_field(obj, "seed", int),
             functions=_field(obj, "functions", _items(FunctionRecord.from_json)),
-            transform_log=_field(obj, "transform_log", _items(dict)),
+            transform_log=_field(obj, "transform_log", _items(lambda entry: {**entry})),
         )
+        names = {}
+        for i, fn in enumerate(manifest.functions):
+            if not isinstance(fn.name, str) or names.setdefault(fn.name, i) != i:
+                raise FieldError(f".functions[{i}].name", ValueError("not a unique string"))
+        log = manifest.transform_log
+        for k in [k for k, entry in enumerate(log) if "sites" in entry][-1:]:
+            manifest.sites = _field(obj, "transform_log", lambda raw: _field(
+                raw, k, lambda entry: _field(entry, "sites", _items(TrampolineRecord.from_json))))
+            for j, rec in enumerate(manifest.sites):
+                if not isinstance(rec.fn, str) or rec.fn not in names:
+                    raise FieldError(f".transform_log[{k}].sites[{j}].fn",
+                                     ValueError(f"{rec.fn!r} names no function"))
+        for entry in log:
+            entry.pop("sites", None)
+        return manifest
 
 
 @dataclass
@@ -594,7 +598,6 @@ def load(prefix) -> tuple[FirmwareImage, Manifest]:
     bin_path, json_path = artifact_path(prefix, ".bin"), artifact_path(prefix, ".json")
     try:
         manifest = Manifest.from_json(json.loads(json_path.read_text()))
-        manifest.trampoline_records()  # fail here, not later inside a pass
         image = FirmwareImage(
             base=manifest.base,
             data=bin_path.read_bytes(),
@@ -631,26 +634,23 @@ def commit(
 ) -> tuple[FirmwareImage, Manifest]:
     """Lay out an edited program as the next image of ``image``'s lineage.
 
-    The manifest's addresses follow the layout, and the transform log gains
-    one entry for pass ``name`` with ``params``.  The entry carries the
-    ``sites`` snapshot whenever the program holds trampolines, and then the
-    older entries lose theirs, so the one snapshot describes the current image.
+    The manifest's addresses follow the layout, its ``sites`` are the
+    program's trampoline records at their laid-out starts, and the
+    transform log gains one entry for pass ``name`` with ``params``.
     """
     layout = prog.layout()
     new_image = replace(image, data=layout.data)
     new_manifest = remap_manifest(manifest, layout.addr_map)
-    records = prog.trampoline_records()
-    if records:
-        for entry in new_manifest.transform_log:
-            entry.pop("sites", None)
-        params["sites"] = [rec.to_json() for rec in records]
+    new_manifest.sites = [replace(item.record, item_start=addr)
+                          for item, addr in zip(prog.items, layout.addresses)
+                          if isinstance(item, TrampolineItem)]
     new_manifest.record_pass(new_image, name, **params)
     new_manifest.validate(new_image)
     return new_image, new_manifest
 
 
 def remap_manifest(manifest: Manifest, addr_map: dict) -> Manifest:
-    """Rebuild the manifest with every address pushed through ``addr_map``."""
+    """Rebuild the manifest with every function address pushed through ``addr_map``."""
 
     def m(addr):
         try:

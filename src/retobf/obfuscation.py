@@ -214,7 +214,7 @@ def seal_sites(
         record = TrampolineRecord(
             kind=kind,
             fn=fn_name,
-            item_start=0,  # assigned at layout
+            item_start=0,  # commit records where layout puts it
             enc=encrypt_bytes(encode(insn), key),
             adds_imm=offset - block * OFFSET_BLOCK,
             literal_value=image.table_base + block * OFFSET_BLOCK,
@@ -254,7 +254,7 @@ def obfuscate_returns(
         init_stub_bytes=INIT_STUB_BYTES if manifest.functions else 0,
         leaf_returns_obfuscated=True,
     )
-    return new_image, new_manifest, prog.trampoline_records()
+    return new_image, new_manifest, new_manifest.sites
 
 
 @dataclass

@@ -112,7 +112,7 @@ def reference_rotated_table(image, manifest, key, seed) -> ReferenceTable:
     sealed = {type(insn) for _, insn in scanned}
     if not (manifest.rotation_capable and (Push in sealed or Pop not in sealed)):
         raise HardenError("rotation needs sealed pushes and rotation room")
-    records = {rec.core: rec for rec in manifest.trampoline_records()}
+    records = {rec.core: rec for rec in manifest.sites}
     unmatched = records.keys() ^ {sighting.core for sighting, _ in scanned}
     if unmatched:
         raise HardenError(

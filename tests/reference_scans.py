@@ -216,7 +216,7 @@ def baseline_gadget_scan(image):
 
 
 def lift(image, manifest):
-    records = {rec.item_start: rec for rec in manifest.trampoline_records()}
+    records = {rec.item_start: rec for rec in manifest.sites}
     fn_bounds = [(fn.start, fn.end) for fn in manifest.functions]
     prog = Program(image.base)
     end = image.base + len(image.data)

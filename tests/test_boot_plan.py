@@ -3,9 +3,9 @@ entry template built and each entry placed once, and every table still
 equals the uncached reference boot pass, whatever order the tables are
 built in."""
 
-import copy
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,6 @@ from retobf.image import (
     DEFAULT_TABLE_BASE,
     CorpusParams,
     FirmwareImage,
-    Manifest,
     generate_corpus,
 )
 from retobf.isa import Pop, Push, RegisterList, encode
@@ -219,28 +218,29 @@ def _reference_fails(image, key) -> bool:
     return False
 
 
-def test_the_manifest_only_names_the_draws(hardened, monkeypatch):
+class _Unreadable(list):
+    """A site list that fails on every read."""
+
+    def _fail(self, *args):
+        raise AssertionError("the rotated boot read the site records")
+
+    __iter__ = __len__ = __getitem__ = __bool__ = _fail
+
+
+def test_the_manifest_only_names_the_draws(hardened):
     """The rotated boot reads nothing of the manifest but its functions: a
     manifest with no site records, one whose return sites name the wrong
     functions, and the honest one with its site records unreadable all boot
     the honest table."""
     himg, hman, _ = hardened
     refs = [reference_rotated_table(himg, hman, KEY, seed) for seed in range(4)]
-    no_sites = copy.deepcopy(hman)
-    for entry in no_sites.transform_log:
-        entry.pop("sites", None)
-    swapped = copy.deepcopy(hman)
+    no_sites = replace(hman, sites=[])
     names = [fn.name for fn in hman.functions]
-    snapshot = next(entry for entry in reversed(swapped.transform_log) if "sites" in entry)
-    for site in snapshot["sites"]:
-        if site["kind"] == "return":
-            site["fn"] = names[names.index(site["fn"]) - 1]
-
-    def unreadable(self):
-        raise AssertionError("the rotated boot read the site records")
-
-    monkeypatch.setattr(Manifest, "trampoline_records", unreadable)
-    for man in (no_sites, swapped, hman):
+    swapped = replace(hman, sites=[
+        replace(rec, fn=names[names.index(rec.fn) - 1]) if rec.kind == "return" else rec
+        for rec in hman.sites])
+    unreadable = replace(hman, sites=_Unreadable())
+    for man in (no_sites, swapped, unreadable):
         image = _fresh(himg)
         for seed, ref in enumerate(refs):
             assert _same_table(build_rotated_table(image, man, KEY, seed), ref)

@@ -873,7 +873,7 @@ def test_equivalence_suite_reports_each_failed_run(workdir, capsys):
     table = build_table(image, int(KEY, 16))
     entry = table.entries[2]
     table.image[entry.offset : entry.offset + len(entry.data)] = bytes(len(entry.data))
-    victim = next(rec.fn for rec in manifest.trampoline_records()
+    victim = next(rec.fn for rec in manifest.sites
                   if rec.table_offset == entry.offset)
     capsys.readouterr()
     runs, passed = _equivalence_suite(plain, plain_man, image, manifest, [table], runs=300)
@@ -927,7 +927,14 @@ def test_malformed_manifest_names_the_exception(tmp_path, capsys):
      "functions[12].true_pop: KeyError('fp')"),
     (lambda m: m["transform_log"][0].update(sites=[{"kind": "return"}]),
      "transform_log[0].sites[0]: KeyError('fn')"),
-], ids=["epilogue-site", "register-name", "site-record"])
+    (lambda m: m["transform_log"].append(
+        [["pass", "seal"], ["image_sha256", m["transform_log"][0]["image_sha256"]]]),
+     "transform_log[1]: TypeError(\"'list' object is not a mapping\")"),
+    (lambda m: m["transform_log"][0].update(sites={}),
+     "transform_log[0].sites: TypeError('not a list')"),
+    (lambda m: m.update(functions={}), "functions: TypeError('not a list')"),
+], ids=["epilogue-site", "register-name", "site-record", "log-entry-of-pairs", "sites-object",
+        "functions-object"])
 def test_malformed_manifest_names_the_field(tmp_path, capsys, edit, path):
     corpus = _edited_corpus(tmp_path, edit)
     capsys.readouterr()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retobf import isa
-from retobf._rewrite import BlobItem, Program, lift, signature_offsets
+from retobf._rewrite import BlobItem, Program, TrampolineItem, lift, signature_offsets
 from retobf.harden import encrypt_pushes, pad_corpus
 from retobf.image import (
     MAX_IMAGE_SIZE,
@@ -21,6 +21,7 @@ from retobf.image import (
     FirmwareImage,
     FunctionRecord,
     ImageError,
+    Manifest,
     artifact_path,
     commit,
     generate_corpus,
@@ -33,7 +34,7 @@ from retobf.image import (
 )
 from retobf.isa import Pop, Push, RegisterList, decode
 from retobf.machine import CALLER_STACK_BYTES, call, states_equivalent
-from retobf.obfuscation import build_table, obfuscate_returns
+from retobf.obfuscation import build_table, obfuscate_returns, seal_sites
 
 from conftest import KEY
 
@@ -277,7 +278,7 @@ def test_splice_into_obfuscated_image(small_corpus):
     constant-footprint re-layout must keep the pc-relative literals
     reachable and behavior intact."""
     from retobf.machine import call, states_equivalent
-    from retobf.obfuscation import build_table, obfuscate_returns
+    from retobf.obfuscation import build_table, obfuscate_returns, seal_sites
     from retobf.obfuscation import scan_trampolines
 
     image, manifest = small_corpus
@@ -452,21 +453,55 @@ def test_written_json_is_json_text(tmp_path_factory, obj):
 
 def test_an_indented_manifest_with_older_snapshots_loads(corpus, tmp_path):
     """A manifest in the earlier form, indented by ``json.dumps`` and with a
-    ``sites`` snapshot in every log entry that sealed sites, loads and
-    reads the same trampoline records as the manifest that keeps one."""
+    ``sites`` snapshot in every log entry that sealed sites, loads as the
+    manifest that keeps one: the newest snapshot's records, and no older
+    snapshot left in the log."""
     image, manifest = corpus
     image, manifest, _ = pad_corpus(image, manifest, key_seed=3, kmax=2)
     image, manifest, _ = obfuscate_returns(image, manifest, KEY, rotation_capable=True)
-    older = manifest.transform_log[-1]["sites"]
+    older = manifest.to_json()["transform_log"][-1]["sites"]
     image, manifest, _ = encrypt_pushes(image, manifest, KEY)
-    assert ["sites" in entry for entry in manifest.transform_log] == [False] * 3 + [True]
-    old = manifest.to_json()
+    old = json.loads(json_text(manifest.to_json()))
+    assert ["sites" in entry for entry in old["transform_log"]] == [False] * 3 + [True]
     old["transform_log"][2]["sites"] = older
     _, json_path = save(image, manifest, tmp_path / "h")
     json_path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
     _, loaded = load(tmp_path / "h")
-    assert loaded.trampoline_records() == manifest.trampoline_records()
-    assert loaded.transform_log[2]["sites"] == older
+    assert loaded == manifest and loaded.sites
+    assert not any("sites" in entry for entry in loaded.transform_log)
+
+
+@pytest.mark.parametrize("stage", ["corpus", "obfuscated", "hardened"])
+def test_manifest_round_trips_through_its_json(request, stage, tmp_path):
+    """Parsing a manifest's JSON text gives the manifest back, and that text
+    is the bytes ``save`` writes."""
+    image, manifest = request.getfixturevalue(stage)[:2]
+    text = json_text(manifest.to_json())
+    assert Manifest.from_json(json.loads(text)) == manifest
+    _, json_path = save(image, manifest, tmp_path / "m")
+    assert json_path.read_text() == text
+
+
+def test_layout_writes_no_record_and_commit_places_each(corpus):
+    """Layout leaves the records ``seal_sites`` planted at ``item_start`` 0
+    as they are; the manifest ``commit`` returns holds each at the address
+    it was laid out at, where the image holds its signature."""
+    image, manifest = corpus
+    prog = lift(image, manifest)
+    sites = [(fn.name, site) for fn in manifest.functions for site in fn.epilogue_sites]
+    seal_sites(prog, "return", sites, KEY, image, rotation_capable=False)
+    planted = prog.trampoline_records()
+    assert len(planted) == len(sites) and {rec.item_start for rec in planted} == {0}
+    layout = prog.layout()
+    assert prog.trampoline_records() == planted
+    assert {rec.item_start for rec in planted} == {0}
+    new_image, new_manifest = commit(prog, image, manifest, "seal")
+    starts = [addr for item, addr in zip(prog.items, layout.addresses)
+              if isinstance(item, TrampolineItem)]
+    assert new_manifest.sites == [dataclasses.replace(rec, item_start=start)
+                                  for rec, start in zip(planted, starts)]
+    assert [rec.core for rec in new_manifest.sites] == [
+        new_image.base + off for off in signature_offsets(new_image.data)]
 
 
 class Opaque:

@@ -525,7 +525,7 @@ def _check_lift(image, manifest, *cuts):
     targets = {e[3] for e in want if e[0] == "insn" and e[3] is not None}
     cut_points = {image.base, *cuts, *targets}
     cut_points.update(a for fn in manifest.functions for a in (fn.start, fn.end))
-    cut_points.update(rec.item_start for rec in manifest.trampoline_records())
+    cut_points.update(rec.item_start for rec in manifest.sites)
     for item in prog.items:
         if isinstance(item, InsnItem):
             assert item.orig_addr in sites or isinstance(item.insn, (Bl, BranchW)), item.insn
